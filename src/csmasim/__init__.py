@@ -37,7 +37,7 @@ from .scheduling import (ConstantStepPlan, constant_step_plan, epoch_params,
                          fitted_reference, lyapunov_potential,
                          potential_lower_bound, update_diminishing,
                          update_projected)
-from .traffic import (ArrivalSpec, QueueState, empirical_rates, integrate_epoch,
-                      sample_epoch_arrivals, sample_unit_arrivals)
+from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
+                      sample_epoch_arrivals)
 
 __version__ = "0.1.0"

@@ -293,21 +293,6 @@ def second_eigenvalue_modulus(kernel: GlauberKernel,
     return float(max(abs(vals[0]), abs(vals[-2])))
 
 
-def matrix_norm(A, weights) -> float:
-    """Operator norm of A on the weighted-L2 space, restricted to mean-zero inputs.
-
-    For a reversible kernel at its stationary weights this equals the
-    second-largest eigenvalue modulus.
-    """
-    A = np.asarray(A, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    d = np.sqrt(weights)
-    sym = A * d[:, None] / d[None, :]
-    q = d / np.linalg.norm(d)
-    proj = np.eye(A.shape[0]) - np.outer(q, q)
-    return float(np.linalg.norm(sym @ proj, 2))
-
-
 def conductance(flow_matrix, probs, max_states: int = CONDUCTANCE_STATE_CAP) -> float:
     """min over cuts S of  Q(S, S^c) / (pi(S) pi(S^c))  with Q the one-way flow.
 
@@ -340,16 +325,6 @@ def tv_distance(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return 0.5 * float(np.abs(p - q).sum())
-
-
-def chi2_distance(nu, mu) -> float:
-    """sqrt(sum_i mu_i (nu_i/mu_i - 1)^2), the chi-square distance to reference mu."""
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if np.any((mu <= 0) & (nu > 0)):
-        return math.inf
-    live = mu > 0
-    return math.sqrt(float((mu[live] * (nu[live] / mu[live] - 1.0) ** 2).sum()))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Epoch-driven experiment loop tying the chain, queues, and updates together.
 
 Per epoch: freeze the drive vector, run the medium (or its exact expectation
-in deterministic-oracle mode), measure arrival and offered-service rates,
-apply the selected update rule, integrate queues with the busy indicator, and
-emit one metrics record.  The schedule state carries across epoch boundaries;
-changing the drive vector never resets the medium.
+in deterministic-oracle mode), pass the queues through the reflection kernel
+(which measures offered service in the same pass), apply the selected update
+rule to the arrival and offered-service rates, and emit one metrics record.
+The schedule state carries across epoch boundaries; changing the drive vector
+never resets the medium.
 
 Randomness discipline: every epoch derives two fresh generators from the run
 seed via SeedSequence(entropy=seed, spawn_key=(epoch, stream)) with stream 0
@@ -36,8 +37,8 @@ from .errors import ConfigError, InvariantViolation, NumericFailure
 from .gibbs import service_rates
 from .scheduling import (constant_step_plan, epoch_params, update_diminishing,
                          update_projected)
-from .traffic import ArrivalSpec, QueueState, empirical_rates, integrate_epoch, \
-    sample_epoch_arrivals
+from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
+                      sample_epoch_arrivals)
 
 ALGORITHMS = ("sched1", "sched2", "cc1", "cc2")
 MODES = ("stochastic", "deterministic-oracle")
@@ -186,39 +187,6 @@ class MetricsRecord:
         return out
 
 
-def _fluid_epoch(queue: np.ndarray, inflow: np.ndarray, service: np.ndarray,
-                 length: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(new queue, departures, peak backlog) for constant-rate fluid dynamics."""
-    n = queue.size
-    newq = np.empty(n)
-    served = np.empty(n)
-    peak = np.empty(n)
-    for i in range(n):
-        q, a, s = queue[i], inflow[i], service[i]
-        if q > 0.0:
-            if s > a:
-                empty_in = q / (s - a)
-                if empty_in >= length:
-                    newq[i] = q - (s - a) * length
-                    served[i] = s * length
-                else:
-                    newq[i] = 0.0
-                    served[i] = q + a * length
-            else:
-                newq[i] = q + (a - s) * length
-                served[i] = s * length
-            peak[i] = max(q, newq[i])
-        else:
-            if a <= s:
-                newq[i] = 0.0
-                served[i] = a * length
-            else:
-                newq[i] = (a - s) * length
-                served[i] = s * length
-            peak[i] = newq[i]
-    return newq, served, peak
-
-
 def run_experiment(config: ExperimentConfig, seed: int | None = None
                    ) -> Iterator[MetricsRecord]:
     """Stream one MetricsRecord per epoch; deterministic given (config, seed)."""
@@ -282,16 +250,12 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None
             length = fixed_length
 
         if oracle:
-            s_offered = service_rates(family, drive)
-            lam_vec = cc_rates if congestion else config.arrivals.rates
-            newq, served, peak = _fluid_epoch(qstate.queue, lam_vec, s_offered, length)
-            qstate.arrived = qstate.arrived + lam_vec * length
-            qstate.departed = qstate.departed + served
-            qstate.queue = newq
-            qstate.t += length
-            lam_hat = np.asarray(lam_vec, dtype=float).copy()
-            s_hat = s_offered
-            actual = served / length
+            s_hat = service_rates(family, drive)
+            lam_hat = cc_rates if congestion else config.arrivals.rates
+            arrivals = lam_hat * length
+            offered = s_hat * length
+            served, peak = reflect(qstate, (arrivals - offered)[None, :], None,
+                                   arrivals, length)
         else:
             chain_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=run_seed, spawn_key=(j, 0)))
@@ -303,20 +267,31 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None
             if congestion:
                 deposits = None
                 inflow = cc_rates
-                totals = cc_rates * length
+                arrivals = cc_rates * length
             else:
                 deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
                 inflow = None
-                totals = deposits.sum(axis=0)
-            lam_hat, s_hat = empirical_rates(traj, totals, float(length))
+                arrivals = deposits.sum(axis=0)
             stats = integrate_epoch(qstate, traj, deposits=deposits, inflow=inflow)
-            actual = stats.actual_service / length
-            peak = stats.peak_queue
+            served, peak, offered = (stats.actual_service, stats.peak_queue,
+                                     stats.offered_service)
+            lam_hat = arrivals / length
+            s_hat = offered / length
+        actual = served / length
 
         now += length
+        tol = CONSERVATION_TOL * (1.0 + float(qstate.arrived.max()))
         err = qstate.conservation_error()
-        if err > CONSERVATION_TOL * (1.0 + float(qstate.arrived.max())):
+        if err > tol:
             raise InvariantViolation(f"queue conservation off by {err:.3e} at epoch {j}")
+        # Departures are q0 + A - Q, so the ledger above balances by
+        # construction; this bound is what catches a faulty queue kernel.  The
+        # slack covers rounding in q0 + A (at most the cumulative arrivals)
+        # and in the offered service (at most the epoch length).
+        slack = tol + CONSERVATION_TOL * length
+        if served.min() < -slack or (served - offered).max() > slack:
+            raise InvariantViolation(
+                f"departures outside [0, offered service] at epoch {j}")
 
         if config.algorithm == "sched1":
             new_drive = update_diminishing(drive, lam_hat, s_hat, j)

@@ -17,7 +17,6 @@ admissible target vector.  Everything here enumerates the family exactly.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -73,13 +72,6 @@ def stationary_distribution(family: IndependentSetFamily, r) -> GibbsDistributio
 def service_rates(family: IndependentSetFamily, r) -> np.ndarray:
     """Stationary per-node service rates s(r)."""
     return stationary_distribution(family, r).node_marginals()
-
-
-def stationary_floor(family: IndependentSetFamily, r) -> float:
-    """Uniform lower bound exp(-n (1 + 2 max|r_i|)) on every stationary mass."""
-    r = _check_backoff(family, r)
-    n = family.n
-    return math.exp(-n * (1.0 + 2.0 * float(np.abs(r).max(initial=0.0))))
 
 
 def log_likelihood(family: IndependentSetFamily, r, rates) -> float:
@@ -236,15 +228,3 @@ def decomposition_identity_value(family: IndependentSetFamily, weights, r) -> fl
     weights = _check_distribution(family, weights)
     pi = stationary_distribution(family, r)
     return -kl_divergence(weights, pi.probs) - entropy(weights)
-
-
-def write_distribution_csv(dist: GibbsDistribution, file) -> None:
-    """Write (mask, probability) rows for debugging; accepts a path or file object."""
-    if hasattr(file, "write"):
-        writer = csv.writer(file)
-        writer.writerow(["mask", "probability"])
-        for mask, p in zip(dist.family.masks, dist.probs):
-            writer.writerow([mask, repr(float(p))])
-    else:
-        with open(file, "w", newline="", encoding="utf-8") as fh:
-            write_distribution_csv(dist, fh)

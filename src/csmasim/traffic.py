@@ -2,13 +2,30 @@
 
 Work is fluid: a transmitting node drains its queue at rate 1 while backlog
 remains.  Discrete arrivals land at the END of each unit interval; controlled
-(congestion-mode) arrivals accrue continuously.  The integrator is exact on
-the piecewise-linear queue paths, splitting pieces where a queue hits zero,
-so departures carry the busy indicator while offered service does not.
+(congestion-mode) arrivals accrue continuously.
+
+Every queue is its net input reflected at zero.  With q0 the starting
+backlog, A(t) the work arrived by time t and S(t) the offered service (time
+spent transmitting, with backlog or not), the net input X = q0 + A - S is
+piecewise linear with upward jumps where deposits land, and the backlog is
+its one-sided Skorokhod reflection, the continuous-time Lindley recursion
+(Chen & Yao, *Fundamentals of Queueing Networks*, ch. 6):
+
+    Q(t) = X(t) - min(0, inf_{s <= t} X(s)),    departures = q0 + A(T) - Q(T).
+
+X is linear between breakpoints (chain events, deposit times, the epoch end)
+and only jumps up, so its running minimum is attained at left limits of
+breakpoints and the peak backlog at post-jump values.  `reflect` therefore
+needs X only at breakpoints and is exact.  Departures carry the busy
+indicator; the offered service S does not, and the same pass reports it.
+
+`integrate_epoch` feeds breakpoints to `reflect` in blocks of about
+BLOCK_CELLS (breakpoint, node) cells, carrying the backlog and the busy
+vector from one block to the next.  Its working memory is therefore fixed,
+instead of growing as events x nodes on long epochs or large graphs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +34,7 @@ from .chain import Trajectory
 from .conflict_graph import schedule_nodes
 
 ARRIVAL_KINDS = ("scaled-bernoulli", "binomial", "controlled")
+BLOCK_CELLS = 1 << 16  # (breakpoint, node) cells per reflection block
 
 
 @dataclass(frozen=True)
@@ -58,11 +76,6 @@ class ArrivalSpec:
         return self.rates.size
 
 
-def sample_unit_arrivals(spec: ArrivalSpec, rng: np.random.Generator) -> np.ndarray:
-    """Work arriving over one unit interval, per node."""
-    return sample_epoch_arrivals(spec, 1, rng)[0]
-
-
 def sample_epoch_arrivals(spec: ArrivalSpec, length: int,
                           rng: np.random.Generator) -> np.ndarray:
     """(length, n) matrix of per-interval increments."""
@@ -96,8 +109,37 @@ class QueueState:
 
 @dataclass(frozen=True)
 class EpochFlowStats:
-    actual_service: np.ndarray  # work departed per node over the epoch
-    peak_queue: np.ndarray      # max backlog per node within the epoch
+    actual_service: np.ndarray   # work departed per node over the epoch
+    peak_queue: np.ndarray       # max backlog per node within the epoch
+    offered_service: np.ndarray  # time each node transmitted, busy or not
+
+
+def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
+            arrived: np.ndarray, duration: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect net input at zero from `state.queue`, updating `state` in place.
+
+    net: (m, n) continuous arrivals minus offered service, accumulated from
+    the start of the span to the left limit of each of m >= 1 breakpoints;
+    the last breakpoint ends the span.  jumps: (m, n) work landing at those
+    breakpoints, or None.  arrived: (n,) all work arriving over the span,
+    jumps included.  Returns (departures, peak backlog) per node.
+    """
+    q0 = state.queue
+    x = q0 + net
+    if jumps is not None:
+        x += np.cumsum(jumps, axis=0) - jumps  # X at left limits of breakpoints
+    low = np.minimum.accumulate(x, axis=0)
+    np.minimum(low, 0.0, out=low)
+    if jumps is not None:
+        x += jumps                             # X just after each breakpoint
+    x -= low                                   # Q just after each breakpoint
+    queue = x[-1].copy()
+    departed = q0 + arrived - queue
+    state.queue = queue
+    state.arrived = state.arrived + arrived
+    state.departed = state.departed + departed
+    state.t += duration
+    return departed, np.maximum(q0, x.max(axis=0))
 
 
 def integrate_epoch(state: QueueState, traj: Trajectory, *,
@@ -113,109 +155,61 @@ def integrate_epoch(state: QueueState, traj: Trajectory, *,
     if deposits is not None and inflow is not None:
         raise ValueError("choose unit-interval deposits or continuous inflow, not both")
     duration = traj.duration
-    dep_times: list[float] = []
-    dep_cols: list[int] = []
-    dep_vals: list[float] = []
+    stops = np.array([duration])
     if deposits is not None:
         deposits = np.asarray(deposits, dtype=float)
         T = int(round(duration))
         if abs(duration - T) > 0.0 or deposits.shape != (T, n):
             raise ValueError("unit-interval deposits need an integer-length epoch "
                              f"and shape ({T}, {n})")
-        rows, cols = np.nonzero(deposits)
-        dep_times = [float(k + 1) for k in rows]
-        dep_cols = [int(c) for c in cols]
-        dep_vals = [float(v) for v in deposits[rows, cols]]
-    flow = None
+        stops = np.arange(1.0, T + 1.0)
+    rate = np.zeros(n)
     if inflow is not None:
-        flow = np.asarray(inflow, dtype=float)
-        if flow.shape != (n,) or np.any(flow < 0) or np.any(flow > 1.0):
+        rate = np.asarray(inflow, dtype=float)
+        if rate.shape != (n,) or np.any(rate < 0) or np.any(rate > 1.0):
             raise ValueError("continuous inflow rates must lie in [0, 1]")
-        flow = flow.tolist()
 
-    q = state.queue.tolist()
-    arrived = state.arrived.tolist()
-    actual = [0.0] * n
-    peak = q[:]
-    ndep = len(dep_times)
-    ptr = 0
-
-    for t0, t1, mask in traj.segments():
-        tx = schedule_nodes(mask)
-        cursor = t0
-        while True:
-            target = t1
-            if ptr < ndep and dep_times[ptr] < target:
-                target = dep_times[ptr]
-            dt = target - cursor
-            if dt > 0.0:
-                if flow is None:
-                    for i in tx:
-                        qi = q[i]
-                        if qi > 0.0:
-                            if qi <= dt:
-                                actual[i] += qi
-                                q[i] = 0.0
-                            else:
-                                actual[i] += dt
-                                q[i] = qi - dt
-                else:
-                    tx_set = set(tx)
-                    for i in range(n):
-                        a = flow[i]
-                        if i in tx_set:
-                            qi = q[i]
-                            if qi > 0.0:
-                                empty_in = qi / (1.0 - a) if a < 1.0 else math.inf
-                                if empty_in <= dt:
-                                    actual[i] += qi + a * dt
-                                    q[i] = 0.0
-                                else:
-                                    actual[i] += dt
-                                    q[i] = qi + (a - 1.0) * dt
-                            elif a > 0.0:
-                                actual[i] += a * dt  # served as it arrives
-                        elif a > 0.0:
-                            q[i] += a * dt
-                            if q[i] > peak[i]:
-                                peak[i] = q[i]
-                cursor = target
-            if ptr < ndep and dep_times[ptr] <= cursor:
-                while ptr < ndep and dep_times[ptr] <= cursor:
-                    c = dep_cols[ptr]
-                    v = dep_vals[ptr]
-                    q[c] += v
-                    arrived[c] += v
-                    if q[c] > peak[c]:
-                        peak[c] = q[c]
-                    ptr += 1
-                continue
-            if cursor >= t1:
-                break
-
-    if flow is not None:
-        for i in range(n):
-            arrived[i] += flow[i] * duration
-    state.queue = np.asarray(q)
-    state.arrived = np.asarray(arrived)
-    state.departed = state.departed + np.asarray(actual)
-    state.t += duration
-    return EpochFlowStats(actual_service=np.asarray(actual), peak_queue=np.asarray(peak))
-
-
-def empirical_rates(traj: Trajectory, arrivals_total, window: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(arrival-rate estimate, offered-service estimate) over the window.
-
-    Offered service integrates the raw transmit indicator (no busy indicator)
-    by direct per-node accumulation, independent of the occupancy aggregator.
-    """
-    if window <= 0:
-        raise ValueError("window must be positive")
-    busy = [0.0] * traj.n
-    for t0, t1, mask in traj.segments():
-        dt = t1 - t0
-        for i in schedule_nodes(mask):
-            busy[i] += dt
-    lam_hat = np.asarray(arrivals_total, dtype=float) / window
-    return lam_hat, np.asarray(busy) / window
+    # Breakpoints: chain events, then deposit times or else the epoch end.
+    events = traj.times.size
+    times = np.concatenate([traj.times, stops])
+    order = np.argsort(times, kind="stable")
+    sign = np.where(traj.starts, 1.0, -1.0)
+    busy = np.zeros(n)
+    busy[list(schedule_nodes(traj.initial_mask))] = 1.0
+    departed = np.zeros(n)
+    offered = np.zeros(n)
+    peak = state.queue.copy()
+    t0 = 0.0
+    rows = max(1, BLOCK_CELLS // n)
+    for lo in range(0, order.size, rows):
+        src = order[lo:lo + rows]
+        t = times[src]
+        end = float(t[-1])
+        m = src.size
+        # row k < m: transmit indicator over the piece ending at breakpoint k;
+        # row m: the indicator after the block, carried into the next one
+        on = np.zeros((m + 1, n))
+        on[0] = busy
+        hit = np.flatnonzero(src < events)
+        on[hit + 1, traj.nodes[src[hit]]] = sign[src[hit]]
+        np.cumsum(on, axis=0, out=on)
+        busy = on[m].copy()
+        supplied = on[:m]                      # offered service S since t0
+        supplied *= np.diff(t, prepend=t0)[:, None]
+        np.cumsum(supplied, axis=0, out=supplied)
+        offered += supplied[-1]
+        net = np.multiply.outer(t - t0, rate)
+        net -= supplied
+        jumps = None
+        arrived = rate * (end - t0)
+        if deposits is not None:
+            dep = np.flatnonzero(src >= events)
+            jumps = np.zeros((m, n))
+            jumps[dep] = deposits[src[dep] - events]
+            arrived += jumps.sum(axis=0)
+        out, top = reflect(state, net, jumps, arrived, end - t0)
+        departed += out
+        np.maximum(peak, top, out=peak)
+        t0 = end
+    return EpochFlowStats(actual_service=departed, peak_queue=peak,
+                          offered_service=offered)

@@ -1,12 +1,14 @@
 """End-to-end experiment loop: config validation, reproducibility, ledger
 invariants, oracle/recursion equivalence, and the run diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from csmasim.congestion import UtilityFunction, best_responses
+from csmasim import engine
 from csmasim.conflict_graph import enumerate_independent_sets, preset
 from csmasim.engine import (
     ExperimentConfig,
@@ -153,6 +155,20 @@ def test_queue_ledger_reconstructs_from_records():
         assert np.all(np.array(rec.offered_service_est) * rec.epoch_length
                       >= served_this_epoch - 1e-9)
         prev_dep = dep
+
+
+def test_departures_above_offered_service_raise(monkeypatch):
+    # the ledger stays consistent, so only the offered-service bound can see it
+    real = engine.integrate_epoch
+
+    def over_serving(state, traj, **kw):
+        stats = real(state, traj, **kw)
+        return dataclasses.replace(stats, actual_service=stats.offered_service + 1e-6)
+
+    monkeypatch.setattr(engine, "integrate_epoch", over_serving)
+    cfg = sched1(graph="clique2", rates=[0.3, 0.25], horizon=3, seed=3)
+    with pytest.raises(InvariantViolation, match="offered service"):
+        list(run_experiment(cfg))
 
 
 def test_zero_arrivals_leave_queues_empty():

@@ -24,7 +24,6 @@ from csmasim.gibbs import (
     solve_backoff,
     stationary_distribution,
     variational_gap,
-    write_distribution_csv,
 )
 from csmasim.conflict_graph import is_strictly_admissible
 
@@ -267,12 +266,3 @@ def test_max_likelihood_dominates_uniform_mixture(cycle5):
     # fitted point beats the entropy-free bound: F(r*) >= -log(#schedules)
     sol = solve_backoff(cycle5, [0.25] * 5)
     assert log_likelihood(cycle5, sol.r, [0.25] * 5) >= -math.log(cycle5.size) - 1e-12
-
-
-def test_distribution_csv_roundtrip(tmp_path, single):
-    dist = stationary_distribution(single, [0.0])
-    out = tmp_path / "dist.csv"
-    write_distribution_csv(dist, out)
-    rows = out.read_text().strip().splitlines()
-    assert rows[0] == "mask,probability"
-    assert len(rows) == 3

@@ -1,20 +1,21 @@
-"""Arrival processes and the exact piecewise queue integrator."""
+"""Arrival processes and the reflection-map queue kernel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from csmasim.chain import Trajectory, simulate
-from csmasim.conflict_graph import preset, schedule_nodes
+from csmasim.conflict_graph import ConflictGraph, preset, schedule_nodes
 from csmasim.traffic import (
+    BLOCK_CELLS,
     ArrivalSpec,
     QueueState,
-    empirical_rates,
     integrate_epoch,
+    reflect,
     sample_epoch_arrivals,
-    sample_unit_arrivals,
 )
 
 
@@ -56,7 +57,7 @@ def test_sampling_shapes_and_ranges():
     block = sample_epoch_arrivals(spec, 100, rng)
     assert block.shape == (100, 2)
     assert set(np.unique(block)) <= {0.0, 2.0}
-    one = sample_unit_arrivals(spec, rng)
+    one = sample_epoch_arrivals(spec, 1, rng)[0]
     assert one.shape == (2,)
     with pytest.raises(ValueError):
         sample_epoch_arrivals(spec, 0, rng)
@@ -183,10 +184,11 @@ def test_fluid_idle_node_accumulates():
 
 
 def replay_oracle(traj, q0, deposits=None, inflow=None):
-    """Independent vectorized reimplementation of the queue dynamics."""
+    """Independent piece-by-piece replay: (queue, departures, peak, busy time)."""
     n = traj.n
     q = np.array(q0, dtype=float)
     served = np.zeros(n)
+    busy = np.zeros(n)
     peak = q.copy()
     dep_at = {}
     if deposits is not None:
@@ -214,33 +216,86 @@ def replay_oracle(traj, q0, deposits=None, inflow=None):
         got = np.where(tx, np.minimum(dt, q + a_rate * dt), 0.0)
         q = np.where(tx, q + a_rate * dt - got, q + a_rate * dt)
         served += got
+        busy += np.where(tx, dt, 0.0)
         peak = np.maximum(peak, q)
     if traj.duration in dep_at:
         q += dep_at[traj.duration]
         peak = np.maximum(peak, q)
-    return q, served, peak
+    return q, served, peak, busy
+
+
+def check_against_replay(traj, q0, fluid, rng):
+    n = traj.n
+    T = int(traj.duration)
+    state = QueueState(queue=q0.copy(), departed=np.zeros(n), arrived=q0.copy())
+    if fluid:
+        inflow = rng.uniform(0.0, 1.0, size=n)
+        stats = integrate_epoch(state, traj, inflow=inflow)
+        q, served, peak, busy = replay_oracle(traj, q0, inflow=inflow)
+    else:
+        deposits = rng.uniform(0.0, 1.0, size=(T, n)) * (rng.random((T, n)) < 0.5)
+        stats = integrate_epoch(state, traj, deposits=deposits)
+        q, served, peak, busy = replay_oracle(traj, q0, deposits=deposits)
+    assert state.queue == pytest.approx(q, abs=1e-12)
+    assert stats.actual_service == pytest.approx(served, abs=1e-12)
+    assert stats.peak_queue == pytest.approx(peak, abs=1e-12)
+    assert stats.offered_service == pytest.approx(busy, abs=1e-12)
+    assert state.conservation_error() <= 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000), st.booleans())
 def test_integrator_matches_replay(seed, fluid):
-    g = preset("path3")
     rng = np.random.default_rng(seed)
-    traj = simulate(g, [0.4, -0.2, 0.7], 6.0, rng=rng)
-    q0 = rng.uniform(0.0, 2.0, size=3)
-    state = QueueState(queue=q0.copy(), departed=np.zeros(3), arrived=q0.copy())
-    if fluid:
-        inflow = rng.uniform(0.0, 1.0, size=3)
-        stats = integrate_epoch(state, traj, inflow=inflow)
-        q, served, peak = replay_oracle(traj, q0, inflow=inflow)
-    else:
-        deposits = rng.uniform(0.0, 1.0, size=(6, 3)) * (rng.random((6, 3)) < 0.5)
-        stats = integrate_epoch(state, traj, deposits=deposits)
-        q, served, peak = replay_oracle(traj, q0, deposits=deposits)
-    assert state.queue == pytest.approx(q, abs=1e-12)
-    assert stats.actual_service == pytest.approx(served, abs=1e-12)
-    assert stats.peak_queue == pytest.approx(peak, abs=1e-12)
-    assert state.conservation_error() <= 1e-9
+    traj = simulate(preset("path3"), [0.4, -0.2, 0.7], 6.0, rng=rng)
+    check_against_replay(traj, rng.uniform(0.0, 2.0, size=3), fluid, rng)
+
+
+@pytest.mark.parametrize("fluid", [False, True])
+def test_integrator_matches_replay_across_blocks(fluid):
+    # ~5.5k events on 100 nodes span several blocks, so the backlog and the
+    # busy vector must carry across block boundaries
+    g = ConflictGraph.from_edges(100, [(i, (i + 1) % 100) for i in range(100)])
+    rng = np.random.default_rng(3)
+    traj = simulate(g, np.zeros(100), 100.0, rng=rng)
+    assert traj.times.size > 5 * BLOCK_CELLS // 100
+    check_against_replay(traj, rng.uniform(0.0, 2.0, size=100), fluid, rng)
+
+
+def fluid_closed_form(q, a, s, length):
+    """(queue, departures, peak) of a queue fed at rate a and offered rate s."""
+    if q > 0.0:
+        if s > a:
+            empty_in = q / (s - a)
+            if empty_in >= length:
+                newq, served = q - (s - a) * length, s * length
+            else:
+                newq, served = 0.0, q + a * length
+        else:
+            newq, served = q + (a - s) * length, s * length
+        return newq, served, max(q, newq)
+    if a <= s:
+        return 0.0, a * length, 0.0
+    return (a - s) * length, s * length, (a - s) * length
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.3, 2.5, 40.0]),
+                          st.integers(0, 100).map(lambda k: k / 100),
+                          st.integers(0, 100).map(lambda k: k / 100)),
+                min_size=1, max_size=6),
+       st.floats(min_value=0.5, max_value=100.0))
+def test_single_piece_matches_fluid_closed_form(nodes, length):
+    q0, a, s = (np.array(v) for v in zip(*nodes))
+    state = QueueState(queue=q0.copy(), departed=np.zeros(q0.size), arrived=q0.copy())
+    departed, peak = reflect(state, ((a - s) * length)[None, :], None, a * length, length)
+    for i in range(q0.size):
+        newq, served, top = fluid_closed_form(q0[i], a[i], s[i], length)
+        assert state.queue[i] == pytest.approx(newq, abs=1e-12)
+        assert departed[i] == pytest.approx(served, abs=1e-12)
+        assert peak[i] == pytest.approx(top, abs=1e-12)
+    assert state.t == length
+    assert state.conservation_error() <= 1e-12
 
 
 def test_offered_never_below_actual():
@@ -250,9 +305,8 @@ def test_offered_never_below_actual():
     deposits = (rng.random((12, 2)) < 0.4).astype(float)
     state = QueueState.zeros(2)
     stats = integrate_epoch(state, traj, deposits=deposits)
-    lam_hat, s_hat = empirical_rates(traj, deposits.sum(axis=0), 12.0)
-    assert np.all(s_hat * 12.0 >= stats.actual_service - 1e-12)
-    assert lam_hat == pytest.approx(deposits.sum(axis=0) / 12.0, abs=1e-15)
+    assert np.all(stats.offered_service >= stats.actual_service - 1e-12)
+    assert np.all(stats.offered_service <= 12.0)
 
 
 def test_departed_accumulates_across_epochs():
@@ -265,10 +319,34 @@ def test_departed_accumulates_across_epochs():
     assert state.t == pytest.approx(6.0)
 
 
-def test_empirical_rates_window_check():
+def test_offered_service_counts_idle_transmission():
+    # offered service is transmit time whether or not there is backlog
     g = preset("single")
     traj = constant_trajectory(g, 0b1, 2.0)
-    with pytest.raises(ValueError):
-        empirical_rates(traj, [0.0], 0.0)
-    _, s_hat = empirical_rates(traj, [0.0], 2.0)
-    assert s_hat == pytest.approx([1.0], abs=1e-15)
+    stats = integrate_epoch(QueueState.zeros(1), traj)
+    assert stats.offered_service == pytest.approx([2.0], abs=1e-15)
+    assert stats.actual_service == pytest.approx([0.0], abs=1e-15)
+
+
+def test_integrator_memory_does_not_grow_with_events_times_nodes():
+    # 40k events on 400 nodes: one (events, n) float array would be 128 MB
+    n, events = 400, 40_000
+    g = ConflictGraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    k = np.arange(events)
+    traj = Trajectory(graph=g, initial_mask=0, duration=100.0,
+                      times=(k + 1) * (100.0 / (events + 1)),
+                      nodes=2 * ((k // 2) % (n // 2)), starts=k % 2 == 0,
+                      final_mask=0)
+    own = traj.times.nbytes + traj.nodes.nbytes + traj.starts.nbytes
+    state = QueueState.zeros(n)
+    inflow = np.full(n, 0.01)
+    tracemalloc.start()
+    try:
+        stats = integrate_epoch(state, traj, inflow=inflow)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * own < events * n * 8
+    # each node on the list transmits for one event gap per start/end pair
+    gap = 100.0 / (events + 1)
+    assert stats.offered_service.sum() == pytest.approx(events // 2 * gap, rel=1e-9)
