@@ -4,7 +4,7 @@
 Prints, for each preset and drive level, the second-eigenvalue modulus of
 the single-site kernel, its conductance with the Cheeger ceiling
 1 - phi^2/2, and the two mixing-time estimates at the requested accuracy.
-Graphs past the exhaustive-cut cap report the spectral columns only.
+Graphs past the exhaustive-cut cap print one skip line per drive level.
 
     python3 scripts/chain_mixing_report.py --drives 0.0 0.5 1.5 --delta 0.01
 """

@@ -8,11 +8,11 @@ service rates, runs the queue-driven and price-driven adaptation rules, and
 certifies their guarantees (capacity membership, fixed-point fits, utility
 gaps) against small-scale exact computations.
 """
-from .chain import (ChainDiagnostics, GlauberKernel, MixingTimeEstimate,
-                    Occupancy, Trajectory, chain_diagnostics, conductance,
-                    ctmc_generator, empirical_distribution, glauber_kernel,
-                    mixing_time_estimate, occupancy, second_eigenvalue_modulus,
-                    simulate, transient_distribution, tv_distance)
+from .chain import (ChainDiagnostics, GlauberKernel, Occupancy, Trajectory,
+                    chain_diagnostics, conductance, ctmc_generator,
+                    empirical_distribution, glauber_kernel, occupancy,
+                    second_eigenvalue_modulus, simulate, transient_distribution,
+                    tv_distance)
 from .conflict_graph import (AdmissibilityCertificate, ConflictGraph,
                              IndependentSetFamily, backoff_norm_bound,
                              enumerate_independent_sets, induced_subgraph,
@@ -25,8 +25,7 @@ from .congestion import (DualSolution, GapCertificate, UtilityFunction,
                          solve_utility_optimum, total_utility,
                          update_prices_constant, update_prices_diminishing,
                          utility_gap_certificate)
-from .engine import (DriftDiagnostic, ExperimentConfig, MetricsRecord,
-                     drift_diagnostic, rate_stability_trace, run_experiment)
+from .engine import ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
 from .gibbs import (BackoffSolution, GibbsDistribution, entropy, kl_divergence,

@@ -6,13 +6,14 @@ exp(r_i).  Blocked nodes carry no clock; by memorylessness, redrawing a fresh
 exponential when a node unblocks is distributionally identical to letting a
 suspended clock resume, so the event-driven loop below samples the exact chain.
 
-The discrete single-site kernel is the half-lazy uniformization of that chain:
-each tick picks node i with probability max(exp(r_i), 1) / R, where
-R = sum_k max(exp(r_k), 1), then flips it with HALF the clock-consistent
-probability (down: min(exp(-r_i), 1)/2; up, if unblocked: min(exp(r_i), 1)/2),
-staying put otherwise.  The half-laziness keeps the kernel aperiodic with a
-nonnegative spectrum while preserving reversibility w.r.t. the product-form
-law; ticking at rate 2R reproduces the continuous-time chain exactly.
+The discrete single-site kernel is that chain uniformized at rate 2R, with
+R = sum_k max(exp(r_k), 1):  P = I + G / (2R), G the generator from
+`ctmc_generator`, which is the one place the transitions are encoded.  Per
+tick this picks node i with probability max(exp(r_i), 1) / R and flips it
+with HALF the clock-consistent probability (down: min(exp(-r_i), 1)/2; up, if
+unblocked: min(exp(r_i), 1)/2), staying put otherwise.  Every diagonal entry
+is at least 1/2, which keeps the kernel aperiodic with a nonnegative spectrum
+while preserving reversibility w.r.t. the product-form law.
 """
 from __future__ import annotations
 
@@ -23,24 +24,26 @@ import numpy as np
 from scipy.linalg import expm
 
 from .conflict_graph import ConflictGraph, IndependentSetFamily, schedule_nodes
-from .errors import ExactModeUnavailable, InvariantViolation
+from .errors import ExactModeUnavailable, InvariantViolation, NumericFailure
 from .gibbs import stationary_distribution
 
 CONDUCTANCE_STATE_CAP = 20
+KERNEL_DRIVE_LIMIT = 700.0  # exp(r) stays finite and well scaled below this
+WORST_CASE_MULTIPLIER = 1.0  # the c of the bound exp(c (n max|r| + n)) log(1/delta)
+UNIFORM_BLOCK = 8192
 
 
 class _UniformStream:
     """Buffered uniforms; one generator call per block keeps the event loop cheap."""
 
-    def __init__(self, rng: np.random.Generator, block: int = 8192):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = block
-        self._buf = rng.random(block)
+        self._buf = rng.random(UNIFORM_BLOCK)
         self._pos = 0
 
     def __call__(self) -> float:
         if self._pos == self._buf.shape[0]:
-            self._buf = self._rng.random(self._block)
+            self._buf = self._rng.random(UNIFORM_BLOCK)
             self._pos = 0
         value = self._buf[self._pos]
         self._pos += 1
@@ -75,17 +78,6 @@ class Trajectory:
             t0 = t
         if self.duration > t0:
             yield t0, self.duration, mask
-
-    def to_csv(self, file) -> None:
-        """Write events as time,node,kind rows (kind: start|end)."""
-        if hasattr(file, "write"):
-            file.write("time,node,kind\n")
-            for t, node, start in zip(self.times.tolist(), self.nodes.tolist(),
-                                      self.starts.tolist()):
-                file.write(f"{t!r},{node},{'start' if start else 'end'}\n")
-        else:
-            with open(file, "w", encoding="utf-8") as fh:
-                self.to_csv(fh)
 
 
 def simulate(graph: ConflictGraph, r, duration: float, *,
@@ -216,37 +208,22 @@ def empirical_distribution(occ: Occupancy, family: IndependentSetFamily) -> np.n
 
 @dataclass(frozen=True)
 class GlauberKernel:
-    """Half-lazy single-site kernel (see module docstring for the tick rule)."""
+    """Half-lazy single-site kernel I + G/(2R) (see the module docstring)."""
 
     family: IndependentSetFamily
     r: np.ndarray
     matrix: np.ndarray
-    total_rate: float  # sum_k max(exp(r_k), 1); the chain's clock budget
+    total_rate: float  # R = sum_k max(exp(r_k), 1); the chain's clock budget
 
 
 def glauber_kernel(family: IndependentSetFamily, r) -> GlauberKernel:
     r = np.asarray(r, dtype=float)
     if r.shape != (family.n,):
         raise ValueError(f"backoff vector must have shape ({family.n},)")
-    if not np.all(np.isfinite(r)) or np.any(r > 700.0):
+    if not np.all(np.isfinite(r)) or np.any(r > KERNEL_DRIVE_LIMIT):
         raise ValueError("kernel construction needs finite backoff entries <= 700")
-    n, size = family.n, family.size
-    select = np.array([max(math.exp(v), 1.0) for v in r])
-    total = float(select.sum())
-    select /= total
-    down = np.array([math.exp(-v) if v > 0 else 1.0 for v in r])
-    up = np.array([math.exp(v) if v < 0 else 1.0 for v in r])
-
-    P = np.zeros((size, size))
-    nbr = family.graph.neighbor_masks
-    for row, mask in enumerate(family.masks):
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                P[row, family.index[mask ^ bit]] += select[i] * 0.5 * down[i]
-            elif not mask & nbr[i]:
-                P[row, family.index[mask | bit]] += select[i] * 0.5 * up[i]
-        P[row, row] = 1.0 - P[row].sum()
+    total = float(np.array([max(math.exp(v), 1.0) for v in r]).sum())
+    P = np.eye(family.size) + ctmc_generator(family, r) / (2.0 * total)
     P.setflags(write=False)
     rr = r.copy()
     rr.setflags(write=False)
@@ -293,17 +270,22 @@ def second_eigenvalue_modulus(kernel: GlauberKernel,
     return float(max(abs(vals[0]), abs(vals[-2])))
 
 
-def conductance(flow_matrix, probs, max_states: int = CONDUCTANCE_STATE_CAP) -> float:
+def _check_cut_cap(states: int) -> None:
+    if states > CONDUCTANCE_STATE_CAP:
+        raise ExactModeUnavailable(
+            f"conductance is exhaustive over cuts; {states} states exceed the cap "
+            f"{CONDUCTANCE_STATE_CAP}")
+
+
+def conductance(flow_matrix, probs) -> float:
     """min over cuts S of  Q(S, S^c) / (pi(S) pi(S^c))  with Q the one-way flow.
 
-    Exhaustive over all 2^N - 2 cuts, so restricted to small state spaces.
+    Exhaustive over all 2^N - 2 cuts, so restricted to N <= CONDUCTANCE_STATE_CAP.
     The normalization can exceed 1; consumers gate Cheeger checks accordingly.
     """
     probs = np.asarray(probs, dtype=float)
     N = probs.size
-    if N > max_states:
-        raise ExactModeUnavailable(
-            f"conductance is exhaustive over cuts; {N} states exceed the cap {max_states}")
+    _check_cut_cap(N)
     if N < 2:
         raise ValueError("conductance needs at least two states")
     E = probs[:, None] * np.asarray(flow_matrix, dtype=float)
@@ -328,37 +310,13 @@ def tv_distance(p, q) -> float:
 
 
 @dataclass(frozen=True)
-class MixingTimeEstimate:
-    worst_case_bound: float  # exp(c (n max|r| + n)) log(1/delta)
-    spectral_bound: float    # log(1/(delta pi_min)) / (R (1 - lambda_max))
-
-
-def mixing_time_estimate(family: IndependentSetFamily, r, delta: float,
-                         c: float = 1.0) -> MixingTimeEstimate:
-    """Two mixing-time estimates: the conservative exponential-form bound with
-    an explicit multiplier c, and the exact relaxation-time form."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must be in (0, 1)")
-    r = np.asarray(r, dtype=float)
-    n = family.n
-    crude = math.exp(c * (n * float(np.abs(r).max(initial=0.0)) + n)) * math.log(1.0 / delta)
-    kernel = glauber_kernel(family, r)
-    dist = stationary_distribution(family, r)
-    lam = second_eigenvalue_modulus(kernel, dist.probs)
-    gap = 1.0 - lam
-    pi_min = float(dist.probs.min())
-    spectral = math.log(1.0 / (delta * pi_min)) / (kernel.total_rate * gap)
-    return MixingTimeEstimate(worst_case_bound=crude, spectral_bound=spectral)
-
-
-@dataclass(frozen=True)
 class ChainDiagnostics:
     lambda_max: float
     conductance: float
     cheeger_upper: float       # 1 - conductance^2 / 2; vacuous if negative
-    mixing_estimate: float     # spectral-form estimate at the given delta
-    mixing_worst_case: float   # exponential-form estimate, same delta
-    conductance_ctmc: float | None  # same cut statistic on the unit-time kernel
+    mixing_estimate: float     # log(1/(delta pi_min)) / (R (1 - lambda_max))
+    mixing_worst_case: float   # exp(c (n max|r| + n)) log(1/delta)
+    conductance_ctmc: float    # same cut statistic on the unit-time kernel
 
     def to_json_dict(self) -> dict:
         return {
@@ -371,23 +329,46 @@ class ChainDiagnostics:
         }
 
 
-def chain_diagnostics(family: IndependentSetFamily, r, *, delta: float = 0.01,
-                      c: float = 1.0, include_ctmc: bool = True,
-                      max_states: int = CONDUCTANCE_STATE_CAP) -> ChainDiagnostics:
+def chain_diagnostics(family: IndependentSetFamily, r, *,
+                      delta: float = 0.01) -> ChainDiagnostics:
+    """Spectral gap, conductances and the two mixing-time estimates at drive r.
+
+    The mixing estimates are the exact relaxation-time form and the
+    conservative exponential form with multiplier WORST_CASE_MULTIPLIER, both
+    at accuracy delta.  Refuses families past CONDUCTANCE_STATE_CAP before
+    building anything, and fails closed (NumericFailure) when the drive is
+    past the kernel's range, the spectral gap rounds to zero or below, or the
+    exponential bound overflows.
+    """
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    _check_cut_cap(family.size)
+    r = np.asarray(r, dtype=float)
+    if np.any(r > KERNEL_DRIVE_LIMIT):
+        raise NumericFailure(
+            f"drive {float(r.max()):.6g} is past the kernel's range {KERNEL_DRIVE_LIMIT:g}")
     kernel = glauber_kernel(family, r)
-    dist = stationary_distribution(family, r)
-    lam = second_eigenvalue_modulus(kernel, dist.probs)
-    phi = conductance(kernel.matrix, dist.probs, max_states=max_states)
-    mixing = mixing_time_estimate(family, r, delta, c=c)
-    phi_ctmc = None
-    if include_ctmc:
-        phi_ctmc = conductance(expm(ctmc_generator(family, r)), dist.probs,
-                               max_states=max_states)
+    probs = stationary_distribution(family, r).probs
+    lam = second_eigenvalue_modulus(kernel, probs)
+    gap = 1.0 - lam
+    if gap <= 0.0:
+        raise NumericFailure(f"spectral gap 1 - lambda_max = {gap:.3g} is not positive "
+                             f"(lambda_max = {lam!r})")
+    n = family.n
+    exponent = WORST_CASE_MULTIPLIER * (n * float(np.abs(r).max(initial=0.0)) + n)
+    try:
+        worst_case = math.exp(exponent) * math.log(1.0 / delta)
+    except OverflowError:
+        worst_case = math.inf
+    if worst_case == math.inf:
+        raise NumericFailure(f"worst-case mixing bound exp({exponent:.6g}) overflows")
+    phi = conductance(kernel.matrix, probs)
     return ChainDiagnostics(
         lambda_max=lam,
         conductance=phi,
         cheeger_upper=1.0 - phi * phi / 2.0,
-        mixing_estimate=mixing.spectral_bound,
-        mixing_worst_case=mixing.worst_case_bound,
-        conductance_ctmc=phi_ctmc,
+        mixing_estimate=math.log(1.0 / (delta * float(probs.min())))
+        / (kernel.total_rate * gap),
+        mixing_worst_case=worst_case,
+        conductance_ctmc=conductance(expm(ctmc_generator(family, r)), probs),
     )

@@ -26,8 +26,7 @@ from .config import ParsedConfig, load_config
 from .conflict_graph import (PRESETS, enumerate_independent_sets,
                              is_strictly_admissible, preset, read_edge_list)
 from .congestion import (UTILITY_FAMILIES, UtilityFunction, default_beta,
-                         solve_dual_optimum, solve_utility_optimum,
-                         total_utility)
+                         solve_dual_optimum, utility_gap_certificate)
 from .engine import ORACLE, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
@@ -65,17 +64,13 @@ def _parse_cli_utilities(text: str, n: int) -> tuple[UtilityFunction, ...]:
     """Accept a bare family name (broadcast) or a JSON object/array."""
     from .config import _parse_utilities  # shared fail-closed parsing
     if text in UTILITY_FAMILIES:
-        return (_parse_one(text),) * n
+        return (UtilityFunction(family=text),) * n
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--utilities must be a family name {UTILITY_FAMILIES} "
                           f"or JSON: {exc}") from exc
     return _parse_utilities(data, n)
-
-
-def _parse_one(family: str) -> UtilityFunction:
-    return UtilityFunction(family=family)
 
 
 def _summarize(parsed: ParsedConfig, seed: int | None, last: MetricsRecord) -> dict:
@@ -99,14 +94,13 @@ def _summarize(parsed: ParsedConfig, seed: int | None, last: MetricsRecord) -> d
     if cfg.is_congestion:
         beta = cfg.resolved_beta()
         try:
-            best = solve_utility_optimum(family, cfg.utilities)
+            cert = utility_gap_certificate(family, cfg.utilities, beta, last.avg_rates)
         except ConvergenceFailure:
             return summary
-        achieved = total_utility(cfg.utilities, last.avg_rates)
         summary["certificates"] = {
-            "utility_gap": best.value - achieved,
-            "utility_gap_bound": math.log(family.size) / beta,
-            "optimal_rates": [float(v) for v in best.rates],
+            "utility_gap": cert.gap,
+            "utility_gap_bound": cert.bound,
+            "optimal_rates": [float(v) for v in cert.optimal_rates],
         }
     else:
         try:
@@ -210,8 +204,7 @@ def cmd_analyze(args) -> int:
             raise ConfigError("--utilities needs --beta (or --epsilon for the "
                               "4n/eps default)")
         dual = solve_dual_optimum(family, utilities, beta)
-        best = solve_utility_optimum(family, utilities)
-        gap = best.value - total_utility(utilities, dual.rates)
+        cert = utility_gap_certificate(family, utilities, beta, dual.rates)
         report["entropy_weight"] = beta
         report["dual"] = {
             "prices": [float(v) for v in dual.prices],
@@ -219,9 +212,9 @@ def cmd_analyze(args) -> int:
             "value": dual.value,
             "residual": dual.residual,
         }
-        report["optimal_rates"] = [float(v) for v in best.rates]
-        report["utility_gap"] = gap
-        report["utility_gap_bound"] = math.log(family.size) / beta
+        report["optimal_rates"] = [float(v) for v in cert.optimal_rates]
+        report["utility_gap"] = cert.gap
+        report["utility_gap_bound"] = cert.bound
         if args.rates is None:
             diag_drive = dual.prices
 

@@ -18,6 +18,7 @@ from .errors import ExactModeUnavailable
 from .simplex import solve_standard_lp
 
 EXACT_MODE_CAP = 30
+STRICT_TOL = 1e-9  # LP slack that counts as strictly inside the region
 
 
 @dataclass(frozen=True)
@@ -169,15 +170,14 @@ class IndependentSetFamily:
         return self.index[mask]
 
 
-def enumerate_independent_sets(graph: ConflictGraph,
-                               cap: int = EXACT_MODE_CAP) -> IndependentSetFamily:
+def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
     """Enumerate every independent set by backtracking.
 
     Nodes are added in increasing index so each set is produced exactly once.
     """
-    if graph.n > cap:
+    if graph.n > EXACT_MODE_CAP:
         raise ExactModeUnavailable(
-            f"exact mode unavailable: n={graph.n} exceeds the exact-mode cap {cap}")
+            f"exact mode unavailable: n={graph.n} exceeds the exact-mode cap {EXACT_MODE_CAP}")
     nbr = graph.neighbor_masks
     found: list[int] = []
 
@@ -235,8 +235,7 @@ class AdmissibilityCertificate:
 
 
 def is_strictly_admissible(family: IndependentSetFamily, rates,
-                           margin: float = 0.0,
-                           strict_tol: float = 1e-9) -> AdmissibilityCertificate:
+                           margin: float = 0.0) -> AdmissibilityCertificate:
     """LP membership test: is rates + margin strictly inside the capacity region?
 
     Maximizes the uniform slack s subject to
@@ -268,7 +267,7 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
     cost[size + 1] = -1.0
 
     x, slack = solve_standard_lp(cost, A, bvec)
-    admissible = slack > strict_tol
+    admissible = slack > STRICT_TOL
     if not admissible:
         return AdmissibilityCertificate(False, slack, margin, None)
 

@@ -26,6 +26,8 @@ from .errors import ConvergenceFailure
 from .gibbs import GibbsDistribution, log_partition, service_rates, stationary_distribution
 
 UTILITY_FAMILIES = ("log-shifted", "weighted-log-shifted", "alpha-fair-shifted")
+DUAL_MAX_ITER = 50_000
+UTILITY_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,9 @@ class UtilityFunction:
     log-shifted: log(shift + y) - log(shift).  weighted-log-shifted: the same
     times weight.  alpha-fair-shifted: ((shift+y)^(1-a) - shift^(1-a))/(1-a)
     with fairness a >= 0, a != 1 (a = 0 degrades to linear).  The shift keeps
-    the derivative at zero finite, which the price-box bounds need.
+    the derivative at zero finite, which the price-box bounds need.  A family
+    rejects a non-default value of a parameter it does not use, so
+    log-shifted is weighted-log-shifted at weight 1.
     """
 
     family: str = "log-shifted"
@@ -52,23 +56,23 @@ class UtilityFunction:
             raise ValueError("weight must be positive")
         if self.fairness < 0 or self.fairness == 1.0:
             raise ValueError("fairness must be >= 0 and != 1")
+        if self.family != "weighted-log-shifted" and self.weight != 1.0:
+            raise ValueError(f"{self.family} takes no weight")
+        if self.family != "alpha-fair-shifted" and self.fairness != 0.0:
+            raise ValueError(f"{self.family} takes no fairness")
 
     def value(self, y: float) -> float:
         d = self.shift
-        if self.family == "log-shifted":
-            return math.log(d + y) - math.log(d)
-        if self.family == "weighted-log-shifted":
-            return self.weight * (math.log(d + y) - math.log(d))
-        a = self.fairness
-        return ((d + y) ** (1.0 - a) - d ** (1.0 - a)) / (1.0 - a)
+        if self.family == "alpha-fair-shifted":
+            a = self.fairness
+            return ((d + y) ** (1.0 - a) - d ** (1.0 - a)) / (1.0 - a)
+        return self.weight * (math.log(d + y) - math.log(d))
 
     def derivative(self, y: float) -> float:
         d = self.shift
-        if self.family == "log-shifted":
-            return 1.0 / (d + y)
-        if self.family == "weighted-log-shifted":
-            return self.weight / (d + y)
-        return (d + y) ** (-self.fairness)
+        if self.family == "alpha-fair-shifted":
+            return (d + y) ** (-self.fairness)
+        return self.weight / (d + y)
 
     @property
     def initial_slope(self) -> float:
@@ -100,9 +104,8 @@ def best_response(u: UtilityFunction, beta: float, price: float) -> float:
         raise ValueError("prices are nonnegative")
     if price == 0.0:
         return 1.0
-    if u.family in ("log-shifted", "weighted-log-shifted"):
-        w = u.weight if u.family == "weighted-log-shifted" else 1.0
-        return min(1.0, max(0.0, beta * w / price - u.shift))
+    if u.family != "alpha-fair-shifted":
+        return min(1.0, max(0.0, beta * u.weight / price - u.shift))
     if beta * u.derivative(0.0) <= price:
         return 0.0
     if beta * u.derivative(1.0) >= price:
@@ -160,23 +163,6 @@ def price_box_bound(utilities, beta: float, alpha: float) -> float:
     return beta * initial_slope_bound(utilities) + alpha
 
 
-def constant_price_epoch_length(n: int, beta: float, alpha: float,
-                                utilities, epsilon: float, c: float = 1.0) -> float:
-    """Published epoch length for the constant-step variant.
-
-    exp(c*beta*n*V) * c*(beta*V+alpha)*n^2/(beta*eps); inf once the
-    exponential overflows.  Desk runs override this through the config.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    v = initial_slope_bound(utilities)
-    exponent = c * beta * n * v
-    factor = c * (beta * v + alpha) * n * n / (beta * epsilon)
-    if exponent > 700.0:
-        return math.inf
-    return math.exp(exponent) * factor
-
-
 def dual_value(family: IndependentSetFamily, utilities, beta: float, prices) -> float:
     """log partition at the prices plus the summed best-response values."""
     prices = np.asarray(prices, dtype=float)
@@ -203,7 +189,7 @@ class DualSolution:
 
 
 def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float,
-                       *, tol: float = 1e-8, max_iter: int = 50_000) -> DualSolution:
+                       *, tol: float = 1e-8) -> DualSolution:
     """Minimize the dual over nonnegative prices by projected gradient.
 
     Armijo backtracking on the projected step; terminates when the projected
@@ -216,7 +202,7 @@ def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float,
     value = dual_value(family, utilities, beta, r)
     step = 1.0
     residual = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DUAL_MAX_ITER + 1):
         g = dual_gradient(family, utilities, beta, r)
         residual = float(np.abs(r - np.maximum(r - g, 0.0)).max())
         if residual <= tol:
@@ -250,8 +236,7 @@ class UtilityOptimum:
 
 
 def solve_utility_optimum(family: IndependentSetFamily, utilities,
-                          *, tol: float = 1e-8, max_iter: int = 200_000
-                          ) -> UtilityOptimum:
+                          *, tol: float = 1e-8) -> UtilityOptimum:
     """Maximize total utility over the independent-set polytope.
 
     Away-step Frank-Wolfe: the linear oracle is max_weight_independent_set,
@@ -286,7 +271,7 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities,
         return 0.5 * (lo + hi)
 
     gap = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, UTILITY_MAX_ITER + 1):
         g = grad(lam)
         fw_idx, _ = max_weight_independent_set(family, g)
         fw_row = family.position(fw_idx)
@@ -330,8 +315,8 @@ class GapCertificate:
     achieved_utility: float
     optimal_utility: float
 
-    def holds(self, slack: float = 0.0) -> bool:
-        return self.gap <= self.bound + slack
+    def holds(self) -> bool:
+        return self.gap <= self.bound
 
 
 def utility_gap_certificate(family: IndependentSetFamily, utilities, beta: float,

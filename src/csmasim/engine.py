@@ -31,7 +31,7 @@ import numpy as np
 from .chain import simulate
 from .conflict_graph import ConflictGraph, enumerate_independent_sets
 from .congestion import (UtilityFunction, best_responses, default_beta,
-                         initial_slope_bound, total_utility,
+                         initial_slope_bound, price_box_bound, total_utility,
                          update_prices_constant, update_prices_diminishing)
 from .errors import ConfigError, InvariantViolation, NumericFailure
 from .gibbs import service_rates
@@ -229,7 +229,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None
 
     if config.algorithm == "cc2":
         slope_cap = initial_slope_bound(config.utilities)
-        price_box = beta * slope_cap + step
+        price_box = price_box_bound(config.utilities, beta, step)
         queue_cap = fixed_length * (beta * slope_cap + 2.0 * step) / step
         # the price/queue coupling is an induction from an empty start
         couple = config.initial_queue is None or max(config.initial_queue) == 0.0
@@ -350,36 +350,3 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None
         drive = new_drive
         if congestion:
             cc_rates = new_rates
-
-
-def rate_stability_trace(records) -> list[tuple[float, float]]:
-    """(epoch end time, max_i queue_i / time) per record; monotone time axis."""
-    return [(rec.epoch_start + rec.epoch_length, rec.max_queue_ratio)
-            for rec in records]
-
-
-@dataclass(frozen=True)
-class DriftDiagnostic:
-    """Windowed differences of the squared-backlog potential, reported not asserted."""
-
-    window: int
-    mean_drift: float
-    negative_fraction: float
-    samples: int
-
-
-def drift_diagnostic(records, window: int, epsilon: float | None = None
-                     ) -> DriftDiagnostic:
-    """Sample average of sum(Q^2) differences over disjoint windows of epochs."""
-    if not isinstance(window, int) or window < 1:
-        raise ValueError("window must be a positive integer epoch count")
-    potential = [sum(q * q for q in rec.queue) for rec in records]
-    diffs = [potential[k + window] - potential[k]
-             for k in range(0, len(potential) - window, window)]
-    if not diffs:
-        raise ValueError(f"need more than {window} records for one window")
-    negative = sum(1 for d in diffs if d <= 0)
-    return DriftDiagnostic(window=window,
-                           mean_drift=float(np.mean(diffs)),
-                           negative_fraction=negative / len(diffs),
-                           samples=len(diffs))

@@ -31,6 +31,8 @@ from .conflict_graph import (
 )
 from .errors import ConvergenceFailure, InfeasibleRates
 
+BACKOFF_MAX_ITER = 200  # Newton steps; the fit converges quadratically
+
 
 def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
@@ -108,7 +110,7 @@ class BackoffSolution:
 
 
 def solve_backoff(family: IndependentSetFamily, rates, *,
-                  tol: float = 1e-10, max_iter: int = 200) -> BackoffSolution:
+                  tol: float = 1e-10) -> BackoffSolution:
     """Fit r so the stationary service rates equal `rates` exactly.
 
     Zero-rate nodes are excluded up front (their fitted value is -inf); the
@@ -146,7 +148,7 @@ def solve_backoff(family: IndependentSetFamily, rates, *,
 
     r = np.zeros(len(active))
     residual = math.inf
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, BACKOFF_MAX_ITER + 1):
         grad = log_likelihood_gradient(sub_family, r, sub_rates)
         residual = float(np.abs(grad).max())
         if residual <= tol:
@@ -174,7 +176,7 @@ def solve_backoff(family: IndependentSetFamily, rates, *,
                 f"iterates diverged past twice the norm bound {bound:.3g}; "
                 "targets are at or outside the capacity boundary")
     raise ConvergenceFailure(
-        f"backoff fit stalled at residual {residual:.3g} after {max_iter} iterations")
+        f"backoff fit stalled at residual {residual:.3g} after {BACKOFF_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------

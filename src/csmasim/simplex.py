@@ -18,6 +18,7 @@ class LPUnbounded(Exception):
 
 
 _PIVOT_TOL = 1e-10
+MAX_PIVOTS = 50_000
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -28,11 +29,10 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
-                 max_pivots: int) -> None:
+def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> None:
     """Maximize cost.x in place; tableau must be canonical for `basis`."""
     m = tableau.shape[0]
-    for _ in range(max_pivots):
+    for _ in range(MAX_PIVOTS):
         reduced = cost - cost[basis] @ tableau[:, :-1]
         reduced[basis] = 0.0
         improving = np.flatnonzero(reduced > _PIVOT_TOL)
@@ -51,7 +51,7 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray,
     raise RuntimeError("simplex exceeded pivot limit")
 
 
-def solve_standard_lp(c, A, b, *, max_pivots: int = 50_000):
+def solve_standard_lp(c, A, b):
     """Return (x, value) maximizing c.x subject to A x = b, x >= 0."""
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -68,7 +68,7 @@ def solve_standard_lp(c, A, b, *, max_pivots: int = 50_000):
     basis = list(range(n, n + m))
     phase1_cost = np.zeros(n + m)
     phase1_cost[n:] = -1.0
-    _run_simplex(tableau, basis, phase1_cost, max_pivots)
+    _run_simplex(tableau, basis, phase1_cost)
     infeasibility = sum(tableau[i, -1] for i in range(m) if basis[i] >= n)
     if infeasibility > 1e-8 * (1.0 + float(np.abs(b).sum())):
         raise LPInfeasible("no feasible point")
@@ -87,7 +87,7 @@ def solve_standard_lp(c, A, b, *, max_pivots: int = 50_000):
     tableau = np.hstack([tableau[keep_rows][:, :n], tableau[keep_rows][:, -1:]])
     basis = [basis[i] for i in keep_rows]
 
-    _run_simplex(tableau, basis, c, max_pivots)
+    _run_simplex(tableau, basis, c)
     x = np.zeros(n)
     for i, j in enumerate(basis):
         x[j] = tableau[i, -1]

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csmasim import chain
 from csmasim.chain import (
+    CONDUCTANCE_STATE_CAP,
     chain_diagnostics,
     conductance,
     ctmc_generator,
     empirical_distribution,
     glauber_kernel,
-    mixing_time_estimate,
     occupancy,
     second_eigenvalue_modulus,
     simulate,
@@ -25,7 +26,7 @@ from csmasim.conflict_graph import (
     preset,
     schedule_nodes,
 )
-from csmasim.errors import ExactModeUnavailable
+from csmasim.errors import ExactModeUnavailable, NumericFailure
 from csmasim.gibbs import stationary_distribution
 
 
@@ -76,6 +77,33 @@ def test_kernel_rows_and_detailed_balance(pair):
     pi = stationary_distribution(fam, r).probs
     flow = pi[:, None] * P
     assert flow == pytest.approx(flow.T, abs=1e-12)
+
+
+def tick_rule_kernel(fam, r):
+    """The kernel written out tick by tick: pick node i with probability
+    max(e^r_i, 1)/R, flip it with half the clock-consistent probability."""
+    select = np.maximum(np.exp(r), 1.0)
+    total = select.sum()
+    P = np.zeros((fam.size, fam.size))
+    for row, mask in enumerate(fam.masks):
+        for i in range(fam.n):
+            bit = 1 << i
+            if mask & bit:
+                P[row, fam.index[mask ^ bit]] += select[i] / total * 0.5 * min(math.exp(-r[i]), 1.0)
+            elif not mask & fam.graph.neighbor_masks[i]:
+                P[row, fam.index[mask | bit]] += select[i] / total * 0.5 * min(math.exp(r[i]), 1.0)
+        P[row, row] = 1.0 - P[row].sum()
+    return P, total
+
+
+@settings(max_examples=50, deadline=None)
+@given(family_and_backoff())
+def test_kernel_matches_tick_rule(pair):
+    fam, r = pair
+    k = glauber_kernel(fam, r)
+    P, total = tick_rule_kernel(fam, r)
+    assert k.total_rate == pytest.approx(total, rel=1e-14)
+    assert k.matrix == pytest.approx(P, abs=1e-14)
 
 
 def test_kernel_is_at_least_half_lazy():
@@ -180,12 +208,47 @@ def test_cheeger_bound_on_presets():
 
 def test_mixing_estimate_single_node_closed_form():
     fam = enumerate_independent_sets(preset("single"))
-    est = mixing_time_estimate(fam, [0.0], 0.01)
-    # gap 1, unit clock budget, floor pi_min = 1/2
-    assert est.spectral_bound == pytest.approx(math.log(200.0), abs=1e-12)
-    assert est.worst_case_bound == pytest.approx(math.e * math.log(100.0), abs=1e-12)
+    diag = chain_diagnostics(fam, [0.0])
+    # gap 1, unit clock budget, floor pi_min = 1/2, delta = 0.01
+    assert diag.mixing_estimate == pytest.approx(math.log(200.0), abs=1e-12)
+    assert diag.mixing_worst_case == pytest.approx(math.e * math.log(100.0), abs=1e-12)
     with pytest.raises(ValueError):
-        mixing_time_estimate(fam, [0.0], 1.5)
+        chain_diagnostics(fam, [0.0], delta=1.5)
+
+
+def test_chain_diagnostics_builds_each_piece_once(monkeypatch):
+    calls = {"glauber_kernel": 0, "stationary_distribution": 0,
+             "second_eigenvalue_modulus": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(chain, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(chain, name, counted)
+    chain_diagnostics(enumerate_independent_sets(preset("cycle5")), np.full(5, 0.4))
+    assert calls == dict.fromkeys(calls, 1)
+
+    # past the cut cap nothing is built, and the message names the cap
+    fam = enumerate_independent_sets(preset("grid3x3"))
+    assert fam.size > CONDUCTANCE_STATE_CAP
+    with pytest.raises(ExactModeUnavailable,
+                       match=f"{fam.size} states exceed the cap {CONDUCTANCE_STATE_CAP}"):
+        chain_diagnostics(fam, np.full(9, 800.0))
+    assert calls == dict.fromkeys(calls, 1)
+
+
+def test_chain_diagnostics_fail_closed():
+    clique2 = enumerate_independent_sets(preset("clique2"))
+    with pytest.raises(NumericFailure, match="past the kernel's range"):
+        chain_diagnostics(clique2, [700.5, 0.0])
+    # the slow mode relaxes at ~exp(-40) per tick, so 1 - lambda rounds to 0
+    with pytest.raises(NumericFailure, match="spectral gap"):
+        chain_diagnostics(clique2, [40.0, 40.0])
+    # two free nodes mix in O(1) ticks at any drive, but the worst-case bound
+    # exp(2 max|r| + 2) log(100) overflows: in exp itself, or in the product
+    free_pair = enumerate_independent_sets(ConflictGraph.from_edges(2, []))
+    for level in (355.0, 353.5):
+        with pytest.raises(NumericFailure, match="overflows"):
+            chain_diagnostics(free_pair, [level, level])
 
 
 def test_chain_diagnostics_fields():
@@ -290,16 +353,6 @@ def test_zero_duration_has_no_events():
     assert list(traj.segments()) == []
     with pytest.raises(ValueError):
         occupancy(traj)
-
-
-def test_trajectory_csv(tmp_path):
-    g = preset("single")
-    traj = simulate(g, [2.0], 5.0, seed=9)
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "time,node,kind"
-    assert len(lines) == traj.times.size + 1
 
 
 def test_occupancy_against_event_replay():

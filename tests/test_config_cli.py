@@ -127,6 +127,26 @@ def test_parse_utility_list_and_overrides():
     assert cfg.epoch_length == 25
 
 
+def test_parse_rejects_parameters_the_family_ignores(tmp_path):
+    cc = {
+        "version": 1,
+        "graph": {"preset": "clique2"},
+        "algorithm": "cc2",
+        "horizon": 4,
+        "seed": 1,
+        "overrides": {"beta": 12.0, "step": 0.1, "epoch_length": 25},
+    }
+    for spec in ({"family": "log-shifted", "weight": 3, "fairness": 0.5},
+                 {"family": "log-shifted", "fairness": 0.5},
+                 {"family": "alpha-fair-shifted", "fairness": 2.0, "weight": 2.0}):
+        with pytest.raises(ConfigError, match="takes no"):
+            parse_config(dict(cc, utilities=spec))
+    path = write_config(tmp_path, dict(cc, utilities={"family": "log-shifted", "weight": 3}))
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    # a default value is not a parameter choice, so it stays accepted
+    parse_config(dict(cc, utilities={"family": "log-shifted", "weight": 1.0}))
+
+
 def test_config_hash_ignores_key_order():
     reordered = {k: BASE[k] for k in reversed(list(BASE))}
     assert config_hash(reordered) == config_hash(BASE)
@@ -280,6 +300,24 @@ def test_analyze_large_family_skips_cut_enumeration(capsys):
     assert rc == 0
     assert report["independent_set_count"] == 63
     assert "skipped" in report["chain"]
+
+
+@pytest.mark.parametrize("argv, detail", [
+    # lambda_max rounds to exactly 1, so the relaxation-time estimate is undefined
+    (("clique2", "--beta", "100"), "spectral gap"),
+    # the dual prices reach ~996, past what the kernel can represent
+    (("path3", "--beta", "1000"), "past the kernel's range"),
+    # lambda_max sits within rounding of 1; a rounding-level gap would make
+    # the mixing estimate meaningless or negative
+    (("path3", "--epsilon", "0.4"), "spectral gap"),
+])
+def test_analyze_chain_diagnostics_fail_closed(capsys, argv, detail):
+    graph, *flags = argv
+    rc = main(["analyze", graph, "--utilities", "log-shifted", *flags])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "numeric failure" in captured.err and detail in captured.err
 
 
 def test_analyze_unknown_graph(capsys):

@@ -14,7 +14,6 @@ from csmasim.congestion import (
     best_response,
     best_response_value,
     best_responses,
-    constant_price_epoch_length,
     default_beta,
     dual_gradient,
     dual_value,
@@ -62,6 +61,13 @@ def test_utility_validation():
         UtilityFunction("weighted-log-shifted", weight=-1.0)
     with pytest.raises(ValueError):
         UtilityFunction("alpha-fair-shifted", fairness=-0.5)
+    # a parameter the family does not use must keep its default
+    for family, extra in (("log-shifted", {"weight": 3.0}),
+                          ("log-shifted", {"fairness": 0.5}),
+                          ("weighted-log-shifted", {"fairness": 0.5}),
+                          ("alpha-fair-shifted", {"weight": 2.0})):
+        with pytest.raises(ValueError, match="takes no"):
+            UtilityFunction(family, **extra)
 
 
 def test_log_family_closed_forms():
@@ -70,6 +76,12 @@ def test_log_family_closed_forms():
     w = UtilityFunction("weighted-log-shifted", shift=2.0, weight=3.0)
     assert w.derivative(1.0) == pytest.approx(1.0, abs=1e-15)
     assert initial_slope_bound((LOG1, w)) == pytest.approx(1.5, abs=1e-15)
+    # log-shifted is weighted-log-shifted at weight 1
+    unit = UtilityFunction("weighted-log-shifted", weight=1.0)
+    for y in (0.0, 0.3, 1.0):
+        assert (LOG1.value(y), LOG1.derivative(y)) == (unit.value(y), unit.derivative(y))
+    for price in (0.0, 1.0, 7.0, 30.0):
+        assert best_response(LOG1, 10.0, price) == best_response(unit, 10.0, price)
 
 
 def test_alpha_fair_approaches_log_at_fairness_one():
@@ -167,18 +179,6 @@ def test_constant_price_box_is_invariant(s_hat, alpha):
 
 def test_price_box_bound_value():
     assert price_box_bound((LOG1, LOG1), 50.0, 0.1) == pytest.approx(50.1)
-
-
-def test_constant_price_epoch_length_scales():
-    utilities = (LOG1,) * 5
-    # representable yet absurd: exp(250) * O(n^2) unit intervals
-    published = constant_price_epoch_length(5, 50.0, 0.1, utilities, 0.4)
-    assert published > 1e100
-    assert constant_price_epoch_length(5, 200.0, 0.1, utilities, 0.4) == math.inf
-    small = constant_price_epoch_length(2, 1.0, 0.5, (LOG1, LOG1), 0.5)
-    assert small == pytest.approx(math.exp(2.0) * 1.5 * 4 / 0.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        constant_price_epoch_length(2, 1.0, 0.5, (LOG1, LOG1), 0.0)
 
 
 # -- dual problem -----------------------------------------------------------------------

@@ -1,0 +1,30 @@
+"""Smoke runs of the sweep scripts: each main() in-process on tiny inputs."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, argv, expect", [
+    ("chain_mixing_report", ["--drives", "0.0"], ["cycle5", "cut enumeration skipped"]),
+    ("rate_stability_sweep", ["--loads", "0.5", "--epochs", "20"],
+     ["cycle5: n=5", "0.50"]),
+    ("utility_gap_sweep", ["--betas", "5"], ["clique2: |schedules|=3", "optimal rates"]),
+])
+def test_script_main_runs(monkeypatch, capsys, name, argv, expect):
+    monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])
+    assert load(name).main() == 0
+    out = capsys.readouterr().out
+    for text in expect:
+        assert text in out
