@@ -11,8 +11,7 @@ gaps) against small-scale exact computations.
 from .chain import (ChainDiagnostics, GlauberKernel, Occupancy, Trajectory,
                     chain_diagnostics, conductance, ctmc_generator,
                     empirical_distribution, glauber_kernel, occupancy,
-                    second_eigenvalue_modulus, simulate, transient_distribution,
-                    tv_distance)
+                    second_eigenvalue_modulus, simulate, tv_distance)
 from .conflict_graph import (AdmissibilityCertificate, ConflictGraph,
                              IndependentSetFamily, backoff_norm_bound,
                              enumerate_independent_sets, induced_subgraph,

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .conflict_graph import ConflictGraph, IndependentSetFamily, schedule_nodes
 from .errors import ExactModeUnavailable, InvariantViolation, NumericFailure
@@ -249,12 +248,16 @@ def ctmc_generator(family: IndependentSetFamily, r) -> np.ndarray:
     return gen
 
 
-def transient_distribution(family: IndependentSetFamily, r, initial, t: float) -> np.ndarray:
-    """Law of the chain at time t from `initial` (scaling-and-squaring expm)."""
-    initial = np.asarray(initial, dtype=float)
-    if initial.shape != (family.size,):
-        raise ValueError(f"initial distribution must have shape ({family.size},)")
-    return initial @ expm(t * ctmc_generator(family, r))
+def _ctmc_exp(generator: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """e^G for a generator reversible w.r.t. probs, from one symmetric eigensolve.
+
+    Detailed balance makes D^{1/2} G D^{-1/2} symmetric (D = diag(probs)), so
+    e^G = D^{-1/2} V e^Lambda V^T D^{1/2} with (Lambda, V) its eigenpairs.
+    """
+    d = np.sqrt(probs)
+    sym = generator * d[:, None] / d[None, :]
+    vals, vecs = np.linalg.eigh((sym + sym.T) / 2.0)
+    return (vecs * np.exp(vals)) @ vecs.T / d[:, None] * d[None, :]
 
 
 def second_eigenvalue_modulus(kernel: GlauberKernel,
@@ -370,5 +373,5 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
         mixing_estimate=math.log(1.0 / (delta * float(probs.min())))
         / (kernel.total_rate * gap),
         mixing_worst_case=worst_case,
-        conductance_ctmc=conductance(expm(ctmc_generator(family, r)), probs),
+        conductance_ctmc=conductance(_ctmc_exp(ctmc_generator(family, r), probs), probs),
     )

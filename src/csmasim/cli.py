@@ -93,8 +93,11 @@ def _summarize(parsed: ParsedConfig, seed: int | None, last: MetricsRecord) -> d
         return summary
     if cfg.is_congestion:
         beta = cfg.resolved_beta()
+        # Served rates never exceed offered service, so they lie in the capacity
+        # region; the requested averages need not, and can beat the optimum.
+        served = np.asarray(last.departed) / summary["elapsed"]
         try:
-            cert = utility_gap_certificate(family, cfg.utilities, beta, last.avg_rates)
+            cert = utility_gap_certificate(family, cfg.utilities, beta, served)
         except ConvergenceFailure:
             return summary
         summary["certificates"] = {

@@ -14,11 +14,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ExactModeUnavailable
+from .errors import ExactModeUnavailable, NumericFailure
 from .simplex import solve_standard_lp
 
 EXACT_MODE_CAP = 30
 STRICT_TOL = 1e-9  # LP slack that counts as strictly inside the region
+CERTIFICATE_TOL = 1e-9  # how far a decomposition may miss sum 1 and its target
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,9 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
 
     Maximizes the uniform slack s subject to
         sum_sigma nu_sigma * sigma >= rates + margin + s,  sum nu = 1, nu >= 0.
+    The returned weights decompose rates + margin exactly; NumericFailure is
+    raised when one is negative, or their sum misses 1 or their mixture
+    misses rates + margin by more than CERTIFICATE_TOL.
     """
     rates = np.asarray(rates, dtype=float)
     n, size = family.n, family.size
@@ -291,6 +295,12 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
             excess -= take
             if excess <= 0.0:
                 break
+    # Check the decomposition itself rather than trust the solver that made it.
+    residual = float(np.abs(nu @ family.matrix - target).max())
+    if not (np.all(nu >= 0.0) and abs(nu.sum() - 1.0) <= CERTIFICATE_TOL
+            and residual <= CERTIFICATE_TOL):
+        raise NumericFailure(f"admissibility certificate fails its check: weights sum "
+                             f"to {float(nu.sum())!r}, residual {residual:.3g}")
     nu.setflags(write=False)
     return AdmissibilityCertificate(True, slack, margin, nu)
 

@@ -1,10 +1,12 @@
 """Sampler, discrete kernel, generator, and the spectral/cut diagnostics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
 
 from csmasim import chain
 from csmasim.chain import (
@@ -17,7 +19,6 @@ from csmasim.chain import (
     occupancy,
     second_eigenvalue_modulus,
     simulate,
-    transient_distribution,
     tv_distance,
 )
 from csmasim.conflict_graph import (
@@ -137,18 +138,17 @@ def test_generator_rows_and_stationarity(pair):
     assert pi @ Q == pytest.approx(np.zeros(fam.size), abs=1e-9)
 
 
-def test_transient_distribution_limits():
-    fam = enumerate_independent_sets(preset("clique2"))
-    r = np.array([0.3, -0.2])
-    init = np.zeros(fam.size)
-    init[0] = 1.0
-    assert transient_distribution(fam, r, init, 0.0) == pytest.approx(init, abs=1e-12)
-    mid = transient_distribution(fam, r, init, 0.7)
-    assert mid.sum() == pytest.approx(1.0, abs=1e-10)
-    far = transient_distribution(fam, r, init, 200.0)
-    assert far == pytest.approx(stationary_distribution(fam, r).probs, abs=1e-9)
-    with pytest.raises(ValueError):
-        transient_distribution(fam, r, np.zeros(2), 1.0)
+def test_ctmc_exp_matches_expm():
+    for name, level in itertools.product(["single", "clique2", "path3", "cycle5"],
+                                         [-3.0, 0.0, 0.5, 2.0, 7.14]):
+        fam = enumerate_independent_sets(preset(name))
+        r = np.full(fam.n, level)
+        gen = ctmc_generator(fam, r)
+        probs = stationary_distribution(fam, r).probs
+        oracle = expm(gen)
+        assert np.abs(chain._ctmc_exp(gen, probs) - oracle).max() <= 1e-12
+        assert chain_diagnostics(fam, r).conductance_ctmc == pytest.approx(
+            conductance(oracle, probs), rel=1e-10)
 
 
 # -- conductance and mixing estimates ------------------------------------------

@@ -1,15 +1,22 @@
 """JSON config contract and the command-line surface.
 
 CLI tests call main() in-process so exit codes and stdout are observable
-without subprocesses.
+without subprocesses; only the import check needs a fresh interpreter.
 """
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import csmasim
 from csmasim.cli import main
+from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.errors import ConfigError
 
@@ -220,6 +227,56 @@ def test_run_summary_carries_certificates(tmp_path):
     assert cert["admissible"] is True
     assert "drive_distance_to_fit" in cert
     assert summary["seed"] == 9
+
+
+def test_utility_certificate_uses_served_rates(tmp_path):
+    cc = {
+        "version": 1,
+        "graph": {"preset": "cycle5"},
+        "algorithm": "cc2",
+        "horizon": 40,
+        "seed": 1,
+        "utilities": {"family": "log-shifted"},
+        "overrides": {"beta": 5.0, "step": 0.5, "epoch_length": 100},
+    }
+    out = tmp_path / "cc"
+    assert main(["run", str(write_config(tmp_path, cc)), "--out", str(out)]) == 0
+    summary = json.loads((out / "exp-seed1-summary.json").read_text())
+    family = enumerate_independent_sets(preset("cycle5"))
+    # the requested averages sit outside the capacity region here
+    assert is_strictly_admissible(family, summary["avg_rates"]).slack < -0.1
+    served = np.asarray(summary["final_departed"]) / summary["elapsed"]
+    assert is_strictly_admissible(family, served).slack > 0.0
+    cert = summary["certificates"]
+    assert cert["utility_gap"] == pytest.approx(0.0555090992902485, abs=1e-9)
+    assert 0.0 <= cert["utility_gap"] <= cert["utility_gap_bound"]
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    sched2 = {
+        "version": 1,
+        "graph": {"preset": "cycle5"},
+        "algorithm": "sched2",
+        "horizon": 3,
+        "seed": 1,
+        "arrivals": {"kind": "scaled-bernoulli", "rates": 0.3},
+        "overrides": {"epsilon": 0.2, "epoch_length": 200},
+    }
+    script = "\n".join([
+        "import sys",
+        "from csmasim.cli import main",
+        "assert main(['analyze', 'cycle5', '--lambda', '0.3']) == 0",
+        f"assert main(['run', {str(write_config(tmp_path, sched2))!r}, "
+        f"'--out', {str(tmp_path / 'out')!r}]) == 0",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    ])
+    src = str(Path(csmasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_run_exit_codes(tmp_path):

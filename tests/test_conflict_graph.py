@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
+from csmasim import conflict_graph
+from csmasim.cli import main
 from csmasim.conflict_graph import (
     ConflictGraph,
     PRESETS,
@@ -24,7 +26,7 @@ from csmasim.conflict_graph import (
     read_edge_list,
     schedule_nodes,
 )
-from csmasim.errors import ExactModeUnavailable
+from csmasim.errors import ExactModeUnavailable, NumericFailure
 
 
 def brute_force_masks(n, edges):
@@ -219,6 +221,27 @@ def test_admissible_decomposition_is_exact(g, data):
     assert nu.sum() == pytest.approx(1.0, abs=1e-9)
     # the shaved mixture reproduces the rates exactly, not just dominates
     assert nu @ fam.matrix == pytest.approx(rates, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0/0 weights
+@pytest.mark.parametrize("weights", ["empty-schedule", "zero"])
+def test_admissibility_certificate_is_checked(monkeypatch, weights):
+    fam = enumerate_independent_sets(preset("cycle5"))
+    assert fam.masks[0] == 0
+    solve = conflict_graph.solve_standard_lp
+
+    def perturbed(*args):
+        x, slack = solve(*args)
+        x = x.copy()
+        x[:fam.size] = 0.0  # the slack still claims strict admissibility
+        if weights == "empty-schedule":
+            x[0] = 1.0
+        return x, slack
+
+    monkeypatch.setattr(conflict_graph, "solve_standard_lp", perturbed)
+    with pytest.raises(NumericFailure, match="certificate fails its check"):
+        is_strictly_admissible(fam, np.full(5, 0.3))
+    assert main(["analyze", "cycle5", "--lambda", "0.3"]) == 3
 
 
 @settings(max_examples=60, deadline=None)
