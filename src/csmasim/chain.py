@@ -2,9 +2,12 @@
 
 The continuous-time chain lives on feasible schedules: a transmitting node
 stops at rate 1; a silent node whose neighbors are all silent starts at rate
-exp(r_i).  Blocked nodes carry no clock; by memorylessness, redrawing a fresh
-exponential when a node unblocks is distributionally identical to letting a
-suspended clock resume, so the event-driven loop below samples the exact chain.
+exp(r_i); a blocked node's clock rate is 0.  Each clock depends only on the
+node's own drive and its neighbors' state, so `simulate` keeps one rate per
+node and samples the exact chain by Gillespie's direct method: the wait to
+the next event is exponential with the total rate, the toggled node is drawn
+in proportion to its rate from the running sums, and only the toggled node
+and its neighbors change rate afterwards.
 
 The discrete single-site kernel is that chain uniformized at rate 2R, with
 R = sum_k max(exp(r_k), 1):  P = I + G / (2R), G the generator from
@@ -17,6 +20,8 @@ while preserving reversibility w.r.t. the product-form law.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -27,26 +32,14 @@ from .errors import ExactModeUnavailable, InvariantViolation, NumericFailure
 from .gibbs import stationary_distribution
 
 CONDUCTANCE_STATE_CAP = 20
-KERNEL_DRIVE_LIMIT = 700.0  # exp(r) stays finite and well scaled below this
+DRIVE_LIMIT = 700.0  # exp(r) stays finite and well scaled below this
 WORST_CASE_MULTIPLIER = 1.0  # the c of the bound exp(c (n max|r| + n)) log(1/delta)
-UNIFORM_BLOCK = 8192
 
 
-class _UniformStream:
-    """Buffered uniforms; one generator call per block keeps the event loop cheap."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._buf = rng.random(UNIFORM_BLOCK)
-        self._pos = 0
-
-    def __call__(self) -> float:
-        if self._pos == self._buf.shape[0]:
-            self._buf = self._rng.random(UNIFORM_BLOCK)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return float(value)
+def _clock_draws(rng: np.random.Generator):
+    """Yield (unit exponential wait, uniform pick) pairs, drawn a block at a time."""
+    while True:
+        yield from zip(rng.standard_exponential(1024).tolist(), rng.random(1024).tolist())
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,8 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
         raise ValueError(f"backoff vector must have shape ({graph.n},)")
     if np.any(np.isnan(r)) or np.any(r == math.inf):
         raise ValueError("backoff entries must be < +inf and not NaN")
-    if np.any(r[np.isfinite(r)] > 700.0):
-        raise ValueError("backoff entries above 700 overflow the clock rate")
+    if np.any(r > DRIVE_LIMIT):
+        raise ValueError(f"backoff entries above {DRIVE_LIMIT:g} overflow the clock rate")
     if duration < 0:
         raise ValueError("duration must be nonnegative")
     if not graph.is_independent(initial_mask):
@@ -101,62 +94,44 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    n = graph.n
     with np.errstate(over="raise"):
-        start_rate = [float(v) for v in np.exp(np.where(np.isneginf(r), -np.inf, r))]
+        start_rate = np.exp(r).tolist()  # exp(-inf) = 0: that node never starts
     nbr_masks = graph.neighbor_masks
     nbr_lists = [schedule_nodes(m) for m in nbr_masks]
-    blocked = [0] * n  # transmitting-neighbor counts
-    for i in schedule_nodes(initial_mask):
-        for j in nbr_lists[i]:
-            blocked[j] += 1
-
-    uniform = _UniformStream(rng)
     mask = initial_mask
+
+    def clock(i: int) -> float:
+        if mask >> i & 1:
+            return 1.0
+        return 0.0 if mask & nbr_masks[i] else start_rate[i]
+
+    rate = [clock(i) for i in range(graph.n)]
+    draws = _clock_draws(rng)
     t = 0.0
     ev_times: list[float] = []
     ev_nodes: list[int] = []
     ev_starts: list[bool] = []
 
     while True:
-        tx = schedule_nodes(mask)
-        total = float(len(tx))
-        cand_nodes: list[int] = []
-        cand_rates: list[float] = []
-        for i in range(n):
-            if not (mask >> i) & 1 and blocked[i] == 0:
-                rate = start_rate[i]
-                if rate > 0.0:
-                    cand_nodes.append(i)
-                    cand_rates.append(rate)
-                    total += rate
+        cum = list(itertools.accumulate(rate))
+        total = cum[-1]
         if total == 0.0:
             break  # absorbing: nothing transmitting, all clocks silent
-        t += -math.log(1.0 - uniform()) / total
+        wait, pick = next(draws)
+        t += wait / total
         if t >= duration:
             break
-        pick = uniform() * total
-        if pick < len(tx):
-            node, start = tx[int(pick)], False
-        else:
-            pick -= len(tx)
-            node, start = cand_nodes[-1], True
-            for i, rate in zip(cand_nodes, cand_rates):
-                pick -= rate
-                if pick <= 0.0:
-                    node = i
-                    break
-        bit = 1 << node
-        if start:
-            if mask & nbr_masks[node]:
-                raise InvariantViolation(f"node {node} started against a busy neighbor")
-            mask |= bit
-            for j in nbr_lists[node]:
-                blocked[j] += 1
-        else:
-            mask ^= bit
-            for j in nbr_lists[node]:
-                blocked[j] -= 1
+        # pick * total < total, and a zero rate repeats the sum before it, so
+        # the search lands on a node whose clock is running
+        node = bisect.bisect_right(cum, pick * total)
+        start = not mask >> node & 1
+        if start and mask & nbr_masks[node]:
+            raise InvariantViolation(f"node {node} started against a busy neighbor")
+        mask ^= 1 << node
+        # only the toggled node and its neighbors (all silent now) change clock
+        rate[node] = clock(node)
+        for j in nbr_lists[node]:
+            rate[j] = clock(j)
         ev_times.append(t)
         ev_nodes.append(node)
         ev_starts.append(start)
@@ -219,8 +194,8 @@ def glauber_kernel(family: IndependentSetFamily, r) -> GlauberKernel:
     r = np.asarray(r, dtype=float)
     if r.shape != (family.n,):
         raise ValueError(f"backoff vector must have shape ({family.n},)")
-    if not np.all(np.isfinite(r)) or np.any(r > KERNEL_DRIVE_LIMIT):
-        raise ValueError("kernel construction needs finite backoff entries <= 700")
+    if not np.all(np.isfinite(r)) or np.any(r > DRIVE_LIMIT):
+        raise ValueError(f"kernel construction needs finite backoff entries <= {DRIVE_LIMIT:g}")
     total = float(np.array([max(math.exp(v), 1.0) for v in r]).sum())
     P = np.eye(family.size) + ctmc_generator(family, r) / (2.0 * total)
     P.setflags(write=False)
@@ -298,10 +273,11 @@ def conductance(flow_matrix, probs) -> float:
     for lo in range(1, (1 << N) - 1, chunk):
         ids = np.arange(lo, min(lo + chunk, (1 << N) - 1), dtype=np.uint32)
         B = ((ids[:, None] >> bit_cols) & 1).astype(float)
-        X = B @ E
-        cross = X.sum(axis=1) - (X * B).sum(axis=1)
-        pi_s = B @ probs
-        ratio = cross / (pi_s * (1.0 - pi_s))
+        # sum the flow over S x S^c and the mass of S^c directly: complements
+        # such as 1 - pi(S) cancel to 0 once one schedule holds nearly all of
+        # the law
+        cross = ((B @ E) * (1.0 - B)).sum(axis=1)
+        ratio = cross / ((B @ probs) * ((1.0 - B) @ probs))
         best = min(best, float(ratio.min()))
     return best
 
@@ -340,18 +316,22 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
     conservative exponential form with multiplier WORST_CASE_MULTIPLIER, both
     at accuracy delta.  Refuses families past CONDUCTANCE_STATE_CAP before
     building anything, and fails closed (NumericFailure) when the drive is
-    past the kernel's range, the spectral gap rounds to zero or below, or the
-    exponential bound overflows.
+    past the kernel's range, the stationary law underflows to 0 somewhere, the
+    spectral gap rounds to zero or below, the exponential bound overflows, or
+    a conductance is not finite.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     _check_cut_cap(family.size)
     r = np.asarray(r, dtype=float)
-    if np.any(r > KERNEL_DRIVE_LIMIT):
+    if np.any(r > DRIVE_LIMIT):
         raise NumericFailure(
-            f"drive {float(r.max()):.6g} is past the kernel's range {KERNEL_DRIVE_LIMIT:g}")
+            f"drive {float(r.max()):.6g} is past the kernel's range {DRIVE_LIMIT:g}")
     kernel = glauber_kernel(family, r)
     probs = stationary_distribution(family, r).probs
+    if probs.min() == 0.0:
+        raise NumericFailure("the stationary law underflows to 0 on some schedule, "
+                             "so the symmetrized kernel is undefined")
     lam = second_eigenvalue_modulus(kernel, probs)
     gap = 1.0 - lam
     if gap <= 0.0:
@@ -366,6 +346,10 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
     if worst_case == math.inf:
         raise NumericFailure(f"worst-case mixing bound exp({exponent:.6g}) overflows")
     phi = conductance(kernel.matrix, probs)
+    phi_ctmc = conductance(_ctmc_exp(ctmc_generator(family, r), probs), probs)
+    if not math.isfinite(phi) or not math.isfinite(phi_ctmc):
+        raise NumericFailure(f"conductance is not finite (kernel {phi!r}, "
+                             f"unit-time {phi_ctmc!r})")
     return ChainDiagnostics(
         lambda_max=lam,
         conductance=phi,
@@ -373,5 +357,5 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
         mixing_estimate=math.log(1.0 / (delta * float(probs.min())))
         / (kernel.total_rate * gap),
         mixing_worst_case=worst_case,
-        conductance_ctmc=conductance(_ctmc_exp(ctmc_generator(family, r), probs), probs),
+        conductance_ctmc=phi_ctmc,
     )

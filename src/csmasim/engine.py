@@ -28,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import simulate
+from .chain import DRIVE_LIMIT, simulate
 from .conflict_graph import ConflictGraph, enumerate_independent_sets
 from .congestion import (UtilityFunction, best_responses, default_beta,
                          initial_slope_bound, price_box_bound, total_utility,
@@ -43,7 +43,6 @@ from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
 ALGORITHMS = ("sched1", "sched2", "cc1", "cc2")
 MODES = ("stochastic", "deterministic-oracle")
 ORACLE = "deterministic-oracle"
-DRIVE_LIMIT = 700.0  # beyond this exp() overflows; runs must stay well inside
 CONSERVATION_TOL = 1e-9
 
 

@@ -185,6 +185,21 @@ def test_conductance_matches_cut_loop(pair):
         brute_conductance(k.matrix, pi), abs=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("level", [20.0, 40.0, 300.0])
+def test_conductance_with_one_dominant_schedule(level):
+    # two conflict-free nodes: the busy pair holds all but ~2 exp(-level) of
+    # the law, which a complement-based cut sum cancels to -0.0 or 0/0
+    free_pair = enumerate_independent_sets(ConflictGraph.from_edges(2, []))
+    r = [level, level]
+    k = glauber_kernel(free_pair, r)
+    pi = stationary_distribution(free_pair, r).probs
+    brute = brute_conductance(k.matrix, pi)
+    assert brute == pytest.approx(0.25, rel=1e-8)
+    assert conductance(k.matrix, pi) == pytest.approx(brute, rel=1e-12)
+    assert chain_diagnostics(free_pair, r).conductance == pytest.approx(brute, rel=1e-12)
+
+
 def test_conductance_caps_and_argument_checks():
     fam = enumerate_independent_sets(preset("grid3x3"))
     pi = stationary_distribution(fam, [0.0] * 9).probs
@@ -236,7 +251,7 @@ def test_chain_diagnostics_builds_each_piece_once(monkeypatch):
     assert calls == dict.fromkeys(calls, 1)
 
 
-def test_chain_diagnostics_fail_closed():
+def test_chain_diagnostics_fail_closed(monkeypatch):
     clique2 = enumerate_independent_sets(preset("clique2"))
     with pytest.raises(NumericFailure, match="past the kernel's range"):
         chain_diagnostics(clique2, [700.5, 0.0])
@@ -249,6 +264,15 @@ def test_chain_diagnostics_fail_closed():
     for level in (355.0, 353.5):
         with pytest.raises(NumericFailure, match="overflows"):
             chain_diagnostics(free_pair, [level, level])
+    # the empty schedule's weight exp(-699 k) underflows, and sqrt(pi) = 0
+    # would make the symmetrized kernel 0/0
+    for name in ("path3", "cycle5"):
+        fam = enumerate_independent_sets(preset(name))
+        with pytest.raises(NumericFailure, match="underflows"):
+            chain_diagnostics(fam, np.full(fam.n, 699.0))
+    monkeypatch.setattr(chain, "conductance", lambda flow, probs: math.inf)
+    with pytest.raises(NumericFailure, match="conductance is not finite"):
+        chain_diagnostics(clique2, [0.0, 0.0])
 
 
 def test_chain_diagnostics_fields():
@@ -373,3 +397,62 @@ def test_occupancy_against_event_replay():
     for i, t0 in on_since.items():
         busy[i] += traj.duration - t0
     assert occ.busy_fraction == pytest.approx(busy / traj.duration, abs=1e-12)
+
+
+def law_with_silenced_nodes(fam, r):
+    """Product-form law when some entries of r are -inf: those nodes never start."""
+    r = np.asarray(r, dtype=float)
+    live = np.isfinite(r)
+    allowed = fam.matrix[:, ~live].sum(axis=1) == 0
+    weights = np.where(allowed, np.exp(fam.matrix[:, live] @ r[live]), 0.0)
+    return weights / weights.sum()
+
+
+def test_long_run_matches_law_with_a_silenced_node():
+    g = preset("cycle5")
+    fam = enumerate_independent_sets(g)
+    r = [0.8, -math.inf, 0.3, -0.5, 1.2]
+    traj = simulate(g, r, 20_000.0, seed=5)
+    assert not np.any(traj.nodes == 1)
+    emp = empirical_distribution(occupancy(traj), fam)
+    assert tv_distance(emp, law_with_silenced_nodes(fam, r)) <= 0.02
+
+
+def test_silenced_chain_drains_and_stops():
+    # every clock is silent, so the chain empties the start schedule and then
+    # sits in the absorbing empty state; the loop must end there, not at t
+    g = preset("cycle5")
+    traj = simulate(g, [-math.inf] * 5, 1e12, initial_mask=0b00101, seed=2)
+    assert sorted(traj.nodes.tolist()) == [0, 2]
+    assert not traj.starts.any()
+    assert traj.final_mask == 0
+    fam = enumerate_independent_sets(g)
+    emp = empirical_distribution(occupancy(traj), fam)
+    assert emp[fam.index[0]] == pytest.approx(1.0, abs=1e-9)
+    assert law_with_silenced_nodes(fam, [-math.inf] * 5)[fam.index[0]] == 1.0
+
+
+@pytest.mark.parametrize("name, r", [
+    ("path3", [-1.0, -1.0, -1.0]),
+    ("cycle5", [-2.0, -1.5, -2.0, -2.5, -2.0]),
+])
+def test_law_at_time_one_matches_matrix_exponential(name, r):
+    """The law at t = 1 from the empty schedule is row 0 of e^G.
+
+    The stationary law cannot see a sampler whose clocks all run at twice the
+    rate; this transient law can: at these drives the t = 1 and t = 2 laws are
+    ~0.07 apart in total variation, 9-10 standard errors on the state that
+    moves most.
+    """
+    g = preset(name)
+    fam = enumerate_independent_sets(g)
+    r = np.asarray(r)
+    probs = stationary_distribution(fam, r).probs
+    exact = chain._ctmc_exp(ctmc_generator(fam, r), probs)[fam.index[0]]
+    runs = 4000
+    rng = np.random.default_rng(17)
+    counts = np.zeros(fam.size)
+    for _ in range(runs):
+        counts[fam.index[simulate(g, r, 1.0, rng=rng).final_mask]] += 1
+    z = np.abs(counts / runs - exact) / np.sqrt(exact * (1.0 - exact) / runs)
+    assert z.max() <= 4.0

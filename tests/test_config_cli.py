@@ -18,6 +18,7 @@ import csmasim
 from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
+from csmasim.congestion import utility_gap_certificate
 from csmasim.errors import ConfigError
 
 
@@ -240,15 +241,19 @@ def test_utility_certificate_uses_served_rates(tmp_path):
         "overrides": {"beta": 5.0, "step": 0.5, "epoch_length": 100},
     }
     out = tmp_path / "cc"
-    assert main(["run", str(write_config(tmp_path, cc)), "--out", str(out)]) == 0
+    path = write_config(tmp_path, cc)
+    assert main(["run", str(path), "--out", str(out)]) == 0
     summary = json.loads((out / "exp-seed1-summary.json").read_text())
     family = enumerate_independent_sets(preset("cycle5"))
     # the requested averages sit outside the capacity region here
     assert is_strictly_admissible(family, summary["avg_rates"]).slack < -0.1
     served = np.asarray(summary["final_departed"]) / summary["elapsed"]
     assert is_strictly_admissible(family, served).slack > 0.0
+    experiment = load_config(path).experiment
+    oracle = utility_gap_certificate(family, experiment.utilities,
+                                     experiment.resolved_beta(), served)
     cert = summary["certificates"]
-    assert cert["utility_gap"] == pytest.approx(0.0555090992902485, abs=1e-9)
+    assert cert["utility_gap"] == pytest.approx(oracle.gap, abs=1e-12)
     assert 0.0 <= cert["utility_gap"] <= cert["utility_gap_bound"]
 
 
@@ -375,6 +380,20 @@ def test_analyze_chain_diagnostics_fail_closed(capsys, argv, detail):
     assert rc == 3
     assert captured.out == ""
     assert "numeric failure" in captured.err and detail in captured.err
+
+
+def test_analyze_dominant_schedule_prints_strict_json(capsys):
+    # at this entropy weight one schedule holds nearly all of the law; the
+    # cut flow must not cancel to -0.0 or divide to an infinity
+    rc = main(["analyze", "cycle5", "--utilities", "log-shifted", "--epsilon", "0.4"])
+    assert rc == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert 0.0 <= report["chain"]["conductance"] < 1e-10
+    assert report["chain"]["cheeger_upper"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_analyze_unknown_graph(capsys):
