@@ -8,10 +8,9 @@ service rates, runs the queue-driven and price-driven adaptation rules, and
 certifies their guarantees (capacity membership, fixed-point fits, utility
 gaps) against small-scale exact computations.
 """
-from .chain import (ChainDiagnostics, GlauberKernel, Occupancy, Trajectory,
+from .chain import (ChainDiagnostics, GlauberKernel, Trajectory,
                     chain_diagnostics, conductance, ctmc_generator,
-                    empirical_distribution, glauber_kernel, occupancy,
-                    second_eigenvalue_modulus, simulate, tv_distance)
+                    glauber_kernel, second_eigenvalue_modulus, simulate)
 from .conflict_graph import (AdmissibilityCertificate, ConflictGraph,
                              IndependentSetFamily, backoff_norm_bound,
                              enumerate_independent_sets, induced_subgraph,
@@ -27,14 +26,12 @@ from .congestion import (DualSolution, GapCertificate, UtilityFunction,
 from .engine import ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
-from .gibbs import (BackoffSolution, GibbsDistribution, entropy, kl_divergence,
-                    log_likelihood, log_likelihood_gradient,
-                    log_likelihood_hessian, log_partition, service_rates,
-                    solve_backoff, stationary_distribution, variational_gap)
+from .gibbs import (BackoffSolution, GibbsDistribution, log_likelihood,
+                    log_likelihood_gradient, log_likelihood_hessian,
+                    log_partition, service_rates, solve_backoff,
+                    stationary_distribution)
 from .scheduling import (ConstantStepPlan, constant_step_plan, epoch_params,
-                         fitted_reference, lyapunov_potential,
-                         potential_lower_bound, update_diminishing,
-                         update_projected)
+                         update_diminishing, update_projected)
 from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
                       sample_epoch_arrivals)
 

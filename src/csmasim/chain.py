@@ -58,23 +58,9 @@ class Trajectory:
     def n(self) -> int:
         return self.graph.n
 
-    def segments(self):
-        """Yield (t0, t1, mask) pieces covering [0, duration)."""
-        mask = self.initial_mask
-        t0 = 0.0
-        for t, node, start in zip(self.times.tolist(), self.nodes.tolist(),
-                                  self.starts.tolist()):
-            if t > t0:
-                yield t0, t, mask
-            mask = mask | (1 << node) if start else mask & ~(1 << node)
-            t0 = t
-        if self.duration > t0:
-            yield t0, self.duration, mask
-
 
 def simulate(graph: ConflictGraph, r, duration: float, *,
-             initial_mask: int = 0, rng: np.random.Generator | None = None,
-             seed: int | None = None) -> Trajectory:
+             initial_mask: int = 0, rng: np.random.Generator) -> Trajectory:
     """Sample the chain over [0, duration) starting from `initial_mask`.
 
     Entries of r may be -inf (node never transmits).  Deterministic given the
@@ -91,8 +77,6 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
         raise ValueError("duration must be nonnegative")
     if not graph.is_independent(initial_mask):
         raise ValueError(f"initial mask {initial_mask:#x} is not a feasible schedule")
-    if rng is None:
-        rng = np.random.default_rng(seed)
 
     with np.errstate(over="raise"):
         start_rate = np.exp(r).tolist()  # exp(-inf) = 0: that node never starts
@@ -147,36 +131,6 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
     )
 
 
-@dataclass(frozen=True)
-class Occupancy:
-    busy_fraction: np.ndarray
-    mask_fractions: dict[int, float]
-
-
-def occupancy(traj: Trajectory) -> Occupancy:
-    """Time fractions per schedule and per node, from the segment walk."""
-    if traj.duration <= 0:
-        raise ValueError("occupancy needs a positive duration")
-    per_mask: dict[int, float] = {}
-    for t0, t1, mask in traj.segments():
-        per_mask[mask] = per_mask.get(mask, 0.0) + (t1 - t0)
-    busy = np.zeros(traj.n)
-    for mask, dt in per_mask.items():
-        for i in schedule_nodes(mask):
-            busy[i] += dt
-    busy /= traj.duration
-    return Occupancy(busy_fraction=busy,
-                     mask_fractions={m: dt / traj.duration for m, dt in per_mask.items()})
-
-
-def empirical_distribution(occ: Occupancy, family: IndependentSetFamily) -> np.ndarray:
-    """Occupancy fractions aligned with the family's mask order."""
-    out = np.zeros(family.size)
-    for mask, frac in occ.mask_fractions.items():
-        out[family.index[mask]] = frac
-    return out
-
-
 # ---------------------------------------------------------------------------
 # discrete kernel, generator, and spectral diagnostics
 
@@ -184,8 +138,6 @@ def empirical_distribution(occ: Occupancy, family: IndependentSetFamily) -> np.n
 class GlauberKernel:
     """Half-lazy single-site kernel I + G/(2R) (see the module docstring)."""
 
-    family: IndependentSetFamily
-    r: np.ndarray
     matrix: np.ndarray
     total_rate: float  # R = sum_k max(exp(r_k), 1); the chain's clock budget
 
@@ -199,9 +151,7 @@ def glauber_kernel(family: IndependentSetFamily, r) -> GlauberKernel:
     total = float(np.array([max(math.exp(v), 1.0) for v in r]).sum())
     P = np.eye(family.size) + ctmc_generator(family, r) / (2.0 * total)
     P.setflags(write=False)
-    rr = r.copy()
-    rr.setflags(write=False)
-    return GlauberKernel(family=family, r=rr, matrix=P, total_rate=total)
+    return GlauberKernel(matrix=P, total_rate=total)
 
 
 def ctmc_generator(family: IndependentSetFamily, r) -> np.ndarray:
@@ -223,25 +173,8 @@ def ctmc_generator(family: IndependentSetFamily, r) -> np.ndarray:
     return gen
 
 
-def _ctmc_exp(generator: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """e^G for a generator reversible w.r.t. probs, from one symmetric eigensolve.
-
-    Detailed balance makes D^{1/2} G D^{-1/2} symmetric (D = diag(probs)), so
-    e^G = D^{-1/2} V e^Lambda V^T D^{1/2} with (Lambda, V) its eigenpairs.
-    """
-    d = np.sqrt(probs)
-    sym = generator * d[:, None] / d[None, :]
-    vals, vecs = np.linalg.eigh((sym + sym.T) / 2.0)
-    return (vecs * np.exp(vals)) @ vecs.T / d[:, None] * d[None, :]
-
-
-def second_eigenvalue_modulus(kernel: GlauberKernel,
-                              probs: np.ndarray | None = None) -> float:
-    """Second-largest eigenvalue modulus of the kernel (reversible, so real)."""
-    if probs is None:
-        probs = stationary_distribution(kernel.family, kernel.r).probs
-    if kernel.matrix.shape[0] == 1:
-        return 0.0
+def second_eigenvalue_modulus(kernel: GlauberKernel, probs: np.ndarray) -> float:
+    """Second-largest eigenvalue modulus of the kernel, reversible w.r.t. probs."""
     d = np.sqrt(probs)
     sym = kernel.matrix * d[:, None] / d[None, :]
     vals = np.linalg.eigvalsh((sym + sym.T) / 2.0)
@@ -282,12 +215,6 @@ def conductance(flow_matrix, probs) -> float:
     return best
 
 
-def tv_distance(p, q) -> float:
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    return 0.5 * float(np.abs(p - q).sum())
-
-
 @dataclass(frozen=True)
 class ChainDiagnostics:
     lambda_max: float
@@ -295,7 +222,6 @@ class ChainDiagnostics:
     cheeger_upper: float       # 1 - conductance^2 / 2; vacuous if negative
     mixing_estimate: float     # log(1/(delta pi_min)) / (R (1 - lambda_max))
     mixing_worst_case: float   # exp(c (n max|r| + n)) log(1/delta)
-    conductance_ctmc: float    # same cut statistic on the unit-time kernel
 
     def to_json_dict(self) -> dict:
         return {
@@ -304,13 +230,12 @@ class ChainDiagnostics:
             "cheeger_upper": self.cheeger_upper,
             "mixing_estimate": self.mixing_estimate,
             "mixing_worst_case": self.mixing_worst_case,
-            "conductance_ctmc": self.conductance_ctmc,
         }
 
 
 def chain_diagnostics(family: IndependentSetFamily, r, *,
                       delta: float = 0.01) -> ChainDiagnostics:
-    """Spectral gap, conductances and the two mixing-time estimates at drive r.
+    """Spectral gap, conductance and the two mixing-time estimates at drive r.
 
     The mixing estimates are the exact relaxation-time form and the
     conservative exponential form with multiplier WORST_CASE_MULTIPLIER, both
@@ -318,7 +243,7 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
     building anything, and fails closed (NumericFailure) when the drive is
     past the kernel's range, the stationary law underflows to 0 somewhere, the
     spectral gap rounds to zero or below, the exponential bound overflows, or
-    a conductance is not finite.
+    the conductance is not finite.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -346,10 +271,8 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
     if worst_case == math.inf:
         raise NumericFailure(f"worst-case mixing bound exp({exponent:.6g}) overflows")
     phi = conductance(kernel.matrix, probs)
-    phi_ctmc = conductance(_ctmc_exp(ctmc_generator(family, r), probs), probs)
-    if not math.isfinite(phi) or not math.isfinite(phi_ctmc):
-        raise NumericFailure(f"conductance is not finite (kernel {phi!r}, "
-                             f"unit-time {phi_ctmc!r})")
+    if not math.isfinite(phi):
+        raise NumericFailure(f"conductance is not finite ({phi!r})")
     return ChainDiagnostics(
         lambda_max=lam,
         conductance=phi,
@@ -357,5 +280,4 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
         mixing_estimate=math.log(1.0 / (delta * float(probs.min())))
         / (kernel.total_rate * gap),
         mixing_worst_case=worst_case,
-        conductance_ctmc=phi_ctmc,
     )

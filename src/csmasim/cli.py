@@ -62,11 +62,12 @@ def _load_graph(source: str):
 
 def _parse_cli_utilities(text: str, n: int) -> tuple[UtilityFunction, ...]:
     """Accept a bare family name (broadcast) or a JSON object/array."""
-    from .config import _parse_utilities  # shared fail-closed parsing
+    from .config import _finite_number, _parse_utilities  # shared fail-closed parsing
     if text in UTILITY_FAMILIES:
         return (UtilityFunction(family=text),) * n
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_float=_finite_number,
+                          parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--utilities must be a family name {UTILITY_FAMILIES} "
                           f"or JSON: {exc}") from exc
@@ -165,6 +166,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    for flag, value in (("--beta", args.beta), ("--epsilon", args.epsilon)):
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{flag} must be finite and positive, got {value}")
+    if args.rates is not None and not all(math.isfinite(v) and v >= 0 for v in args.rates):
+        raise ConfigError(f"--lambda values must be finite and nonnegative, got {args.rates}")
     graph = _load_graph(args.graph)
     family = enumerate_independent_sets(graph)
     n = graph.n

@@ -1,7 +1,8 @@
 """Versioned JSON experiment configs.
 
 Fail-closed: the version must match exactly and unknown keys are rejected at
-every level, so a typo'd override never silently runs with defaults.  The
+every level, so a typo'd override never silently runs with defaults; NaN,
+Infinity and literals that overflow a float are rejected while parsing.  The
 config hash is the sha256 of the canonical (sorted-key, compact) encoding,
 making it stable under key reordering in the file.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +41,14 @@ class ParsedConfig:
 def config_hash(data: dict) -> str:
     return hashlib.sha256(
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _finite_number(text: str) -> float:
+    """JSON float and constant hook: NaN, Infinity and 1e999 are config errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"numbers must be finite, got {text}")
+    return value
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -223,7 +233,8 @@ def load_config(path) -> ParsedConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), parse_float=_finite_number,
+                          parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data, base_dir=path.parent)

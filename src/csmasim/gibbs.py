@@ -177,56 +177,3 @@ def solve_backoff(family: IndependentSetFamily, rates, *,
                 "targets are at or outside the capacity boundary")
     raise ConvergenceFailure(
         f"backoff fit stalled at residual {residual:.3g} after {BACKOFF_MAX_ITER} iterations")
-
-
-# ---------------------------------------------------------------------------
-# information-theoretic helpers
-
-def entropy(p) -> float:
-    p = np.asarray(p, dtype=float)
-    nz = p[p > 0]
-    return float(-(nz * np.log(nz)).sum())
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q); +inf when p charges a point q does not."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("distributions must share a support enumeration")
-    mask = p > 0
-    if np.any(q[mask] <= 0):
-        return math.inf
-    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
-
-
-def _check_distribution(family: IndependentSetFamily, mu) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (family.size,):
-        raise ValueError(f"distribution must have shape ({family.size},)")
-    if np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-8:
-        raise ValueError("distribution must be nonnegative and sum to 1")
-    return np.maximum(mu, 0.0)
-
-
-def variational_gap(family: IndependentSetFamily, mu, r) -> float:
-    """log Z(r) - (E_mu[sigma . r] + H(mu)); zero exactly at the stationary law.
-
-    Equals KL(mu || P_r), so it is nonnegative and vanishes only at mu = P_r.
-    """
-    mu = _check_distribution(family, mu)
-    r = _check_backoff(family, r)
-    energy = family.matrix @ r
-    return log_partition(family, r) - (float(mu @ energy) + entropy(mu))
-
-
-def decomposition_identity_value(family: IndependentSetFamily, weights, r) -> float:
-    """-KL(weights || P_r) - H(weights): equals L(r) for any exact decomposition.
-
-    For any schedule mixture `weights` whose node marginals are `rates`, the
-    likelihood L(r) = rates . r - log Z(r) can be rewritten this way; used to
-    cross-check LP-produced decompositions.
-    """
-    weights = _check_distribution(family, weights)
-    pi = stationary_distribution(family, r)
-    return -kl_divergence(weights, pi.probs) - entropy(weights)

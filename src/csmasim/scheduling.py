@@ -7,11 +7,6 @@ arrival estimate, uses a fixed step, and projects onto the box
 [-n/eps, n/eps]^n.  The published step/window constants are reproduced
 verbatim so the tests can pin them, but they are astronomically conservative;
 desk runs override the epoch length and step through the experiment config.
-
-The potential used to reason about the constant-step rule is the fit
-objective at the slack-padded rates minus the squared distance to its
-maximizer.  It is negative on the box, bounded below by -16 n^3 / eps^2, and
-never decreases when a step is clipped back onto the box.
 """
 from __future__ import annotations
 
@@ -19,9 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .conflict_graph import IndependentSetFamily
-from .gibbs import BackoffSolution, log_likelihood, solve_backoff
 
 
 def epoch_params(j: int) -> tuple[int, float]:
@@ -84,35 +76,3 @@ def constant_step_plan(n: int, epsilon: float, peak: float = 1.0,
     window = math.ceil(48 * 16 * 72 * n ** 5 / epsilon ** 6)
     return ConstantStepPlan(epoch_length=length, step=step, window=window,
                             box=n / epsilon)
-
-
-def fitted_reference(family: IndependentSetFamily, rates, epsilon: float
-                     ) -> BackoffSolution:
-    """Maximizer of the fit objective at the slack-padded rates."""
-    if epsilon <= 0:
-        raise ValueError("slack epsilon must be positive")
-    return solve_backoff(family, np.asarray(rates, float) + epsilon)
-
-
-def lyapunov_potential(family: IndependentSetFamily, r, rates, epsilon: float,
-                       *, reference: BackoffSolution | None = None) -> float:
-    """Fit objective at rates+eps minus squared distance to its maximizer.
-
-    Negative everywhere; on the box [-n/eps, n/eps]^n it stays above
-    potential_lower_bound and never decreases when a stepped point is
-    clipped back onto the box.  Pass a precomputed reference to avoid
-    re-solving inside per-epoch loops.
-    """
-    r = np.asarray(r, dtype=float)
-    if reference is None:
-        reference = fitted_reference(family, rates, epsilon)
-    padded = np.asarray(rates, float) + epsilon
-    value = log_likelihood(family, r, padded)
-    return float(value - np.sum((r - reference.r) ** 2))
-
-
-def potential_lower_bound(n: int, epsilon: float) -> float:
-    """-16 n^3 / eps^2, the floor of the potential on the projection box."""
-    if epsilon <= 0:
-        raise ValueError("slack epsilon must be positive")
-    return -16.0 * n ** 3 / epsilon ** 2

@@ -1,0 +1,159 @@
+"""Reference identities that only the tests use.
+
+None of these is on a path that `csmasim run`, `csmasim analyze` or the
+scripts take; they are the independent side of the checks.  Occupancy
+measures of a sampled trajectory and the total-variation distance judge the
+sampler against the product-form law (A04).  The entropy/KL identities say
+that the fit objective and the variational gap agree with the exact law
+(A10).  The box potential of the constant-step rule is what projection must
+never decrease (A07).
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from csmasim.chain import Trajectory
+from csmasim.conflict_graph import IndependentSetFamily, schedule_nodes
+from csmasim.gibbs import (BackoffSolution, log_likelihood, log_partition,
+                           solve_backoff, stationary_distribution)
+
+
+# -- occupancy of a sampled trajectory ------------------------------------------
+
+def segments(traj: Trajectory):
+    """Yield (t0, t1, mask) pieces covering [0, duration)."""
+    mask = traj.initial_mask
+    t0 = 0.0
+    for t, node, start in zip(traj.times.tolist(), traj.nodes.tolist(),
+                              traj.starts.tolist()):
+        if t > t0:
+            yield t0, t, mask
+        mask = mask | (1 << node) if start else mask & ~(1 << node)
+        t0 = t
+    if traj.duration > t0:
+        yield t0, traj.duration, mask
+
+
+@dataclass(frozen=True)
+class Occupancy:
+    busy_fraction: np.ndarray
+    mask_fractions: dict[int, float]
+
+
+def occupancy(traj: Trajectory) -> Occupancy:
+    """Time fractions per schedule and per node, from the segment walk."""
+    if traj.duration <= 0:
+        raise ValueError("occupancy needs a positive duration")
+    per_mask: dict[int, float] = {}
+    for t0, t1, mask in segments(traj):
+        per_mask[mask] = per_mask.get(mask, 0.0) + (t1 - t0)
+    busy = np.zeros(traj.n)
+    for mask, dt in per_mask.items():
+        for i in schedule_nodes(mask):
+            busy[i] += dt
+    busy /= traj.duration
+    return Occupancy(busy_fraction=busy,
+                     mask_fractions={m: dt / traj.duration for m, dt in per_mask.items()})
+
+
+def empirical_distribution(occ: Occupancy, family: IndependentSetFamily) -> np.ndarray:
+    """Occupancy fractions aligned with the family's mask order."""
+    out = np.zeros(family.size)
+    for mask, frac in occ.mask_fractions.items():
+        out[family.index[mask]] = frac
+    return out
+
+
+def tv_distance(p, q) -> float:
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+# -- entropy, KL and the variational identities ---------------------------------
+
+def entropy(p) -> float:
+    p = np.asarray(p, dtype=float)
+    nz = p[p > 0]
+    return float(-(nz * np.log(nz)).sum())
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q); +inf when p charges a point q does not."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if p.shape != q.shape:
+        raise ValueError("distributions must share a support enumeration")
+    mask = p > 0
+    if np.any(q[mask] <= 0):
+        return math.inf
+    return float((p[mask] * np.log(p[mask] / q[mask])).sum())
+
+
+def _check_distribution(family: IndependentSetFamily, mu) -> np.ndarray:
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (family.size,):
+        raise ValueError(f"distribution must have shape ({family.size},)")
+    if np.any(mu < -1e-12) or abs(float(mu.sum()) - 1.0) > 1e-8:
+        raise ValueError("distribution must be nonnegative and sum to 1")
+    return np.maximum(mu, 0.0)
+
+
+def variational_gap(family: IndependentSetFamily, mu, r) -> float:
+    """log Z(r) - (E_mu[sigma . r] + H(mu)); zero exactly at the stationary law.
+
+    Equals KL(mu || P_r), so it is nonnegative and vanishes only at mu = P_r.
+    """
+    mu = _check_distribution(family, mu)
+    logz = log_partition(family, r)  # validates r
+    energy = family.matrix @ np.asarray(r, dtype=float)
+    return logz - (float(mu @ energy) + entropy(mu))
+
+
+def decomposition_identity_value(family: IndependentSetFamily, weights, r) -> float:
+    """-KL(weights || P_r) - H(weights): equals L(r) for any exact decomposition.
+
+    For any schedule mixture `weights` whose node marginals are `rates`, the
+    likelihood L(r) = rates . r - log Z(r) can be rewritten this way; used to
+    cross-check LP-produced decompositions.
+    """
+    weights = _check_distribution(family, weights)
+    pi = stationary_distribution(family, r)
+    return -kl_divergence(weights, pi.probs) - entropy(weights)
+
+
+# -- potential of the constant-step rule ----------------------------------------
+#
+# The fit objective at the slack-padded rates minus the squared distance to its
+# maximizer.  It is negative on the box [-n/eps, n/eps]^n, bounded below by
+# -16 n^3 / eps^2, and never decreases when a step is clipped back onto the box.
+
+def fitted_reference(family: IndependentSetFamily, rates, epsilon: float
+                     ) -> BackoffSolution:
+    """Maximizer of the fit objective at the slack-padded rates."""
+    if epsilon <= 0:
+        raise ValueError("slack epsilon must be positive")
+    return solve_backoff(family, np.asarray(rates, float) + epsilon)
+
+
+def lyapunov_potential(family: IndependentSetFamily, r, rates, epsilon: float,
+                       *, reference: BackoffSolution | None = None) -> float:
+    """Fit objective at rates+eps minus squared distance to its maximizer.
+
+    Pass a precomputed reference to avoid re-solving inside per-epoch loops.
+    """
+    r = np.asarray(r, dtype=float)
+    if reference is None:
+        reference = fitted_reference(family, rates, epsilon)
+    padded = np.asarray(rates, float) + epsilon
+    value = log_likelihood(family, r, padded)
+    return float(value - np.sum((r - reference.r) ** 2))
+
+
+def potential_lower_bound(n: int, epsilon: float) -> float:
+    """-16 n^3 / eps^2, the floor of the potential on the projection box."""
+    if epsilon <= 0:
+        raise ValueError("slack epsilon must be positive")
+    return -16.0 * n ** 3 / epsilon ** 2

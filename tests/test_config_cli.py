@@ -170,6 +170,33 @@ def test_load_config_errors(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("algorithm, key, literal", [
+    ("cc2", "beta", "NaN"),
+    ("cc2", "beta", "Infinity"),
+    ("cc2", "beta", "1e999"),
+    ("sched2", "epsilon", "NaN"),
+    ("sched2", "epsilon", "Infinity"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, algorithm, key, literal):
+    payload = {"version": 1, "graph": {"preset": "cycle5"}, "algorithm": algorithm,
+               "horizon": 5, "seed": 1,
+               "overrides": {key: "@", "step": 0.5, "epoch_length": 50}}
+    if algorithm == "cc2":
+        payload["utilities"] = {"family": "log-shifted"}
+    else:
+        payload["arrivals"] = {"kind": "scaled-bernoulli", "rates": 0.1}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload).replace('"@"', "0.2"))
+    assert getattr(load_config(path).experiment, key) == 0.2  # the finite control parses
+    path.write_text(json.dumps(payload).replace('"@"', literal))
+    with pytest.raises(ConfigError, match=f"numbers must be finite, got {literal}"):
+        load_config(path)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert "numbers must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- csmasim run -------------------------------------------------------------------
 
 def test_run_writes_expected_files(tmp_path):
@@ -394,6 +421,25 @@ def test_analyze_dominant_schedule_prints_strict_json(capsys):
     report = json.loads(capsys.readouterr().out, parse_constant=reject)
     assert 0.0 <= report["chain"]["conductance"] < 1e-10
     assert report["chain"]["cheeger_upper"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--utilities", "log-shifted", "--beta", "0"),
+    ("--utilities", "log-shifted", "--beta", "-1"),
+    ("--utilities", "log-shifted", "--beta", "nan"),
+    ("--utilities", "log-shifted", "--beta", "inf"),
+    ("--utilities", "log-shifted", "--epsilon", "-1"),
+    ("--utilities", '{"family": "log-shifted", "shift": Infinity}', "--beta", "5"),
+    ("--lambda", "-0.1"),
+    ("--lambda", "nan"),
+], ids=["beta-0", "beta-negative", "beta-nan", "beta-inf", "epsilon-negative",
+        "utility-shift-inf", "lambda-negative", "lambda-nan"])
+def test_analyze_rejects_bad_numeric_flags(capsys, flags):
+    rc = main(["analyze", "cycle5", *flags])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_analyze_unknown_graph(capsys):

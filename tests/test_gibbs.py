@@ -13,9 +13,6 @@ from csmasim.conflict_graph import (
 )
 from csmasim.errors import InfeasibleRates
 from csmasim.gibbs import (
-    decomposition_identity_value,
-    entropy,
-    kl_divergence,
     log_likelihood,
     log_likelihood_gradient,
     log_likelihood_hessian,
@@ -23,9 +20,10 @@ from csmasim.gibbs import (
     service_rates,
     solve_backoff,
     stationary_distribution,
-    variational_gap,
 )
 from csmasim.conflict_graph import is_strictly_admissible
+from oracles import (decomposition_identity_value, entropy, kl_divergence,
+                     variational_gap)
 
 
 @pytest.fixture(scope="module")

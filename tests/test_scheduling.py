@@ -11,12 +11,10 @@ from csmasim.gibbs import service_rates
 from csmasim.scheduling import (
     constant_step_plan,
     epoch_params,
-    fitted_reference,
-    lyapunov_potential,
-    potential_lower_bound,
     update_diminishing,
     update_projected,
 )
+from oracles import fitted_reference, lyapunov_potential, potential_lower_bound
 
 
 def test_epoch_params_first_values():

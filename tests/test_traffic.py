@@ -17,6 +17,7 @@ from csmasim.traffic import (
     reflect,
     sample_epoch_arrivals,
 )
+from oracles import segments
 
 
 # -- arrival specs -------------------------------------------------------------
@@ -194,10 +195,10 @@ def replay_oracle(traj, q0, deposits=None, inflow=None):
     if deposits is not None:
         for k in range(deposits.shape[0]):
             dep_at[float(k + 1)] = deposits[k]
-    cuts = {t0 for t0, _, _ in traj.segments()} | {traj.duration} | set(dep_at)
+    cuts = {t0 for t0, _, _ in segments(traj)} | {traj.duration} | set(dep_at)
     cuts = sorted(cuts)
     masks = {}
-    for t0, t1, mask in traj.segments():
+    for t0, t1, mask in segments(traj):
         masks[t0] = mask
     grid = []
     current = traj.initial_mask
