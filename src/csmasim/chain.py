@@ -223,15 +223,6 @@ class ChainDiagnostics:
     mixing_estimate: float     # log(1/(delta pi_min)) / (R (1 - lambda_max))
     mixing_worst_case: float   # exp(c (n max|r| + n)) log(1/delta)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda_max": self.lambda_max,
-            "conductance": self.conductance,
-            "cheeger_upper": self.cheeger_upper,
-            "mixing_estimate": self.mixing_estimate,
-            "mixing_worst_case": self.mixing_worst_case,
-        }
-
 
 def chain_diagnostics(family: IndependentSetFamily, r, *,
                       delta: float = 0.01) -> ChainDiagnostics:

@@ -11,6 +11,7 @@ environment variable, then the config's "output" field, then ./runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import math
@@ -22,12 +23,12 @@ import numpy as np
 
 from . import __version__
 from .chain import chain_diagnostics
-from .config import ParsedConfig, load_config
+from .config import _parse_utilities, load_config
 from .conflict_graph import (PRESETS, enumerate_independent_sets,
                              is_strictly_admissible, preset, read_edge_list)
 from .congestion import (UTILITY_FAMILIES, UtilityFunction, default_beta,
                          solve_dual_optimum, utility_gap_certificate)
-from .engine import ORACLE, MetricsRecord, run_experiment
+from .engine import ORACLE, ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
 from .gibbs import service_rates, solve_backoff
@@ -62,22 +63,19 @@ def _load_graph(source: str):
 
 def _parse_cli_utilities(text: str, n: int) -> tuple[UtilityFunction, ...]:
     """Accept a bare family name (broadcast) or a JSON object/array."""
-    from .config import _finite_number, _parse_utilities  # shared fail-closed parsing
     if text in UTILITY_FAMILIES:
         return (UtilityFunction(family=text),) * n
     try:
-        data = json.loads(text, parse_float=_finite_number,
-                          parse_constant=_finite_number)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--utilities must be a family name {UTILITY_FAMILIES} "
                           f"or JSON: {exc}") from exc
     return _parse_utilities(data, n)
 
 
-def _summarize(parsed: ParsedConfig, seed: int | None, last: MetricsRecord) -> dict:
-    cfg = parsed.experiment
+def _summarize(cfg: ExperimentConfig, last: MetricsRecord) -> dict:
     summary = {
-        "seed": seed,
+        "seed": cfg.seed,
         "epochs": last.j,
         "elapsed": last.epoch_start + last.epoch_length,
         "final_drive": list(last.drive),
@@ -93,12 +91,11 @@ def _summarize(parsed: ParsedConfig, seed: int | None, last: MetricsRecord) -> d
     except ExactModeUnavailable:
         return summary
     if cfg.is_congestion:
-        beta = cfg.resolved_beta()
         # Served rates never exceed offered service, so they lie in the capacity
         # region; the requested averages need not, and can beat the optimum.
         served = np.asarray(last.departed) / summary["elapsed"]
         try:
-            cert = utility_gap_certificate(family, cfg.utilities, beta, served)
+            cert = utility_gap_certificate(family, cfg.utilities, cfg.beta, served)
         except ConvergenceFailure:
             return summary
         summary["certificates"] = {
@@ -128,34 +125,35 @@ def _summarize(parsed: ParsedConfig, seed: int | None, last: MetricsRecord) -> d
 def cmd_run(args) -> int:
     parsed = load_config(args.config)
     cfg = parsed.experiment
-    out_dir = Path(args.out or os.environ.get(OUTPUT_ENV) or parsed.output or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.seeds < 1:
+        raise ConfigError("--seeds must be at least 1")
     base_seed = args.seed if args.seed is not None else cfg.seed
     if base_seed is None:
         if cfg.mode != ORACLE:
             raise ConfigError("no seed: pass --seed or set one in the config")
         base_seed = 0
-    if args.seeds < 1:
-        raise ConfigError("--seeds must be at least 1")
-    seeds = [base_seed + k for k in range(args.seeds)]
+    # replace() checks each seed, so a bad one fails before any file is written
+    runs = [dataclasses.replace(cfg, seed=base_seed + k) for k in range(args.seeds)]
+    out_dir = Path(args.out or os.environ.get(OUTPUT_ENV) or parsed.output or "runs")
+    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
     started = _utc_now()
     outputs = []
-    for seed in seeds:
-        run_path = out_dir / f"{stem}-seed{seed}.jsonl"
-        summary_path = out_dir / f"{stem}-seed{seed}-summary.json"
+    for run in runs:
+        run_path = out_dir / f"{stem}-seed{run.seed}.jsonl"
+        summary_path = out_dir / f"{stem}-seed{run.seed}-summary.json"
         last = None
         with open(run_path, "w", encoding="utf-8") as fh:
-            for record in run_experiment(cfg, seed=seed):
-                fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+            for record in run_experiment(run):
+                fh.write(json.dumps(vars(record), sort_keys=True) + "\n")
                 last = record
-        _write_json(summary_path, _summarize(parsed, seed, last))
+        _write_json(summary_path, _summarize(run, last))
         outputs.append(run_path.name)
         print(f"wrote {run_path}", file=sys.stderr)
     manifest = {
         "artifact_version": __version__,
         "config_hash": parsed.digest,
-        "seeds": seeds,
+        "seeds": [run.seed for run in runs],
         "output_dir": str(out_dir),
         "outputs": outputs,
         "started": started,
@@ -229,7 +227,7 @@ def cmd_analyze(args) -> int:
 
     try:
         report["chain"] = dict(
-            chain_diagnostics(family, diag_drive).to_json_dict(),
+            dataclasses.asdict(chain_diagnostics(family, diag_drive)),
             at_drive=[float(v) for v in diag_drive],
         )
     except ExactModeUnavailable as exc:

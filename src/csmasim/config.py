@@ -1,10 +1,13 @@
 """Versioned JSON experiment configs.
 
-Fail-closed: the version must match exactly and unknown keys are rejected at
-every level, so a typo'd override never silently runs with defaults; NaN,
-Infinity and literals that overflow a float are rejected while parsing.  The
-config hash is the sha256 of the canonical (sorted-key, compact) encoding,
-making it stable under key reordering in the file.
+This module only maps JSON to types.  It is fail-closed: the version must
+match exactly and unknown keys are rejected at every level, so a typo'd
+override never silently runs with defaults, and every number passes through
+`_number`, which rejects NaN, Infinity and literals past the float range.
+Value ranges and the settings a run resolves from them are checked once, by
+ExperimentConfig.  The config hash is the sha256 of the canonical
+(sorted-key, compact) encoding, making it stable under key reordering in the
+file.
 """
 from __future__ import annotations
 
@@ -15,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .conflict_graph import ConflictGraph, preset, read_edge_list
-from .congestion import UTILITY_FAMILIES, UtilityFunction
-from .engine import ALGORITHMS, MODES, ExperimentConfig
+from .congestion import UtilityFunction
+from .engine import ExperimentConfig
 from .errors import ConfigError
-from .traffic import ARRIVAL_KINDS, ArrivalSpec
+from .traffic import ArrivalSpec
 
 CONFIG_VERSION = 1
 
@@ -27,14 +30,13 @@ _TOP_KEYS = {"version", "graph", "algorithm", "horizon", "seed", "mode",
 _GRAPH_KEYS = {"preset", "n", "edges", "path"}
 _ARRIVAL_KEYS = {"kind", "rates", "peak"}
 _UTILITY_KEYS = {"family", "shift", "weight", "fairness"}
-_OVERRIDE_KEYS = {"epoch_length", "step", "epsilon", "beta", "c"}
+_OVERRIDE_KEYS = {"epoch_length", "step", "epsilon", "beta"}
 
 
 @dataclass(frozen=True)
 class ParsedConfig:
     experiment: ExperimentConfig
     output: str | None
-    raw: dict
     digest: str
 
 
@@ -43,12 +45,21 @@ def config_hash(data: dict) -> str:
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
-def _finite_number(text: str) -> float:
-    """JSON float and constant hook: NaN, Infinity and 1e999 are config errors."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"numbers must be finite, got {text}")
-    return value
+def _number(value, where: str) -> float:
+    """A JSON number as a finite float; `where` names it in the error.
+
+    json reads NaN and Infinity as floats, 1e999 as inf, and keeps an integer
+    literal exact however long it is, so the float range is checked here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number within the float range")
+    return number
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -58,14 +69,12 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
 
 
 def _broadcast(value, n: int, where: str) -> list[float]:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value)] * n
-    if isinstance(value, list) and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value):
-        if len(value) != n:
-            raise ConfigError(f"{where} needs {n} entries, got {len(value)}")
-        return [float(v) for v in value]
-    raise ConfigError(f"{where} must be a number or a list of numbers")
+    """A number for every node, or a list with one number per node."""
+    if not isinstance(value, list):
+        return [_number(value, where)] * n
+    if len(value) != n:
+        raise ConfigError(f"{where} needs {n} entries, got {len(value)}")
+    return [_number(v, f"{where}[{k}]") for k, v in enumerate(value)]
 
 
 def _parse_graph(section, base_dir: Path) -> ConflictGraph:
@@ -112,17 +121,12 @@ def _parse_arrivals(section, n: int) -> ArrivalSpec:
     if not isinstance(section, dict):
         raise ConfigError("arrivals must be an object")
     _reject_unknown(section, _ARRIVAL_KEYS, "arrivals")
-    kind = section.get("kind")
-    if kind not in ARRIVAL_KINDS:
-        raise ConfigError(f"arrivals.kind must be one of {ARRIVAL_KINDS}")
     if "rates" not in section:
         raise ConfigError("arrivals.rates is required")
     rates = _broadcast(section["rates"], n, "arrivals.rates")
-    peak = section.get("peak", 1.0)
-    if isinstance(peak, bool) or not isinstance(peak, (int, float)):
-        raise ConfigError("arrivals.peak must be a number")
+    peak = _number(section.get("peak", 1.0), "arrivals.peak")
     try:
-        return ArrivalSpec(kind=kind, rates=rates, peak=float(peak))
+        return ArrivalSpec(kind=section.get("kind"), rates=rates, peak=peak)
     except ValueError as exc:
         raise ConfigError(f"arrivals: {exc}") from exc
 
@@ -131,18 +135,10 @@ def _parse_one_utility(section, where: str) -> UtilityFunction:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
     _reject_unknown(section, _UTILITY_KEYS, where)
-    family = section.get("family", "log-shifted")
-    if family not in UTILITY_FAMILIES:
-        raise ConfigError(f"{where}.family must be one of {UTILITY_FAMILIES}")
-    kwargs = {}
-    for key in ("shift", "weight", "fairness"):
-        if key in section:
-            value = section[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where}.{key} must be a number")
-            kwargs[key] = float(value)
+    kwargs = {key: _number(section[key], f"{where}.{key}")
+              for key in ("shift", "weight", "fairness") if key in section}
     try:
-        return UtilityFunction(family=family, **kwargs)
+        return UtilityFunction(family=section.get("family", "log-shifted"), **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -165,21 +161,7 @@ def parse_config(data, base_dir: Path | str = ".") -> ParsedConfig:
         raise ConfigError(f"config version must be {CONFIG_VERSION} "
                           f"(got {data.get('version')!r})")
     _reject_unknown(data, _TOP_KEYS, "config")
-    base_dir = Path(base_dir)
-    graph = _parse_graph(data.get("graph"), base_dir)
-    algorithm = data.get("algorithm")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-    horizon = data.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-        raise ConfigError("horizon must be a positive integer")
-    mode = data.get("mode", "stochastic")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}")
-    seed = data.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        raise ConfigError("seed must be an integer")
-
+    graph = _parse_graph(data.get("graph"), Path(base_dir))
     arrivals = None
     if "arrivals" in data:
         arrivals = _parse_arrivals(data["arrivals"], graph.n)
@@ -191,15 +173,8 @@ def parse_config(data, base_dir: Path | str = ".") -> ParsedConfig:
     if not isinstance(overrides, dict):
         raise ConfigError("overrides must be an object")
     _reject_unknown(overrides, _OVERRIDE_KEYS, "overrides")
-    for key in ("step", "epsilon", "beta", "c"):
-        if key in overrides:
-            value = overrides[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"overrides.{key} must be a number")
-    if "epoch_length" in overrides and (
-            isinstance(overrides["epoch_length"], bool)
-            or not isinstance(overrides["epoch_length"], int)):
-        raise ConfigError("overrides.epoch_length must be an integer")
+    floats = {key: _number(overrides[key], f"overrides.{key}")
+              for key in ("step", "epsilon", "beta") if key in overrides}
 
     initial_queue = None
     if "initial_queue" in data:
@@ -211,21 +186,17 @@ def parse_config(data, base_dir: Path | str = ".") -> ParsedConfig:
 
     experiment = ExperimentConfig(
         graph=graph,
-        algorithm=algorithm,
-        horizon=horizon,
+        algorithm=data.get("algorithm"),
+        horizon=data.get("horizon"),
         arrivals=arrivals,
         utilities=utilities,
-        mode=mode,
-        seed=seed,
+        mode=data.get("mode", "stochastic"),
+        seed=data.get("seed"),
         epoch_length=overrides.get("epoch_length"),
-        step=float(overrides["step"]) if "step" in overrides else None,
-        epsilon=float(overrides["epsilon"]) if "epsilon" in overrides else None,
-        beta=float(overrides["beta"]) if "beta" in overrides else None,
-        theta_multiplier=float(overrides.get("c", 1.0)),
         initial_queue=initial_queue,
+        **floats,
     )
-    return ParsedConfig(experiment=experiment, output=output, raw=data,
-                        digest=config_hash(data))
+    return ParsedConfig(experiment=experiment, output=output, digest=config_hash(data))
 
 
 def load_config(path) -> ParsedConfig:
@@ -233,8 +204,7 @@ def load_config(path) -> ParsedConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(), parse_float=_finite_number,
-                          parse_constant=_finite_number)
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return parse_config(data, base_dir=path.parent)

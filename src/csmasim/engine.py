@@ -44,6 +44,12 @@ ALGORITHMS = ("sched1", "sched2", "cc1", "cc2")
 MODES = ("stochastic", "deterministic-oracle")
 ORACLE = "deterministic-oracle"
 CONSERVATION_TOL = 1e-9
+DESK_EPOCH_LIMIT = 1e8  # longest epoch, in time units, a run will simulate
+
+
+def _whole(value) -> bool:
+    """An int that is not a bool (True would otherwise count as 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,12 @@ class ExperimentConfig:
     one utility per node and generate their own (controlled) arrivals.
     epoch_length/step override the published schedules, which is the only
     practical choice for the constant-step rules at desk scale.
+
+    Construction checks every value and resolves what the run reads: beta
+    for congestion runs (the override, else 4n/epsilon), and sched2's epoch
+    length and step (each override, else the published plan).  The resolved
+    values replace the None they stand for, so dataclasses.replace keeps
+    them: change epsilon or the graph by building a new config.
     """
 
     graph: ConflictGraph
@@ -67,7 +79,6 @@ class ExperimentConfig:
     step: float | None = None
     epsilon: float | None = None
     beta: float | None = None
-    theta_multiplier: float = 1.0
     initial_queue: tuple[float, ...] | None = None
 
     def __post_init__(self):
@@ -75,8 +86,17 @@ class ExperimentConfig:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choices {ALGORITHMS}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; choices {MODES}")
-        if not isinstance(self.horizon, int) or self.horizon < 1:
+        if not _whole(self.horizon) or self.horizon < 1:
             raise ConfigError("horizon must be a positive integer epoch count")
+        if self.epoch_length is not None and (
+                not _whole(self.epoch_length)
+                or not 1 <= self.epoch_length <= DESK_EPOCH_LIMIT):
+            raise ConfigError("epoch_length override must be a positive integer "
+                              f"of at most {DESK_EPOCH_LIMIT:g}")
+        if self.seed is not None and (not _whole(self.seed) or self.seed < 0):
+            raise ConfigError("seed must be a nonnegative integer")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         n = self.graph.n
         if self.is_congestion:
             if self.utilities is None:
@@ -95,17 +115,47 @@ class ExperimentConfig:
                 raise ConfigError("scheduling runs take no utilities")
             if self.beta is not None:
                 raise ConfigError("beta only applies to congestion runs")
-        if self.algorithm == "sched2" and (self.epsilon is None or self.epsilon <= 0):
-            raise ConfigError("sched2 needs a positive slack epsilon")
-        if self.algorithm == "cc2" and (self.step is None or self.step <= 0):
-            raise ConfigError("cc2 needs a positive step override")
-        if self.algorithm in ("sched1", "cc1") and self.step is not None:
-            raise ConfigError(f"{self.algorithm} steps by 1/j; step cannot be overridden")
-        if self.epoch_length is not None and (
-                not isinstance(self.epoch_length, int) or self.epoch_length < 1):
-            raise ConfigError("epoch_length override must be a positive integer")
-        if self.seed is not None and (not isinstance(self.seed, int) or self.seed < 0):
-            raise ConfigError("seed must be a nonnegative integer")
+
+        if self.algorithm in ("sched1", "cc1"):
+            if self.step is not None:
+                raise ConfigError(f"{self.algorithm} steps by 1/j; step cannot be overridden")
+            # ceil(exp(sqrt(j))) > DESK_EPOCH_LIMIT exactly when j > log(limit)^2,
+            # as the limit is whole; comparing j never overflows exp
+            if (self.epoch_length is None and self.mode != ORACLE
+                    and self.horizon > math.log(DESK_EPOCH_LIMIT) ** 2):
+                raise ConfigError(
+                    f"the published epoch length ceil(exp(sqrt(j))) passes "
+                    f"{DESK_EPOCH_LIMIT:g} before epoch {self.horizon}; "
+                    "set an epoch_length override")
+        elif self.algorithm == "cc2":
+            if self.step is None:
+                raise ConfigError("cc2 needs a positive step override")
+            if self.epoch_length is None:
+                raise ConfigError("cc2 needs an epoch_length override at desk scale")
+        else:  # sched2
+            if self.epsilon is None:
+                raise ConfigError("sched2 needs a positive slack epsilon")
+            if self.epoch_length is None or self.step is None:
+                plan = constant_step_plan(n, self.epsilon, peak=self.arrivals.peak)
+                if self.epoch_length is None:
+                    if not plan.epoch_length <= DESK_EPOCH_LIMIT:  # inf once it overflows
+                        raise ConfigError(
+                            "published constant-step epoch length is out of desk range "
+                            f"({plan.epoch_length:.3g}); set an epoch_length override")
+                    object.__setattr__(self, "epoch_length", math.ceil(plan.epoch_length))
+                if self.step is None:
+                    object.__setattr__(self, "step", plan.step)
+
+        if self.is_congestion and self.beta is None:
+            if self.epsilon is None:
+                raise ConfigError("congestion runs need beta "
+                                  "(or epsilon for the 4n/eps default)")
+            object.__setattr__(self, "beta", default_beta(n, self.epsilon))
+        # after resolution, which can overflow 4n/eps or underflow the plan's step
+        for name in ("step", "beta"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.initial_queue is not None:
             q0 = tuple(float(v) for v in self.initial_queue)
             if len(q0) != n or any(v < 0 or not math.isfinite(v) for v in q0):
@@ -115,27 +165,6 @@ class ExperimentConfig:
     @property
     def is_congestion(self) -> bool:
         return self.algorithm in ("cc1", "cc2")
-
-    def resolved_beta(self) -> float:
-        if self.beta is not None:
-            if self.beta <= 0:
-                raise ConfigError("beta must be positive")
-            return float(self.beta)
-        if self.epsilon is not None and self.epsilon > 0:
-            return default_beta(self.graph.n, self.epsilon)
-        raise ConfigError("congestion runs need beta (or epsilon for the 4n/eps default)")
-
-    def resolved_constant_epoch(self) -> int:
-        """Fixed epoch length for sched2: the override, else the published value."""
-        if self.epoch_length is not None:
-            return self.epoch_length
-        plan = constant_step_plan(self.graph.n, self.epsilon,
-                                  c=self.theta_multiplier)
-        if not math.isfinite(plan.epoch_length) or plan.epoch_length > 1e8:
-            raise ConfigError(
-                "published constant-step epoch length is out of desk range "
-                f"({plan.epoch_length:.3g}); set an epoch_length override")
-        return math.ceil(plan.epoch_length)
 
 
 @dataclass(frozen=True)
@@ -166,59 +195,20 @@ class MetricsRecord:
         if not math.isfinite(self.max_queue_ratio):
             raise InvariantViolation(f"non-finite max_queue_ratio in epoch {self.j}")
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "j": self.j,
-            "epoch_start": self.epoch_start,
-            "epoch_length": self.epoch_length,
-            "drive": list(self.drive),
-            "arrival_rate_est": list(self.arrival_rate_est),
-            "offered_service_est": list(self.offered_service_est),
-            "actual_service_rate": list(self.actual_service_rate),
-            "queue": list(self.queue),
-            "departed": list(self.departed),
-            "peak_queue": list(self.peak_queue),
-            "max_queue_ratio": self.max_queue_ratio,
-            "rates": None if self.rates is None else list(self.rates),
-            "avg_rates": None if self.avg_rates is None else list(self.avg_rates),
-            "avg_rate_utility": self.avg_rate_utility,
-        }
-        return out
 
-
-def run_experiment(config: ExperimentConfig, seed: int | None = None
-                   ) -> Iterator[MetricsRecord]:
-    """Stream one MetricsRecord per epoch; deterministic given (config, seed)."""
+def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
+    """Stream one MetricsRecord per epoch; deterministic given the config."""
     graph = config.graph
     n = graph.n
     oracle = config.mode == ORACLE
-    run_seed = seed if seed is not None else config.seed
-    if not oracle and run_seed is None:
+    if not oracle and config.seed is None:
         raise ConfigError("stochastic runs need a seed")
-    if run_seed is not None and run_seed < 0:
-        raise ConfigError("seed must be a nonnegative integer")
 
     family = enumerate_independent_sets(graph) if oracle else None
     congestion = config.is_congestion
+    beta, step, fixed_length = config.beta, config.step, config.epoch_length
     drive = np.zeros(n)
     cc_rates = np.ones(n) if congestion else None
-    beta = config.resolved_beta() if congestion else None
-    if config.algorithm == "sched2":
-        fixed_length = config.resolved_constant_epoch()
-        if config.step is not None:
-            step = config.step
-        else:
-            step = constant_step_plan(n, config.epsilon, peak=config.arrivals.peak,
-                                      c=config.theta_multiplier).step
-    elif config.algorithm == "cc2":
-        step = config.step
-        if config.epoch_length is not None:
-            fixed_length = config.epoch_length
-        else:
-            raise ConfigError("cc2 needs an epoch_length override at desk scale")
-    else:
-        step = None
-        fixed_length = config.epoch_length  # optional fixed override for 1/j rules
 
     qstate = QueueState.zeros(n)
     if config.initial_queue is not None:
@@ -241,12 +231,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None
         if not np.all(np.isfinite(drive)) or np.any(np.abs(drive) > DRIVE_LIMIT):
             raise NumericFailure(f"drive vector overflow entering epoch {j}: "
                                  f"max |drive| = {np.abs(drive).max():.3g}")
-        if config.algorithm in ("sched1", "cc1"):
-            length, _ = epoch_params(j)
-            if fixed_length is not None:
-                length = fixed_length
-        else:
-            length = fixed_length
+        # a run without a fixed length follows the published 1/j schedule
+        length = fixed_length if fixed_length is not None else epoch_params(j)[0]
 
         if oracle:
             s_hat = service_rates(family, drive)
@@ -257,9 +243,9 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None
                                    arrivals, length)
         else:
             chain_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=run_seed, spawn_key=(j, 0)))
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 0)))
             arr_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=run_seed, spawn_key=(j, 1)))
+                np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 1)))
             traj = simulate(graph, drive, float(length), initial_mask=mask,
                             rng=chain_rng)
             mask = traj.final_mask

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def epoch_params(j: int) -> tuple[int, float]:
     """(epoch length, step size) for diminishing-step epoch j >= 1.
@@ -50,27 +52,29 @@ def update_projected(r, lam_hat, s_hat, epsilon: float, alpha: float,
 
 @dataclass(frozen=True)
 class ConstantStepPlan:
-    epoch_length: float  # exp(c (n^2/eps) log(n/eps)); inf once it overflows
+    epoch_length: float  # exp((n^2/eps) log(n/eps)); inf once it overflows
     step: float          # eps^2 / (72 n^2 (K+1)^2)
     window: int          # ceil(48*16*72 n^5 / eps^6) epochs to reach the guarantee
     box: float           # n/eps projection radius
 
 
-def constant_step_plan(n: int, epsilon: float, peak: float = 1.0,
-                       c: float = 1.0) -> ConstantStepPlan:
+def constant_step_plan(n: int, epsilon: float, peak: float = 1.0) -> ConstantStepPlan:
     """Published constants for the constant-step rule.
 
     peak is the largest per-interval arrival increment (the Lipschitz scale
     of the queue paths).  The epoch length and window are far beyond desk
     scale for any epsilon < 1; they exist to be printed and overridden.
+    Inputs outside the analysis raise ConfigError, because they come from an
+    experiment config.
     """
     if n <= 3:
-        raise ValueError("the constant-step analysis assumes more than 3 nodes")
+        raise ConfigError("the constant-step analysis assumes more than 3 nodes; "
+                          "set both the epoch_length and step overrides")
     if not 0 < epsilon:
-        raise ValueError("slack epsilon must be positive")
+        raise ConfigError("slack epsilon must be positive")
     if peak <= 0:
-        raise ValueError("peak increment must be positive")
-    exponent = c * (n * n / epsilon) * math.log(n / epsilon)
+        raise ConfigError("peak increment must be positive")
+    exponent = (n * n / epsilon) * math.log(n / epsilon)
     length = math.inf if exponent > 700.0 else math.exp(exponent)
     step = epsilon ** 2 / (72.0 * n * n * (peak + 1.0) ** 2)
     window = math.ceil(48 * 16 * 72 * n ** 5 / epsilon ** 6)

@@ -46,9 +46,9 @@ def _random_graph(rng, n: int) -> ConflictGraph:
     return ConflictGraph.from_edges(n, edges)
 
 
-def _last_record(config: ExperimentConfig, seed=None):
+def _last_record(config: ExperimentConfig):
     last = None
-    for last in run_experiment(config, seed=seed):
+    for last in run_experiment(config):
         pass
     return last
 
@@ -295,7 +295,7 @@ def test_a09_constant_price_runs_inside_hard_boxes():
         graph=preset("cycle5"), algorithm="cc2", horizon=1000,
         utilities=(LOG1,) * 5, epsilon=0.4, step=alpha, epoch_length=length,
         seed=11)
-    assert config.resolved_beta() == beta  # 4n/eps default
+    assert config.beta == beta  # 4n/eps default
     price_cap = beta * 1.0 + alpha      # slope of log(1+y) at 0 is 1
     queue_cap = length * (beta * 1.0 + 2 * alpha) / alpha
 

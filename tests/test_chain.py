@@ -1,5 +1,6 @@
 """Sampler, discrete kernel, generator, and the spectral/cut diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -266,7 +267,7 @@ def test_chain_diagnostics_fields():
     assert 0.0 < diag.conductance <= 2.0
     assert diag.lambda_max < 1.0
     assert diag.cheeger_upper == pytest.approx(1.0 - diag.conductance ** 2 / 2.0, abs=1e-12)
-    payload = diag.to_json_dict()
+    payload = dataclasses.asdict(diag)
     assert set(payload) == {"lambda_max", "conductance", "cheeger_upper",
                             "mixing_estimate", "mixing_worst_case"}
 

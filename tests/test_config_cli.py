@@ -7,6 +7,7 @@ without subprocesses; only the import check needs a fresh interpreter.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -111,7 +112,7 @@ def test_parse_arrival_and_utility_errors():
     }
     parsed = parse_config(cc)
     assert len(parsed.experiment.utilities) == 2  # dict broadcasts per node
-    assert parsed.experiment.resolved_beta() == 10.0
+    assert parsed.experiment.beta == 10.0
     with pytest.raises(ConfigError):
         parse_config(dict(cc, utilities={"family": "sqrt"}))
     with pytest.raises(ConfigError):
@@ -189,11 +190,94 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, algorithm, key, lite
     path.write_text(json.dumps(payload).replace('"@"', "0.2"))
     assert getattr(load_config(path).experiment, key) == 0.2  # the finite control parses
     path.write_text(json.dumps(payload).replace('"@"', literal))
-    with pytest.raises(ConfigError, match=f"numbers must be finite, got {literal}"):
+    with pytest.raises(ConfigError, match=f"overrides.{key} must be a finite number"):
         load_config(path)
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 2
-    assert "numbers must be finite" in capsys.readouterr().err
+    assert f"overrides.{key} must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+HUGE = "1" + "0" * 400  # an integer literal past the float range
+CC2 = {
+    "version": 1,
+    "graph": {"preset": "clique2"},
+    "algorithm": "cc2",
+    "horizon": 4,
+    "seed": 1,
+    "utilities": {"family": "log-shifted"},
+    "overrides": {"beta": 5.0, "step": 0.5, "epoch_length": 10},
+}
+
+
+def _with_number(config, section, key, extra, value):
+    data = json.loads(json.dumps(config))
+    target = data if section is None else data[section]
+    target.update(extra)
+    target[key] = value
+    return data
+
+
+@pytest.mark.parametrize("literal, value", [
+    ("NaN", math.nan),
+    ("Infinity", math.inf),
+    ("-Infinity", -math.inf),
+    ("1e999", float("1e999")),
+    (HUGE, int(HUGE)),
+    ("true", True),
+], ids=["nan", "inf", "minus-inf", "1e999", "huge-int", "true"])
+@pytest.mark.parametrize("config, section, key, extra, finite", [
+    (BASE, "arrivals", "rates", {}, 0.2),
+    (BASE, "arrivals", "peak", {}, 1.0),
+    (BASE, None, "initial_queue", {}, 0.0),
+    (CC2, "utilities", "shift", {}, 1.0),
+    (CC2, "utilities", "weight", {"family": "weighted-log-shifted"}, 2.0),
+    (CC2, "utilities", "fairness", {"family": "alpha-fair-shifted"}, 2.0),
+    (CC2, "overrides", "step", {}, 0.5),
+    (CC2, "overrides", "epsilon", {}, 0.4),
+    (CC2, "overrides", "beta", {}, 5.0),
+], ids=["arrivals.rates", "arrivals.peak", "initial_queue", "utilities.shift",
+        "utilities.weight", "utilities.fairness", "overrides.step", "overrides.epsilon",
+        "overrides.beta"])
+def test_every_config_number_is_a_finite_float(tmp_path, capsys, config, section, key,
+                                              extra, finite, literal, value):
+    where = key if section is None else f"{section}.{key}"
+    parse_config(_with_number(config, section, key, extra, finite))  # the control parses
+    with pytest.raises(ConfigError, match=re.escape(where)):
+        parse_config(_with_number(config, section, key, extra, value))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(_with_number(config, section, key, extra, "@"))
+                    .replace('"@"', literal))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+SCHED2_CYCLE5 = {
+    "version": 1,
+    "graph": {"preset": "cycle5"},
+    "algorithm": "sched2",
+    "horizon": 3,
+    "seed": 1,
+    "arrivals": {"kind": "scaled-bernoulli", "rates": 0.1},
+    "overrides": {"epsilon": 0.2, "epoch_length": 20},
+}
+
+
+@pytest.mark.parametrize("payload, flags, detail", [
+    (dict(CC2, overrides={"beta": 5.0, "step": 0.5}), (), "needs an epoch_length"),
+    # the published epoch length is exp(125 log 25) = 5.5e174
+    (dict(SCHED2_CYCLE5, overrides={"epsilon": 0.2}), (), "out of desk range"),
+    (SCHED2_CYCLE5, ("--seed", "-1"), "seed must be a nonnegative integer"),
+    (dict(SCHED2_CYCLE5, graph={"preset": "clique2"}), (), "more than 3 nodes"),
+], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
+        "sched2-plan-on-clique2"])
+def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
+    path = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), *flags]) == 2
+    assert detail in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -278,7 +362,7 @@ def test_utility_certificate_uses_served_rates(tmp_path):
     assert is_strictly_admissible(family, served).slack > 0.0
     experiment = load_config(path).experiment
     oracle = utility_gap_certificate(family, experiment.utilities,
-                                     experiment.resolved_beta(), served)
+                                     experiment.beta, served)
     cert = summary["certificates"]
     assert cert["utility_gap"] == pytest.approx(oracle.gap, abs=1e-12)
     assert 0.0 <= cert["utility_gap"] <= cert["utility_gap_bound"]
@@ -430,10 +514,11 @@ def test_analyze_dominant_schedule_prints_strict_json(capsys):
     ("--utilities", "log-shifted", "--beta", "inf"),
     ("--utilities", "log-shifted", "--epsilon", "-1"),
     ("--utilities", '{"family": "log-shifted", "shift": Infinity}', "--beta", "5"),
+    ("--utilities", '{"family": "log-shifted", "shift": %s}' % HUGE, "--beta", "5"),
     ("--lambda", "-0.1"),
     ("--lambda", "nan"),
 ], ids=["beta-0", "beta-negative", "beta-nan", "beta-inf", "epsilon-negative",
-        "utility-shift-inf", "lambda-negative", "lambda-nan"])
+        "utility-shift-inf", "utility-shift-huge-int", "lambda-negative", "lambda-nan"])
 def test_analyze_rejects_bad_numeric_flags(capsys, flags):
     rc = main(["analyze", "cycle5", *flags])
     captured = capsys.readouterr()

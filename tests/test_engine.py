@@ -2,6 +2,7 @@
 invariants, oracle/recursion equivalence, and the run diagnostics."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from csmasim.conflict_graph import enumerate_independent_sets, preset
 from csmasim.engine import ExperimentConfig, MetricsRecord, run_experiment
 from csmasim.errors import ConfigError, InvariantViolation, NumericFailure
 from csmasim.gibbs import service_rates
-from csmasim.scheduling import update_diminishing
+from csmasim.scheduling import epoch_params, update_diminishing
 from csmasim.traffic import ArrivalSpec
 
 LOG1 = UtilityFunction("log-shifted")
@@ -73,31 +74,51 @@ def test_config_rejects_bad_knobs():
         ExperimentConfig(algorithm="sched1", initial_queue=(1.0,), **ok)
     with pytest.raises(ConfigError, match="beta only applies"):
         ExperimentConfig(algorithm="sched1", beta=10.0, **ok)
+    for name in ("horizon", "seed", "epoch_length"):  # True would count as 1
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig(algorithm="sched1", **dict(ok, **{name: True}))
 
 
 def test_resolved_beta_rules():
     g = preset("clique2")
     cfg = ExperimentConfig(graph=g, algorithm="cc1", horizon=5,
                            utilities=(LOG1, LOG1), beta=7.0)
-    assert cfg.resolved_beta() == 7.0
+    assert cfg.beta == 7.0
     cfg = ExperimentConfig(graph=g, algorithm="cc1", horizon=5,
                            utilities=(LOG1, LOG1), epsilon=0.4)
-    assert cfg.resolved_beta() == pytest.approx(4 * 2 / 0.4)
-    cfg = ExperimentConfig(graph=g, algorithm="cc1", horizon=5,
-                           utilities=(LOG1, LOG1))
-    with pytest.raises(ConfigError):
-        cfg.resolved_beta()
+    assert cfg.beta == pytest.approx(4 * 2 / 0.4)
+    with pytest.raises(ConfigError, match="need beta"):
+        ExperimentConfig(graph=g, algorithm="cc1", horizon=5, utilities=(LOG1, LOG1))
+    # checked at construction, including a default that overflows: 8/1e-308
+    for bad in (dict(beta=-1.0), dict(epsilon=1e-308)):
+        with pytest.raises(ConfigError, match="beta must be positive and finite"):
+            ExperimentConfig(graph=g, algorithm="cc1", horizon=5,
+                             utilities=(LOG1, LOG1), **bad)
 
 
 def test_resolved_constant_epoch_needs_override_at_desk_scale():
     cfg = ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=5,
                            arrivals=bern([0.1] * 5), epsilon=0.2, epoch_length=50,
                            seed=0)
-    assert cfg.resolved_constant_epoch() == 50
-    bare = ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=5,
-                            arrivals=bern([0.1] * 5), epsilon=0.2, seed=0)
+    assert cfg.epoch_length == 50
     with pytest.raises(ConfigError, match="out of desk range"):
-        bare.resolved_constant_epoch()
+        ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=5,
+                         arrivals=bern([0.1] * 5), epsilon=0.2, seed=0)
+
+
+@pytest.mark.parametrize("algorithm", ["sched1", "cc1"])
+def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
+    # epoch 339 lasts 9.9e7 time units and epoch 340 lasts 1.02e8
+    assert epoch_params(339)[0] <= engine.DESK_EPOCH_LIMIT < epoch_params(340)[0]
+    workload = (dict(arrivals=bern([0.1, 0.1])) if algorithm == "sched1"
+                else dict(utilities=(LOG1, LOG1), beta=10.0))
+    make = functools.partial(ExperimentConfig, graph=preset("clique2"),
+                             algorithm=algorithm, seed=0, **workload)
+    with pytest.raises(ConfigError, match="set an epoch_length override"):
+        make(horizon=340)
+    make(horizon=339)
+    make(horizon=340, epoch_length=60)
+    make(horizon=340, mode="deterministic-oracle")  # fluid epochs cost no events
 
 
 def test_metrics_record_rejects_non_finite():
@@ -109,7 +130,7 @@ def test_metrics_record_rejects_non_finite():
     bad = dict(base, drive=(math.inf,))
     with pytest.raises(InvariantViolation):
         MetricsRecord(**bad)
-    payload = MetricsRecord(**base).to_json_dict()
+    payload = vars(MetricsRecord(**base))
     assert payload["j"] == 1 and payload["rates"] is None
 
 
@@ -120,8 +141,8 @@ def test_stochastic_runs_are_bit_identical():
     a = list(run_experiment(cfg))
     b = list(run_experiment(cfg))
     assert a == b
-    c = list(run_experiment(cfg, seed=12))
-    assert c != a  # explicit seed argument overrides the config seed
+    c = list(run_experiment(dataclasses.replace(cfg, seed=12)))
+    assert c != a
 
 
 def test_stochastic_needs_some_seed():
@@ -129,7 +150,7 @@ def test_stochastic_needs_some_seed():
                            arrivals=bern([0.5]))
     with pytest.raises(ConfigError, match="seed"):
         list(run_experiment(cfg))
-    assert len(list(run_experiment(cfg, seed=4))) == 2
+    assert len(list(run_experiment(dataclasses.replace(cfg, seed=4)))) == 2
 
 
 # -- ledger invariants ------------------------------------------------------------
