@@ -19,17 +19,15 @@ from .conflict_graph import (AdmissibilityCertificate, ConflictGraph,
 from .config import load_config, parse_config
 from .congestion import (DualSolution, GapCertificate, UtilityFunction,
                          UtilityOptimum, best_response, best_responses,
-                         default_beta, dual_value, solve_dual_optimum,
+                         default_beta, solve_dual_optimum,
                          solve_utility_optimum, total_utility,
                          update_prices_constant, update_prices_diminishing,
                          utility_gap_certificate)
 from .engine import ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
-from .gibbs import (BackoffSolution, GibbsDistribution, log_likelihood,
-                    log_likelihood_gradient, log_likelihood_hessian,
-                    log_partition, service_rates, solve_backoff,
-                    stationary_distribution)
+from .gibbs import (BackoffSolution, GibbsDistribution, service_rates,
+                    solve_backoff, stationary_distribution)
 from .scheduling import (ConstantStepPlan, constant_step_plan, epoch_params,
                          update_diminishing, update_projected)
 from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,

@@ -34,6 +34,12 @@ from .gibbs import stationary_distribution
 CONDUCTANCE_STATE_CAP = 20
 DRIVE_LIMIT = 700.0  # exp(r) stays finite and well scaled below this
 WORST_CASE_MULTIPLIER = 1.0  # the c of the bound exp(c (n max|r| + n)) log(1/delta)
+# 1 - lambda must exceed GAP_ROUNDING * N * eps to be resolved.  The symmetrized
+# kernel S is nonnegative with norm 1, so the <= 4 roundings in each entry move
+# an eigenvalue by <= 4 eps; eigvalsh is exact for some S + E with |E| <= p(N) eps,
+# p(N) a modest function of N in LAPACK's analysis.  With p(N) = N, (4 + N) eps
+# <= 4 N eps for every family (N >= 2).
+GAP_ROUNDING = 4.0
 
 
 def _clock_draws(rng: np.random.Generator):
@@ -233,8 +239,8 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
     at accuracy delta.  Refuses families past CONDUCTANCE_STATE_CAP before
     building anything, and fails closed (NumericFailure) when the drive is
     past the kernel's range, the stationary law underflows to 0 somewhere, the
-    spectral gap rounds to zero or below, the exponential bound overflows, or
-    the conductance is not finite.
+    spectral gap is within GAP_ROUNDING * N * eps of 0 (N states), the
+    exponential bound overflows, or the conductance is not finite.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -250,9 +256,10 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
                              "so the symmetrized kernel is undefined")
     lam = second_eigenvalue_modulus(kernel, probs)
     gap = 1.0 - lam
-    if gap <= 0.0:
-        raise NumericFailure(f"spectral gap 1 - lambda_max = {gap:.3g} is not positive "
-                             f"(lambda_max = {lam!r})")
+    resolution = GAP_ROUNDING * family.size * np.finfo(float).eps
+    if gap <= resolution:
+        raise NumericFailure(f"spectral gap 1 - lambda_max = {gap:.3g} is within rounding "
+                             f"({resolution:.3g}) of 0 (lambda_max = {lam!r})")
     n = family.n
     exponent = WORST_CASE_MULTIPLIER * (n * float(np.abs(r).max(initial=0.0)) + n)
     try:

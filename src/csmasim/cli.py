@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration problems (bad file, bad flags, graph
 too large for exact analysis), 3 numeric failures (overflow, non-convergence,
-violated runtime invariants).  Reports go to stdout as JSON; diagnostics and
+violated runtime invariants); `analyze` marks chain diagnostics it cannot
+compute reliably as skipped.  Reports go to stdout as JSON; diagnostics and
 errors go to stderr.
 
 Output directory resolution for `run`: --out flag, then the CSMASIM_OUT
@@ -58,7 +59,10 @@ def _load_graph(source: str):
     if not path.is_file():
         raise ConfigError(f"graph source {source!r} is neither a preset "
                           f"({sorted(PRESETS)}) nor a file")
-    return read_edge_list(path)
+    try:
+        return read_edge_list(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"graph file {source}: {exc}") from exc
 
 
 def _parse_cli_utilities(text: str, n: int) -> tuple[UtilityFunction, ...]:
@@ -230,8 +234,8 @@ def cmd_analyze(args) -> int:
             dataclasses.asdict(chain_diagnostics(family, diag_drive)),
             at_drive=[float(v) for v in diag_drive],
         )
-    except ExactModeUnavailable as exc:
-        # cut enumeration is exhaustive; skip it for large families
+    except (ExactModeUnavailable, NumericFailure) as exc:
+        # cut enumeration is exhaustive, and the results above stay exact
         report["chain"] = {"skipped": str(exc)}
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0

@@ -18,6 +18,7 @@ from .errors import ExactModeUnavailable, NumericFailure
 from .simplex import solve_standard_lp
 
 EXACT_MODE_CAP = 30
+MAX_NODES = 10_000  # 25x cycle400; n-bit neighbour masks hold O(n^2) bits, < 13 MB
 STRICT_TOL = 1e-9  # LP slack that counts as strictly inside the region
 CERTIFICATE_TOL = 1e-9  # how far a decomposition may miss sum 1 and its target
 
@@ -32,8 +33,8 @@ class ConflictGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "ConflictGraph":
-        if n < 1:
-            raise ValueError(f"graph needs at least one node, got n={n}")
+        if not 1 <= n <= MAX_NODES:
+            raise ValueError(f"graph needs 1 to {MAX_NODES} nodes, got n={n}")
         normalized = set()
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):

@@ -10,7 +10,7 @@ slopes at zero.
 Certification side: the offline program maximizes sum U_i(lambda_i) plus
 (1/beta) times the schedule entropy over the capacity polytope.  Its dual in
 the price vector is the log partition function plus the per-node best-response
-values, minimized by projected gradient.  The unregularized optimum comes from
+values, minimized by projected Newton.  The unregularized optimum comes from
 an away-step Frank-Wolfe over the independent-set polytope, giving the
 log(family size)/beta utility-gap bound a computable left-hand side.
 """
@@ -23,10 +23,9 @@ import numpy as np
 
 from .conflict_graph import IndependentSetFamily, max_weight_independent_set
 from .errors import ConvergenceFailure
-from .gibbs import GibbsDistribution, log_partition, service_rates, stationary_distribution
+from .gibbs import moments, newton_minimize
 
 UTILITY_FAMILIES = ("log-shifted", "weighted-log-shifted", "alpha-fair-shifted")
-DUAL_MAX_ITER = 50_000
 UTILITY_MAX_ITER = 200_000
 
 
@@ -74,6 +73,12 @@ class UtilityFunction:
             return (d + y) ** (-self.fairness)
         return self.weight / (d + y)
 
+    def second_derivative(self, y: float) -> float:
+        d = self.shift
+        if self.family == "alpha-fair-shifted":
+            return -self.fairness * (d + y) ** (-self.fairness - 1.0)
+        return -self.weight / (d + y) ** 2
+
     @property
     def initial_slope(self) -> float:
         return self.derivative(0.0)
@@ -120,12 +125,6 @@ def best_response(u: UtilityFunction, beta: float, price: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def best_response_value(u: UtilityFunction, beta: float, price: float) -> float:
-    """max over y in [0,1] of beta*U(y) - price*y."""
-    y = best_response(u, beta, price)
-    return beta * u.value(y) - price * y
-
-
 def best_responses(utilities, beta: float, prices) -> np.ndarray:
     prices = np.asarray(prices, dtype=float)
     return np.array([best_response(u, beta, p) for u, p in zip(utilities, prices, strict=True)])
@@ -163,25 +162,9 @@ def price_box_bound(utilities, beta: float, alpha: float) -> float:
     return beta * initial_slope_bound(utilities) + alpha
 
 
-def dual_value(family: IndependentSetFamily, utilities, beta: float, prices) -> float:
-    """log partition at the prices plus the summed best-response values."""
-    prices = np.asarray(prices, dtype=float)
-    inner = sum(best_response_value(u, beta, p)
-                for u, p in zip(utilities, prices, strict=True))
-    return float(log_partition(family, prices) + inner)
-
-
-def dual_gradient(family: IndependentSetFamily, utilities, beta: float, prices
-                  ) -> np.ndarray:
-    """service_rates(prices) - best_responses(prices); both maximizers unique."""
-    prices = np.asarray(prices, dtype=float)
-    return service_rates(family, prices) - best_responses(utilities, beta, prices)
-
-
 @dataclass(frozen=True)
 class DualSolution:
     prices: np.ndarray
-    distribution: GibbsDistribution
     rates: np.ndarray          # best responses at the optimal prices
     value: float               # dual objective at the optimum
     residual: float            # projected-gradient sup norm at exit
@@ -190,40 +173,34 @@ class DualSolution:
 
 def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float,
                        *, tol: float = 1e-8) -> DualSolution:
-    """Minimize the dual over nonnegative prices by projected gradient.
+    """Minimize the dual over nonnegative prices by projected Newton.
 
-    Armijo backtracking on the projected step; terminates when the projected
-    gradient sup norm drops to tol.  At exit service_rates(prices) >= rates
-    - tol holds componentwise (prices at zero absorb any strict surplus).
+    The dual log Z(p) + sum_i max_y [beta U_i(y) - p_i y] has gradient
+    s(p) - y(p) and Hessian Cov(sigma) + diag(-y'(p)).  At beta = 4n/eps the
+    covariance is near singular, so where y_i sits at 0 or 1 (y_i' = 0) the
+    Newton model uses the gradient's sup norm instead.  The search starts at
+    p_i = beta U_i'(1), below the optimum since rate 1 exceeds any service
+    rate, and stops when the projected-gradient sup norm is <= tol.
     """
     if len(utilities) != family.n:
         raise ValueError("need one utility per node")
-    r = np.zeros(family.n)
-    value = dual_value(family, utilities, beta, r)
-    step = 1.0
-    residual = math.inf
-    for it in range(1, DUAL_MAX_ITER + 1):
-        g = dual_gradient(family, utilities, beta, r)
-        residual = float(np.abs(r - np.maximum(r - g, 0.0)).max())
-        if residual <= tol:
-            dist = stationary_distribution(family, r)
-            return DualSolution(prices=r, distribution=dist,
-                                rates=best_responses(utilities, beta, r),
-                                value=value, residual=residual, iterations=it)
-        step = min(step * 2.0, 1e6)
-        while True:
-            trial = np.maximum(r - step * g, 0.0)
-            move = trial - r
-            trial_value = dual_value(family, utilities, beta, trial)
-            if trial_value <= value - 1e-4 / step * float(np.dot(move, move)):
-                r, value = trial, trial_value
-                break
-            step *= 0.5
-            if step < 1e-16:
-                raise ConvergenceFailure(
-                    f"dual descent stalled at residual {residual:.3e} (tol {tol:.1e})")
-    raise ConvergenceFailure(
-        f"dual descent hit the iteration cap at residual {residual:.3e} (tol {tol:.1e})")
+
+    def evaluate(prices):
+        log_z, served, covariance = moments(family, prices)
+        rates = best_responses(utilities, beta, prices)
+        value = log_z + sum(beta * u.value(y) - p * y
+                            for u, y, p in zip(utilities, rates, prices, strict=True))
+        grad = served - rates
+        ridge = float(np.abs(grad).max())
+        # -y'(p) = -1 / (beta U''(y)) where the best response is interior
+        curvature = [-1.0 / (beta * u.second_derivative(y)) if 0.0 < y < 1.0 else ridge
+                     for u, y in zip(utilities, rates, strict=True)]
+        return float(value), grad, covariance + np.diag(curvature)
+
+    start = np.array([beta * u.derivative(1.0) for u in utilities])
+    prices, value, residual, steps = newton_minimize(evaluate, start, 0.0, tol=tol)
+    return DualSolution(prices=prices, rates=best_responses(utilities, beta, prices),
+                        value=value, residual=residual, iterations=steps)
 
 
 @dataclass(frozen=True)

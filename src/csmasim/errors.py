@@ -15,7 +15,7 @@ class InfeasibleRates(ValueError):
 
 
 class ConvergenceFailure(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver stopped short of its tolerance (iteration cap or stalled search)."""
 
 
 class NumericFailure(RuntimeError):

@@ -13,10 +13,13 @@ hit prescribed targets is a concave maximum-likelihood problem: the objective
 
 has gradient targets - s(r) and Hessian equal to the negated schedule
 covariance, so a damped Newton iteration converges globally for any strictly
-admissible target vector.  Everything here enumerates the family exactly.
+admissible target vector.  That iteration, `newton_minimize`, also solves the
+congestion dual, as projected Newton over nonnegative prices.  Everything here
+enumerates the family exactly.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +34,7 @@ from .conflict_graph import (
 )
 from .errors import ConvergenceFailure, InfeasibleRates
 
-BACKOFF_MAX_ITER = 200  # Newton steps; the fit converges quadratically
+NEWTON_MAX_ITER = 200  # steps; the fit and the dual take at most ~20 on the presets
 
 
 def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
@@ -43,58 +46,83 @@ def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
     return r
 
 
-def log_partition(family: IndependentSetFamily, r) -> float:
-    """log Z(r), evaluated with the usual max-shift so |r| up to ~700 is safe."""
-    r = _check_backoff(family, r)
-    energy = family.matrix @ r
-    peak = float(energy.max())
-    return peak + math.log(float(np.exp(energy - peak).sum()))
-
-
 @dataclass(frozen=True)
 class GibbsDistribution:
-    family: IndependentSetFamily
     probs: np.ndarray
     log_partition: float
-
-    def node_marginals(self) -> np.ndarray:
-        """Per-node stationary transmit probability."""
-        return self.probs @ self.family.matrix
 
 
 def stationary_distribution(family: IndependentSetFamily, r) -> GibbsDistribution:
     r = _check_backoff(family, r)
     energy = family.matrix @ r
-    logz = log_partition(family, r)
+    peak = float(energy.max())  # the max-shift keeps |r| up to ~700 safe
+    logz = peak + math.log(float(np.exp(energy - peak).sum()))
     probs = np.exp(energy - logz)
     probs.setflags(write=False)
-    return GibbsDistribution(family=family, probs=probs, log_partition=logz)
+    return GibbsDistribution(probs=probs, log_partition=logz)
 
 
 def service_rates(family: IndependentSetFamily, r) -> np.ndarray:
-    """Stationary per-node service rates s(r)."""
-    return stationary_distribution(family, r).node_marginals()
+    """Stationary per-node service rates s(r): the transmit marginals."""
+    return stationary_distribution(family, r).probs @ family.matrix
 
 
-def log_likelihood(family: IndependentSetFamily, r, rates) -> float:
-    """rates . r - log Z(r); concave in r, maximized where s(r) = rates."""
-    r = _check_backoff(family, r)
-    rates = np.asarray(rates, dtype=float)
-    return float(rates @ r) - log_partition(family, r)
+def moments(family: IndependentSetFamily, r) -> tuple[float, np.ndarray, np.ndarray]:
+    """log Z(r), the transmit marginals s(r) and their covariance, from one law.
 
-
-def log_likelihood_gradient(family: IndependentSetFamily, r, rates) -> np.ndarray:
-    rates = np.asarray(rates, dtype=float)
-    return rates - service_rates(family, r)
-
-
-def log_likelihood_hessian(family: IndependentSetFamily, r) -> np.ndarray:
-    """Negated covariance of the schedule indicator vector; symmetric, negative definite."""
+    These are the value, gradient and Hessian of log Z, so one pass serves a
+    Newton step of the fit and of the congestion dual.
+    """
     dist = stationary_distribution(family, r)
     m = family.matrix
-    second_moment = m.T @ (m * dist.probs[:, None])
     s = dist.probs @ m
-    return -(second_moment - np.outer(s, s))
+    return dist.log_partition, s, m.T @ (m * dist.probs[:, None]) - np.outer(s, s)
+
+
+def newton_minimize(evaluate, x, lower, *, tol: float):
+    """Minimize a smooth convex f over x >= lower by projected Newton.
+
+    `evaluate(x)` returns f(x), its gradient and a positive definite Hessian
+    model.  Coordinates within the residual of their bound whose gradient
+    pushes outwards take a gradient step, the rest a Newton step, and the
+    step backtracks along the projected arc max(x + t d, lower) until f falls
+    by 1e-4 times the predicted decrease (Bertsekas, SIAM J. Control Optim.
+    20(2), 1982); with lower = -inf this is damped Newton.  Returns (x, f(x),
+    residual, steps) once the residual max |min(g, x - lower)| is <= tol.
+    """
+    value, grad, hess = evaluate(x)
+    for steps in itertools.count():
+        room = x - lower
+        residual = float(np.abs(np.minimum(grad, room)).max())
+        if residual <= tol:
+            return x, value, residual, steps
+        if steps == NEWTON_MAX_ITER:
+            raise ConvergenceFailure(f"Newton iteration hit the cap of {steps} steps at "
+                                     f"residual {residual:.3e} (tol {tol:.1e})")
+        pinned = (grad > 0) & (room <= residual)
+        free = ~pinned
+        direction = -grad
+        direction[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
+        slope = float(grad[free] @ direction[free])
+
+        def arc(t):  # the point at step t and the decrease it must achieve
+            trial = np.maximum(x + t * direction, lower)
+            return trial, -t * slope + float(grad[pinned] @ (x - trial)[pinned])
+
+        t = 1.0
+        trial, decrease = arc(t)
+        # past float resolution backtracking sees only noise; take the full step
+        undamped = decrease <= 1e-12 * (1.0 + abs(value))
+        while True:
+            trial_value, trial_grad, trial_hess = evaluate(trial)
+            if undamped or trial_value <= value - 1e-4 * decrease:
+                break
+            t *= 0.5
+            if t < 1e-12:
+                raise ConvergenceFailure(
+                    f"Newton line search stalled at residual {residual:.3e} (tol {tol:.1e})")
+            trial, decrease = arc(t)
+        x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
 
 
 @dataclass(frozen=True)
@@ -114,9 +142,10 @@ def solve_backoff(family: IndependentSetFamily, rates, *,
     """Fit r so the stationary service rates equal `rates` exactly.
 
     Zero-rate nodes are excluded up front (their fitted value is -inf); the
-    remaining subproblem is solved on the induced subgraph by damped Newton.
+    remaining subproblem, minimizing log Z(r) - rates . r, is solved on the
+    induced subgraph by `newton_minimize`.
     Raises InfeasibleRates when the targets are not strictly admissible or the
-    iterates escape twice the certified a-priori norm bound.
+    search reaches past twice the certified a-priori norm bound.
     """
     rates = np.asarray(rates, dtype=float)
     n = family.n
@@ -144,36 +173,18 @@ def solve_backoff(family: IndependentSetFamily, rates, *,
         raise InfeasibleRates(
             f"rates are not strictly admissible (LP slack {cert.slack:.3g} <= 0)")
     bound = backoff_norm_bound(sub_family, sub_rates, cert)
-    guard = 2.0 * bound
 
-    r = np.zeros(len(active))
-    residual = math.inf
-    for iteration in range(1, BACKOFF_MAX_ITER + 1):
-        grad = log_likelihood_gradient(sub_family, r, sub_rates)
-        residual = float(np.abs(grad).max())
-        if residual <= tol:
-            full[active] = r
-            full.setflags(write=False)
-            return BackoffSolution(r=full, masked=masked, residual=residual,
-                                   iterations=iteration - 1, slack=cert.slack,
-                                   norm_bound=bound)
-        step = np.linalg.solve(-log_likelihood_hessian(sub_family, r), grad)
-        base = log_likelihood(sub_family, r, sub_rates)
-        slope = float(grad @ step)
-        if slope <= 1e-12 * (1.0 + abs(base)):
-            # the attainable gain is below float resolution, so backtracking
-            # would only see noise; undamped Newton finishes the basin
-            t = 1.0
-        else:
-            t = 1.0
-            while t > 1e-12:
-                if log_likelihood(sub_family, r + t * step, sub_rates) >= base + 1e-4 * t * slope:
-                    break
-                t *= 0.5
-        r = r + t * step
-        if float(np.abs(r).max()) > guard:
+    def evaluate(r):
+        if float(np.abs(r).max()) > 2.0 * bound:
             raise InfeasibleRates(
                 f"iterates diverged past twice the norm bound {bound:.3g}; "
                 "targets are at or outside the capacity boundary")
-    raise ConvergenceFailure(
-        f"backoff fit stalled at residual {residual:.3g} after {BACKOFF_MAX_ITER} iterations")
+        log_z, served, covariance = moments(sub_family, r)
+        return log_z - float(sub_rates @ r), served - sub_rates, covariance
+
+    r, _, residual, steps = newton_minimize(evaluate, np.zeros(len(active)), -math.inf,
+                                            tol=tol)
+    full[active] = r
+    full.setflags(write=False)
+    return BackoffSolution(r=full, masked=masked, residual=residual, iterations=steps,
+                           slack=cert.slack, norm_bound=bound)

@@ -6,7 +6,9 @@ measures of a sampled trajectory and the total-variation distance judge the
 sampler against the product-form law (A04).  The entropy/KL identities say
 that the fit objective and the variational gap agree with the exact law
 (A10).  The box potential of the constant-step rule is what projection must
-never decrease (A07).
+never decrease (A07).  The fit objective and the congestion dual, with their
+derivatives, are written out here; the solvers evaluate them inline through
+`gibbs.moments`, which the likelihood calculus below reads (A02).
 """
 
 import math
@@ -16,8 +18,9 @@ import numpy as np
 
 from csmasim.chain import Trajectory
 from csmasim.conflict_graph import IndependentSetFamily, schedule_nodes
-from csmasim.gibbs import (BackoffSolution, log_likelihood, log_partition,
-                           solve_backoff, stationary_distribution)
+from csmasim.congestion import UtilityFunction, best_response, best_responses
+from csmasim.gibbs import (BackoffSolution, moments, service_rates, solve_backoff,
+                           stationary_distribution)
 
 
 # -- occupancy of a sampled trajectory ------------------------------------------
@@ -72,6 +75,62 @@ def tv_distance(p, q) -> float:
     return 0.5 * float(np.abs(p - q).sum())
 
 
+# -- the fit objective and the congestion dual -----------------------------------
+
+def log_likelihood(family: IndependentSetFamily, r, rates) -> float:
+    """rates . r - log Z(r); concave in r, maximized where s(r) = rates."""
+    rates = np.asarray(rates, dtype=float)
+    return float(rates @ np.asarray(r, dtype=float)) - moments(family, r)[0]
+
+
+def log_likelihood_gradient(family: IndependentSetFamily, r, rates) -> np.ndarray:
+    return np.asarray(rates, dtype=float) - moments(family, r)[1]
+
+
+def log_likelihood_hessian(family: IndependentSetFamily, r) -> np.ndarray:
+    """Negated covariance of the schedule indicator vector; symmetric, negative definite."""
+    return -moments(family, r)[2]
+
+
+def best_response_value(u: UtilityFunction, beta: float, price: float) -> float:
+    """max over y in [0,1] of beta*U(y) - price*y."""
+    y = best_response(u, beta, price)
+    return beta * u.value(y) - price * y
+
+
+def dual_value(family: IndependentSetFamily, utilities, beta: float, prices) -> float:
+    """log partition at the prices plus the summed best-response values."""
+    prices = np.asarray(prices, dtype=float)
+    inner = sum(best_response_value(u, beta, p)
+                for u, p in zip(utilities, prices, strict=True))
+    return float(stationary_distribution(family, prices).log_partition + inner)
+
+
+def dual_gradient(family: IndependentSetFamily, utilities, beta: float, prices
+                  ) -> np.ndarray:
+    """service_rates(prices) - best_responses(prices); both maximizers unique."""
+    prices = np.asarray(prices, dtype=float)
+    return service_rates(family, prices) - best_responses(utilities, beta, prices)
+
+
+def clique2_log_gap(beta: float) -> float:
+    """Exact utility gap of the dual's rates on clique2 with log(1 + y) utilities.
+
+    By symmetry both prices equal p, where the service e^p / (1 + 2 e^p) meets
+    the demand beta/p - 1, so the rates beta/p fall short of the optimum
+    (1/2, 1/2) by 2 log(1.5 p / beta) in utility.  p comes from bisection
+    between beta/1.5 (demand 1/2) and beta (demand 0).
+    """
+    lo, hi = beta / 1.5, beta
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 1.0 / (2.0 + math.exp(-mid)) > beta / mid - 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 2.0 * math.log(1.5 * lo / beta)
+
+
 # -- entropy, KL and the variational identities ---------------------------------
 
 def entropy(p) -> float:
@@ -107,7 +166,7 @@ def variational_gap(family: IndependentSetFamily, mu, r) -> float:
     Equals KL(mu || P_r), so it is nonnegative and vanishes only at mu = P_r.
     """
     mu = _check_distribution(family, mu)
-    logz = log_partition(family, r)  # validates r
+    logz = stationary_distribution(family, r).log_partition  # validates r
     energy = family.matrix @ np.asarray(r, dtype=float)
     return logz - (float(mu @ energy) + entropy(mu))
 

@@ -26,12 +26,11 @@ from csmasim.congestion import (UtilityFunction, solve_dual_optimum,
                                 solve_utility_optimum, total_utility,
                                 utility_gap_certificate)
 from csmasim.engine import ExperimentConfig, run_experiment
-from csmasim.gibbs import (log_likelihood, log_likelihood_gradient,
-                           log_likelihood_hessian, service_rates,
-                           solve_backoff, stationary_distribution)
+from csmasim.gibbs import service_rates, solve_backoff, stationary_distribution
 from csmasim.traffic import ArrivalSpec
 from oracles import (decomposition_identity_value, empirical_distribution,
-                     fitted_reference, lyapunov_potential, occupancy,
+                     fitted_reference, log_likelihood, log_likelihood_gradient,
+                     log_likelihood_hessian, lyapunov_potential, occupancy,
                      potential_lower_bound, tv_distance, variational_gap)
 
 

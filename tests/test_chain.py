@@ -256,6 +256,11 @@ def test_chain_diagnostics_fail_closed(monkeypatch):
         fam = enumerate_independent_sets(preset(name))
         with pytest.raises(NumericFailure, match="underflows"):
             chain_diagnostics(fam, np.full(fam.n, 699.0))
+    # a gap of one ulp is below what eigvalsh resolves
+    with monkeypatch.context() as patch:
+        patch.setattr(chain, "second_eigenvalue_modulus", lambda kernel, probs: 1.0 - 2.0 ** -53)
+        with pytest.raises(NumericFailure, match="spectral gap"):
+            chain_diagnostics(clique2, [0.0, 0.0])
     monkeypatch.setattr(chain, "conductance", lambda flow, probs: math.inf)
     with pytest.raises(NumericFailure, match="conductance is not finite"):
         chain_diagnostics(clique2, [0.0, 0.0])

@@ -5,6 +5,7 @@ with a pairwise edge check.  Everything faster must agree with it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scipy.optimize import linprog
 from csmasim import conflict_graph
 from csmasim.cli import main
 from csmasim.conflict_graph import (
+    MAX_NODES,
     ConflictGraph,
     PRESETS,
     backoff_norm_bound,
@@ -65,6 +67,19 @@ def test_from_edges_rejects_bad_input():
         ConflictGraph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
         ConflictGraph.from_edges(2, [(1, 1)])
+
+
+def test_from_edges_caps_the_node_count_before_allocating():
+    assert ConflictGraph.from_edges(MAX_NODES, []).n == MAX_NODES
+    tracemalloc.start()
+    try:
+        for n in (MAX_NODES + 1, 10 ** 12):
+            with pytest.raises(ValueError, match="nodes"):
+                ConflictGraph.from_edges(n, [])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # the masks of 10**12 nodes would need 8 TB
 
 
 def test_presets_fixed_shapes():

@@ -8,15 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csmasim.conflict_graph import enumerate_independent_sets, preset
+from csmasim.conflict_graph import PRESETS, enumerate_independent_sets, preset
 from csmasim.congestion import (
     UtilityFunction,
     best_response,
-    best_response_value,
     best_responses,
     default_beta,
-    dual_gradient,
-    dual_value,
     initial_slope_bound,
     price_box_bound,
     solve_dual_optimum,
@@ -27,6 +24,7 @@ from csmasim.congestion import (
     utility_gap_certificate,
 )
 from csmasim.gibbs import service_rates
+from oracles import best_response_value, clique2_log_gap, dual_gradient, dual_value
 
 
 LOG1 = UtilityFunction("log-shifted")
@@ -238,6 +236,27 @@ def test_dual_optimum_is_a_minimum(clique2):
     assert service_rates(clique2, sol.prices) == pytest.approx(sol.rates, abs=1e-7)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+@pytest.mark.parametrize("utility", [
+    LOG1,
+    UtilityFunction("weighted-log-shifted", shift=0.5, weight=2.5),
+    UtilityFunction("alpha-fair-shifted", fairness=2.0),
+], ids=["log", "weighted-log", "alpha-fair"])
+@pytest.mark.parametrize("epsilon", [None, 0.4], ids=["beta10", "beta4n/eps"])
+def test_dual_optimum_satisfies_kkt(name, utility, epsilon):
+    family = enumerate_independent_sets(preset(name))
+    beta = 10.0 if epsilon is None else default_beta(family.n, epsilon)
+    utilities = (utility,) * family.n
+    sol = solve_dual_optimum(family, utilities, beta)
+    prices = sol.prices
+    g = dual_gradient(family, utilities, beta, prices)
+    assert np.all(prices >= 0.0)
+    assert float(np.abs(np.minimum(g, prices)).max()) <= 1e-8  # projected residual
+    assert np.all(g >= -1e-8)  # service covers demand
+    assert np.all(np.abs(prices * g) <= 1e-8 * prices)  # complementary slackness
+    assert np.array_equal(sol.rates, best_responses(utilities, beta, prices))
+
+
 def test_dual_solver_requires_matching_utilities(clique2):
     with pytest.raises(ValueError):
         solve_dual_optimum(clique2, (LOG1,), 10.0)
@@ -292,7 +311,8 @@ def test_gap_certificate_clique2(clique2):
     dual = solve_dual_optimum(clique2, utilities, 10.0)
     cert = utility_gap_certificate(clique2, utilities, 10.0, dual.rates)
     assert cert.bound == pytest.approx(math.log(3.0) / 10.0, abs=1e-15)
-    assert cert.gap == pytest.approx(0.0004233770218727839, abs=1e-9)
+    # 0.000423388748892540 to 50 digits
+    assert cert.gap == pytest.approx(clique2_log_gap(10.0), abs=1e-9)
     assert cert.holds()
     assert cert.optimal_utility >= cert.achieved_utility
 
@@ -303,7 +323,10 @@ def test_gap_shrinks_with_beta(clique2):
     for beta in (5.0, 20.0, 80.0):
         dual = solve_dual_optimum(clique2, utilities, beta)
         gaps.append(utility_gap_certificate(clique2, utilities, beta, dual.rates).gap)
-    assert gaps[0] > gaps[1] > gaps[2] >= 0.0
+    assert gaps[0] > gaps[1]
+    # the gap at beta = 80 is 2.3e-24, below either solver's accuracy
+    for beta, gap in zip((5.0, 20.0, 80.0), gaps):
+        assert gap == pytest.approx(clique2_log_gap(beta), abs=1e-9)
 
 
 # -- warm-start behaviour of the 1/j price recursion -------------------------------------------
