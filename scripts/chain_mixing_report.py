@@ -4,7 +4,8 @@
 Prints, for each preset and drive level, the second-eigenvalue modulus of
 the single-site kernel, its conductance with the Cheeger ceiling
 1 - phi^2/2, and the two mixing-time estimates at the requested accuracy.
-Graphs past the exhaustive-cut cap print one skip line per drive level.
+A drive level whose diagnostics cannot be computed (past the exhaustive-cut
+cap, or numerically unresolved) prints one skip line with the reason.
 
     python3 scripts/chain_mixing_report.py --drives 0.0 0.5 1.5 --delta 0.01
 """
@@ -14,7 +15,7 @@ import numpy as np
 
 from csmasim.chain import chain_diagnostics
 from csmasim.conflict_graph import PRESETS, enumerate_independent_sets, preset
-from csmasim.errors import ExactModeUnavailable
+from csmasim.errors import ExactModeUnavailable, NumericFailure
 
 
 def main() -> int:
@@ -32,9 +33,8 @@ def main() -> int:
             drive = np.full(family.n, level)
             try:
                 diag = chain_diagnostics(family, drive, delta=args.delta)
-            except ExactModeUnavailable:
-                print(f"{name:>8} {level:5.2f} {family.size:4d} "
-                      f"{'(cut enumeration skipped: too many states)':>40}")
+            except (ExactModeUnavailable, NumericFailure) as exc:
+                print(f"{name:>8} {level:5.2f} {family.size:4d} skipped: {exc}")
                 continue
             ceiling = 1.0 - diag.conductance ** 2 / 2.0
             print(f"{name:>8} {level:5.2f} {family.size:4d} {diag.lambda_max:9.5f} "

@@ -20,8 +20,7 @@ def main() -> int:
     parser.add_argument("--betas", type=float, nargs="+",
                         default=[5.0, 10.0, 20.0, 40.0, 80.0])
     parser.add_argument("--family", default="log-shifted",
-                        choices=("log-shifted", "weighted-log-shifted",
-                                 "alpha-fair-shifted"))
+                        choices=("log-shifted", "weighted-log-shifted"))
     args = parser.parse_args()
 
     graph = preset(args.graph)

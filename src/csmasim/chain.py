@@ -33,7 +33,6 @@ from .gibbs import stationary_distribution
 
 CONDUCTANCE_STATE_CAP = 20
 DRIVE_LIMIT = 700.0  # exp(r) stays finite and well scaled below this
-WORST_CASE_MULTIPLIER = 1.0  # the c of the bound exp(c (n max|r| + n)) log(1/delta)
 # 1 - lambda must exceed GAP_ROUNDING * N * eps to be resolved.  The symmetrized
 # kernel S is nonnegative with norm 1, so the <= 4 roundings in each entry move
 # an eigenvalue by <= 4 eps; eigvalsh is exact for some S + E with |E| <= p(N) eps,
@@ -227,7 +226,7 @@ class ChainDiagnostics:
     conductance: float
     cheeger_upper: float       # 1 - conductance^2 / 2; vacuous if negative
     mixing_estimate: float     # log(1/(delta pi_min)) / (R (1 - lambda_max))
-    mixing_worst_case: float   # exp(c (n max|r| + n)) log(1/delta)
+    mixing_worst_case: float   # exp(n max|r| + n) log(1/delta)
 
 
 def chain_diagnostics(family: IndependentSetFamily, r, *,
@@ -235,12 +234,12 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
     """Spectral gap, conductance and the two mixing-time estimates at drive r.
 
     The mixing estimates are the exact relaxation-time form and the
-    conservative exponential form with multiplier WORST_CASE_MULTIPLIER, both
-    at accuracy delta.  Refuses families past CONDUCTANCE_STATE_CAP before
-    building anything, and fails closed (NumericFailure) when the drive is
-    past the kernel's range, the stationary law underflows to 0 somewhere, the
-    spectral gap is within GAP_ROUNDING * N * eps of 0 (N states), the
-    exponential bound overflows, or the conductance is not finite.
+    conservative exponential form, both at accuracy delta.  Refuses families
+    past CONDUCTANCE_STATE_CAP before building anything, and fails closed
+    (NumericFailure) when the drive is past the kernel's range, the stationary
+    law underflows to 0 somewhere, the spectral gap is within
+    GAP_ROUNDING * N * eps of 0 (N states), the exponential bound overflows,
+    or the conductance is not finite.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
@@ -261,7 +260,7 @@ def chain_diagnostics(family: IndependentSetFamily, r, *,
         raise NumericFailure(f"spectral gap 1 - lambda_max = {gap:.3g} is within rounding "
                              f"({resolution:.3g}) of 0 (lambda_max = {lam!r})")
     n = family.n
-    exponent = WORST_CASE_MULTIPLIER * (n * float(np.abs(r).max(initial=0.0)) + n)
+    exponent = n * float(np.abs(r).max(initial=0.0)) + n
     try:
         worst_case = math.exp(exponent) * math.log(1.0 / delta)
     except OverflowError:

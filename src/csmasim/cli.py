@@ -1,7 +1,7 @@
 """Command-line front end: run experiments, analyze graphs, list presets.
 
 Exit codes: 0 success, 2 configuration problems (bad file, bad flags, graph
-too large for exact analysis), 3 numeric failures (overflow, non-convergence,
+too large for exact analysis, linear utility in the dual), 3 numeric failures (overflow, non-convergence,
 violated runtime invariants); `analyze` marks chain diagnostics it cannot
 compute reliably as skipped.  Reports go to stdout as JSON; diagnostics and
 errors go to stderr.
@@ -138,6 +138,9 @@ def cmd_run(args) -> int:
         base_seed = 0
     # replace() checks each seed, so a bad one fails before any file is written
     runs = [dataclasses.replace(cfg, seed=base_seed + k) for k in range(args.seeds)]
+    if cfg.mode == ORACLE:
+        # the oracle enumerates the family; past exact mode, fail before any file exists
+        enumerate_independent_sets(cfg.graph)
     out_dir = Path(args.out or os.environ.get(OUTPUT_ENV) or parsed.output or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
@@ -191,7 +194,6 @@ def cmd_analyze(args) -> int:
         report["admissibility"] = {
             "admissible": cert.admissible,
             "slack": cert.slack,
-            "margin": cert.margin,
             "decomposition": None if cert.weights is None
             else {format(m, "#x"): w for m, w in zip(family.masks, cert.weights) if w > 0},
         }

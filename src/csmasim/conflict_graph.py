@@ -18,6 +18,7 @@ from .errors import ExactModeUnavailable, NumericFailure
 from .simplex import solve_standard_lp
 
 EXACT_MODE_CAP = 30
+FAMILY_CAP = 1 << 16  # independent sets; enumeration reaches it in well under a second
 MAX_NODES = 10_000  # 25x cycle400; n-bit neighbour masks hold O(n^2) bits, < 13 MB
 STRICT_TOL = 1e-9  # LP slack that counts as strictly inside the region
 CERTIFICATE_TOL = 1e-9  # how far a decomposition may miss sum 1 and its target
@@ -168,14 +169,14 @@ class IndependentSetFamily:
     def n(self) -> int:
         return self.graph.n
 
-    def position(self, mask: int) -> int:
-        return self.index[mask]
-
 
 def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
     """Enumerate every independent set by backtracking.
 
     Nodes are added in increasing index so each set is produced exactly once.
+    Refuses a graph past EXACT_MODE_CAP nodes up front, and one with more
+    than FAMILY_CAP sets as soon as the count passes it, so a sparse graph
+    fails fast instead of exhausting memory.
     """
     if graph.n > EXACT_MODE_CAP:
         raise ExactModeUnavailable(
@@ -185,6 +186,10 @@ def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
 
     def extend(mask: int, candidates: int) -> None:
         found.append(mask)
+        if len(found) > FAMILY_CAP:
+            raise ExactModeUnavailable(
+                f"exact mode unavailable: the graph has more than {FAMILY_CAP} "
+                "independent sets (the family cap)")
         rest = candidates
         while rest:
             bit = rest & -rest
@@ -224,27 +229,26 @@ def max_weight_independent_set(family: IndependentSetFamily,
 class AdmissibilityCertificate:
     """Outcome of the strict-admissibility LP.
 
-    `slack` is the largest s with  rates + margin + s  still dominated by a
-    convex combination of schedules; admissible means slack > 0.  When
-    admissible, `weights` decomposes rates + margin exactly:
-    weights @ family.matrix == rates + margin, weights >= 0, sum == 1.
+    `slack` is the largest s with  rates + s  still dominated by a convex
+    combination of schedules; admissible means slack > 0.  When admissible,
+    `weights` decomposes rates exactly:
+    weights @ family.matrix == rates, weights >= 0, sum == 1.
     """
 
     admissible: bool
     slack: float
-    margin: float
     weights: np.ndarray | None
 
 
-def is_strictly_admissible(family: IndependentSetFamily, rates,
-                           margin: float = 0.0) -> AdmissibilityCertificate:
-    """LP membership test: is rates + margin strictly inside the capacity region?
+def is_strictly_admissible(family: IndependentSetFamily, rates) -> AdmissibilityCertificate:
+    """LP membership test: are the rates strictly inside the capacity region?
 
     Maximizes the uniform slack s subject to
-        sum_sigma nu_sigma * sigma >= rates + margin + s,  sum nu = 1, nu >= 0.
-    The returned weights decompose rates + margin exactly; NumericFailure is
-    raised when one is negative, or their sum misses 1 or their mixture
-    misses rates + margin by more than CERTIFICATE_TOL.
+        sum_sigma nu_sigma * sigma >= rates + s,  sum nu = 1, nu >= 0.
+    The returned weights decompose the rates exactly; NumericFailure is raised
+    when one is negative, or their sum misses 1 or their mixture misses the
+    rates by more than CERTIFICATE_TOL.  The LP is feasible and bounded for
+    any such rates, so a solver that reports otherwise raises NumericFailure.
     """
     rates = np.asarray(rates, dtype=float)
     n, size = family.n, family.size
@@ -252,9 +256,6 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
         raise ValueError(f"rates must have shape ({n},)")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
         raise ValueError("rates must be finite and nonnegative")
-    if margin < 0:
-        raise ValueError("margin must be nonnegative")
-    target = rates + margin
 
     # columns: nu (size), slack+ , slack-, surplus (n)
     ncols = size + 2 + n
@@ -264,7 +265,7 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
     A[:n, size] = -1.0
     A[:n, size + 1] = 1.0
     A[:n, size + 2:] = -np.eye(n)
-    bvec[:n] = target
+    bvec[:n] = rates
     A[n, :size] = 1.0
     bvec[n] = 1.0
     cost = np.zeros(ncols)
@@ -274,16 +275,16 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
     x, slack = solve_standard_lp(cost, A, bvec)
     admissible = slack > STRICT_TOL
     if not admissible:
-        return AdmissibilityCertificate(False, slack, margin, None)
+        return AdmissibilityCertificate(False, slack, None)
 
-    # Shave the dominating mixture down to an exact decomposition of target:
+    # Shave the dominating mixture down to an exact decomposition of the rates:
     # moving weight from a schedule to that schedule minus node i lowers
     # coordinate i alone, and the family is closed under subsets.
     nu = np.maximum(x[:size], 0.0)
     nu /= nu.sum()
     achieved = nu @ family.matrix
     for i in range(n):
-        excess = achieved[i] - target[i]
+        excess = achieved[i] - rates[i]
         if excess <= 0.0:
             continue
         bit = 1 << i
@@ -297,13 +298,13 @@ def is_strictly_admissible(family: IndependentSetFamily, rates,
             if excess <= 0.0:
                 break
     # Check the decomposition itself rather than trust the solver that made it.
-    residual = float(np.abs(nu @ family.matrix - target).max())
+    residual = float(np.abs(nu @ family.matrix - rates).max())
     if not (np.all(nu >= 0.0) and abs(nu.sum() - 1.0) <= CERTIFICATE_TOL
             and residual <= CERTIFICATE_TOL):
         raise NumericFailure(f"admissibility certificate fails its check: weights sum "
                              f"to {float(nu.sum())!r}, residual {residual:.3g}")
     nu.setflags(write=False)
-    return AdmissibilityCertificate(True, slack, margin, nu)
+    return AdmissibilityCertificate(True, slack, nu)
 
 
 def backoff_norm_bound(family: IndependentSetFamily, rates,

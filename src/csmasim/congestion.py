@@ -22,11 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflict_graph import IndependentSetFamily, max_weight_independent_set
-from .errors import ConvergenceFailure
+from .errors import ConfigError, ConvergenceFailure
 from .gibbs import moments, newton_minimize
 
 UTILITY_FAMILIES = ("log-shifted", "weighted-log-shifted", "alpha-fair-shifted")
 UTILITY_MAX_ITER = 200_000
+DUAL_TOL = 1e-8  # projected-gradient sup norm at which the dual search stops
+UTILITY_TOL = 1e-8  # Frank-Wolfe gap at which the utility optimum stops
 
 
 @dataclass(frozen=True)
@@ -79,14 +81,10 @@ class UtilityFunction:
             return -self.fairness * (d + y) ** (-self.fairness - 1.0)
         return -self.weight / (d + y) ** 2
 
-    @property
-    def initial_slope(self) -> float:
-        return self.derivative(0.0)
-
 
 def initial_slope_bound(utilities) -> float:
     """Largest derivative at zero across nodes (the V of the price box)."""
-    return max(u.initial_slope for u in utilities)
+    return max(u.derivative(0.0) for u in utilities)
 
 
 def default_beta(n: int, epsilon: float) -> float:
@@ -99,9 +97,10 @@ def default_beta(n: int, epsilon: float) -> float:
 def best_response(u: UtilityFunction, beta: float, price: float) -> float:
     """argmax over y in [0,1] of beta*U(y) - price*y.
 
-    Log families solve beta*U'(y) = price in closed form; the fairness family
-    bisects the monotone derivative (50 halvings).  Endpoints win whenever the
-    derivative never crosses zero inside the interval.
+    Both families solve beta*U'(y) = price in closed form: the logs at
+    y = beta*weight/price - shift, fairness a at y = (beta/price)^(1/a) - shift.
+    An endpoint wins whenever the derivative never crosses zero inside the
+    interval, which covers the linear case a = 0.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -115,14 +114,7 @@ def best_response(u: UtilityFunction, beta: float, price: float) -> float:
         return 0.0
     if beta * u.derivative(1.0) >= price:
         return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if beta * u.derivative(mid) > price:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return min(1.0, max(0.0, (beta / price) ** (1.0 / u.fairness) - u.shift))
 
 
 def best_responses(utilities, beta: float, prices) -> np.ndarray:
@@ -171,8 +163,7 @@ class DualSolution:
     iterations: int
 
 
-def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float,
-                       *, tol: float = 1e-8) -> DualSolution:
+def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float) -> DualSolution:
     """Minimize the dual over nonnegative prices by projected Newton.
 
     The dual log Z(p) + sum_i max_y [beta U_i(y) - p_i y] has gradient
@@ -180,10 +171,17 @@ def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float,
     covariance is near singular, so where y_i sits at 0 or 1 (y_i' = 0) the
     Newton model uses the gradient's sup norm instead.  The search starts at
     p_i = beta U_i'(1), below the optimum since rate 1 exceeds any service
-    rate, and stops when the projected-gradient sup norm is <= tol.
+    rate, and stops when the projected-gradient sup norm is <= DUAL_TOL.  A
+    linear utility (alpha-fair-shifted at fairness 0) makes the dual
+    nondifferentiable and raises ConfigError before the search starts.
     """
     if len(utilities) != family.n:
         raise ValueError("need one utility per node")
+    for node, u in enumerate(utilities):
+        if u.family == "alpha-fair-shifted" and u.fairness == 0.0:
+            raise ConfigError(f"the utility of node {node} is linear (alpha-fair-shifted "
+                              "at fairness 0), so the dual is not differentiable; "
+                              "set a fairness > 0")
 
     def evaluate(prices):
         log_z, served, covariance = moments(family, prices)
@@ -198,7 +196,7 @@ def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float,
         return float(value), grad, covariance + np.diag(curvature)
 
     start = np.array([beta * u.derivative(1.0) for u in utilities])
-    prices, value, residual, steps = newton_minimize(evaluate, start, 0.0, tol=tol)
+    prices, value, residual, steps = newton_minimize(evaluate, start, 0.0, tol=DUAL_TOL)
     return DualSolution(prices=prices, rates=best_responses(utilities, beta, prices),
                         value=value, residual=residual, iterations=steps)
 
@@ -212,15 +210,14 @@ class UtilityOptimum:
     iterations: int
 
 
-def solve_utility_optimum(family: IndependentSetFamily, utilities,
-                          *, tol: float = 1e-8) -> UtilityOptimum:
+def solve_utility_optimum(family: IndependentSetFamily, utilities) -> UtilityOptimum:
     """Maximize total utility over the independent-set polytope.
 
     Away-step Frank-Wolfe: the linear oracle is max_weight_independent_set,
     the away vertex is the worst active one, and the step size comes from
     bisecting the directional derivative (concavity makes it monotone).
     Away steps restore linear convergence, which plain Frank-Wolfe lacks and
-    which the 1e-8 default gap needs.
+    which the UTILITY_TOL gap needs.
     """
     if len(utilities) != family.n:
         raise ValueError("need one utility per node")
@@ -251,9 +248,9 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities,
     for it in range(1, UTILITY_MAX_ITER + 1):
         g = grad(lam)
         fw_idx, _ = max_weight_independent_set(family, g)
-        fw_row = family.position(fw_idx)
+        fw_row = family.index[fw_idx]
         gap = float(np.dot(g, matrix[fw_row] - lam))
-        if gap <= tol:
+        if gap <= UTILITY_TOL:
             value = total_utility(utilities, lam)
             return UtilityOptimum(rates=lam, value=value, gap=gap,
                                   weights={family.masks[k]: w for k, w in weights.items()},
@@ -281,7 +278,7 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities,
         for k, w in weights.items():
             lam += w * matrix[k]
     raise ConvergenceFailure(
-        f"rate optimization hit the iteration cap at gap {gap:.3e} (tol {tol:.1e})")
+        f"rate optimization hit the iteration cap at gap {gap:.3e} (tol {UTILITY_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -289,15 +286,13 @@ class GapCertificate:
     gap: float            # optimal total utility minus achieved total utility
     bound: float          # log(family size) / beta
     optimal_rates: np.ndarray
-    achieved_utility: float
-    optimal_utility: float
 
     def holds(self) -> bool:
         return self.gap <= self.bound
 
 
 def utility_gap_certificate(family: IndependentSetFamily, utilities, beta: float,
-                            achieved_rates, *, tol: float = 1e-8) -> GapCertificate:
+                            achieved_rates) -> GapCertificate:
     """Compare achieved rates against the polytope optimum.
 
     The entropy term the prices implicitly optimize is at most log(family
@@ -305,10 +300,7 @@ def utility_gap_certificate(family: IndependentSetFamily, utilities, beta: float
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
-    best = solve_utility_optimum(family, utilities, tol=tol)
-    achieved = total_utility(utilities, achieved_rates)
-    return GapCertificate(gap=best.value - achieved,
+    best = solve_utility_optimum(family, utilities)
+    return GapCertificate(gap=best.value - total_utility(utilities, achieved_rates),
                           bound=math.log(family.size) / beta,
-                          optimal_rates=best.rates,
-                          achieved_utility=achieved,
-                          optimal_utility=best.value)
+                          optimal_rates=best.rates)

@@ -239,8 +239,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             lam_hat = cc_rates if congestion else config.arrivals.rates
             arrivals = lam_hat * length
             offered = s_hat * length
-            served, peak = reflect(qstate, (arrivals - offered)[None, :], None,
-                                   arrivals, length)
+            served, peak = reflect(qstate, (arrivals - offered)[None, :], None, arrivals)
         else:
             chain_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 0)))
@@ -257,9 +256,8 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
                 deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
                 inflow = None
                 arrivals = deposits.sum(axis=0)
-            stats = integrate_epoch(qstate, traj, deposits=deposits, inflow=inflow)
-            served, peak, offered = (stats.actual_service, stats.peak_queue,
-                                     stats.offered_service)
+            served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits,
+                                                    inflow=inflow)
             lam_hat = arrivals / length
             s_hat = offered / length
         actual = served / length

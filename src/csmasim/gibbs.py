@@ -35,6 +35,7 @@ from .conflict_graph import (
 from .errors import ConvergenceFailure, InfeasibleRates
 
 NEWTON_MAX_ITER = 200  # steps; the fit and the dual take at most ~20 on the presets
+BACKOFF_TOL = 1e-10  # residual |s(r) - rates| at which the fit stops
 
 
 def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
@@ -137,13 +138,12 @@ class BackoffSolution:
     norm_bound: float
 
 
-def solve_backoff(family: IndependentSetFamily, rates, *,
-                  tol: float = 1e-10) -> BackoffSolution:
+def solve_backoff(family: IndependentSetFamily, rates) -> BackoffSolution:
     """Fit r so the stationary service rates equal `rates` exactly.
 
     Zero-rate nodes are excluded up front (their fitted value is -inf); the
     remaining subproblem, minimizing log Z(r) - rates . r, is solved on the
-    induced subgraph by `newton_minimize`.
+    induced subgraph by `newton_minimize` down to a residual of BACKOFF_TOL.
     Raises InfeasibleRates when the targets are not strictly admissible or the
     search reaches past twice the certified a-priori norm bound.
     """
@@ -183,7 +183,7 @@ def solve_backoff(family: IndependentSetFamily, rates, *,
         return log_z - float(sub_rates @ r), served - sub_rates, covariance
 
     r, _, residual, steps = newton_minimize(evaluate, np.zeros(len(active)), -math.inf,
-                                            tol=tol)
+                                            tol=BACKOFF_TOL)
     full[active] = r
     full.setflags(write=False)
     return BackoffSolution(r=full, masked=masked, residual=residual, iterations=steps,

@@ -4,9 +4,9 @@ Two flavors.  The diminishing-step rule lengthens epochs as ceil(exp(sqrt(j)))
 and steps by 1/j with no projection; it is stochastic gradient ascent on the
 fit objective from gibbs.  The constant-step rule adds a slack epsilon to the
 arrival estimate, uses a fixed step, and projects onto the box
-[-n/eps, n/eps]^n.  The published step/window constants are reproduced
-verbatim so the tests can pin them, but they are astronomically conservative;
-desk runs override the epoch length and step through the experiment config.
+[-n/eps, n/eps]^n.  Its published epoch length and step are reproduced
+verbatim and are what a run uses when the config does not override them;
+the epoch length is astronomically conservative, so desk runs override it.
 """
 from __future__ import annotations
 
@@ -54,16 +54,14 @@ def update_projected(r, lam_hat, s_hat, epsilon: float, alpha: float,
 class ConstantStepPlan:
     epoch_length: float  # exp((n^2/eps) log(n/eps)); inf once it overflows
     step: float          # eps^2 / (72 n^2 (K+1)^2)
-    window: int          # ceil(48*16*72 n^5 / eps^6) epochs to reach the guarantee
-    box: float           # n/eps projection radius
 
 
 def constant_step_plan(n: int, epsilon: float, peak: float = 1.0) -> ConstantStepPlan:
     """Published constants for the constant-step rule.
 
     peak is the largest per-interval arrival increment (the Lipschitz scale
-    of the queue paths).  The epoch length and window are far beyond desk
-    scale for any epsilon < 1; they exist to be printed and overridden.
+    of the queue paths).  The epoch length is far beyond desk scale for any
+    epsilon < 1, so runs override it.
     Inputs outside the analysis raise ConfigError, because they come from an
     experiment config.
     """
@@ -77,6 +75,4 @@ def constant_step_plan(n: int, epsilon: float, peak: float = 1.0) -> ConstantSte
     exponent = (n * n / epsilon) * math.log(n / epsilon)
     length = math.inf if exponent > 700.0 else math.exp(exponent)
     step = epsilon ** 2 / (72.0 * n * n * (peak + 1.0) ** 2)
-    window = math.ceil(48 * 16 * 72 * n ** 5 / epsilon ** 6)
-    return ConstantStepPlan(epoch_length=length, step=step, window=window,
-                            box=n / epsilon)
+    return ConstantStepPlan(epoch_length=length, step=step)

@@ -2,20 +2,16 @@
 
 Solves  max c.x  s.t.  A x = b, x >= 0  with a plain tableau and Bland's
 anti-cycling rule.  Sized for desk-scale instances (tens of rows, a few
-thousand columns); no sparsity, no presolve.
+thousand columns); no sparsity, no presolve.  Its one caller, the
+admissibility LP, is always feasible and bounded, so an infeasible or
+unbounded verdict is a numeric fault and raises NumericFailure; running past
+MAX_PIVOTS raises ConvergenceFailure.
 """
 from __future__ import annotations
 
 import numpy as np
 
-
-class LPInfeasible(Exception):
-    pass
-
-
-class LPUnbounded(Exception):
-    pass
-
+from .errors import ConvergenceFailure, NumericFailure
 
 _PIVOT_TOL = 1e-10
 MAX_PIVOTS = 50_000
@@ -45,10 +41,10 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> Non
             if a > _PIVOT_TOL:
                 ratios.append((tableau[i, -1] / a, basis[i], i))
         if not ratios:
-            raise LPUnbounded("objective unbounded above")
+            raise NumericFailure("simplex: objective unbounded above")
         _, _, row = min(ratios)  # ties broken by smallest basis index
         _pivot(tableau, basis, row, col)
-    raise RuntimeError("simplex exceeded pivot limit")
+    raise ConvergenceFailure(f"simplex hit the cap of {MAX_PIVOTS} pivots")
 
 
 def solve_standard_lp(c, A, b):
@@ -71,7 +67,7 @@ def solve_standard_lp(c, A, b):
     _run_simplex(tableau, basis, phase1_cost)
     infeasibility = sum(tableau[i, -1] for i in range(m) if basis[i] >= n)
     if infeasibility > 1e-8 * (1.0 + float(np.abs(b).sum())):
-        raise LPInfeasible("no feasible point")
+        raise NumericFailure("simplex: no feasible point")
 
     # Drive leftover zero-valued artificials out of the basis.
     keep_rows = []

@@ -97,7 +97,6 @@ class QueueState:
     queue: np.ndarray
     departed: np.ndarray
     arrived: np.ndarray
-    t: float = 0.0
 
     @classmethod
     def zeros(cls, n: int) -> "QueueState":
@@ -107,15 +106,8 @@ class QueueState:
         return float(np.abs(self.arrived - self.departed - self.queue).max())
 
 
-@dataclass(frozen=True)
-class EpochFlowStats:
-    actual_service: np.ndarray   # work departed per node over the epoch
-    peak_queue: np.ndarray       # max backlog per node within the epoch
-    offered_service: np.ndarray  # time each node transmitted, busy or not
-
-
 def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
-            arrived: np.ndarray, duration: float) -> tuple[np.ndarray, np.ndarray]:
+            arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reflect net input at zero from `state.queue`, updating `state` in place.
 
     net: (m, n) continuous arrivals minus offered service, accumulated from
@@ -138,18 +130,20 @@ def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
     state.queue = queue
     state.arrived = state.arrived + arrived
     state.departed = state.departed + departed
-    state.t += duration
     return departed, np.maximum(q0, x.max(axis=0))
 
 
 def integrate_epoch(state: QueueState, traj: Trajectory, *,
                     deposits: np.ndarray | None = None,
-                    inflow: np.ndarray | None = None) -> EpochFlowStats:
+                    inflow: np.ndarray | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance queues across one epoch's trajectory, updating `state` in place.
 
     deposits: (T, n) increments landing at the end of each unit interval
     (requires an integer-length trajectory).  inflow: (n,) continuous rates.
-    Exactly one of the two may be given; neither means no arrivals.
+    Exactly one of the two may be given; neither means no arrivals.  Returns
+    (departures, peak backlog, offered service) per node, the last being the
+    time each node transmitted, busy or not.
     """
     n = traj.n
     if deposits is not None and inflow is not None:
@@ -207,9 +201,8 @@ def integrate_epoch(state: QueueState, traj: Trajectory, *,
             jumps = np.zeros((m, n))
             jumps[dep] = deposits[src[dep] - events]
             arrived += jumps.sum(axis=0)
-        out, top = reflect(state, net, jumps, arrived, end - t0)
+        out, top = reflect(state, net, jumps, arrived)
         departed += out
         np.maximum(peak, top, out=peak)
         t0 = end
-    return EpochFlowStats(actual_service=departed, peak_queue=peak,
-                          offered_service=offered)
+    return departed, peak, offered

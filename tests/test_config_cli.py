@@ -20,6 +20,7 @@ from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.congestion import utility_gap_certificate
+from csmasim import simplex
 from csmasim.errors import ConfigError
 from oracles import clique2_log_gap
 
@@ -274,8 +275,11 @@ SCHED2_CYCLE5 = {
     (dict(SCHED2_CYCLE5, overrides={"epsilon": 0.2}), (), "out of desk range"),
     (SCHED2_CYCLE5, ("--seed", "-1"), "seed must be a nonnegative integer"),
     (dict(SCHED2_CYCLE5, graph={"preset": "clique2"}), (), "more than 3 nodes"),
+    (dict(BASE, mode="deterministic-oracle", arrivals={"kind": "scaled-bernoulli", "rates": 0.1},
+          graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}), (),
+     "exact mode unavailable"),
 ], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
-        "sched2-plan-on-clique2"])
+        "sched2-plan-on-clique2", "oracle-past-exact-mode"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
     path = write_config(tmp_path, payload)
     out = tmp_path / "out"
@@ -495,6 +499,33 @@ def test_analyze_chain_diagnostics_fail_closed(capsys, argv, detail):
     assert detail in report["chain"]["skipped"]
     # the exact part of the report stands
     assert report["utility_gap"] <= report["utility_gap_bound"]
+
+
+LINEAR = {"family": "alpha-fair-shifted"}  # fairness 0: U(y) = y
+
+
+@pytest.mark.parametrize("graph, spec, node", [
+    ("single", "alpha-fair-shifted", 0),
+    ("clique2", "alpha-fair-shifted", 0),
+    ("cycle5", "alpha-fair-shifted", 0),
+    ("clique2", json.dumps([{"family": "alpha-fair-shifted", "fairness": 2.0}, LINEAR]), 1),
+], ids=["single", "clique2", "cycle5", "clique2-one-linear-node"])
+def test_analyze_refuses_a_linear_utility(capsys, graph, spec, node):
+    # a linear utility makes the dual nondifferentiable; Newton would stall
+    rc = main(["analyze", graph, "--utilities", spec, "--beta", "10"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert f"the utility of node {node} is linear" in captured.err
+
+
+def test_analyze_simplex_pivot_cap_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(simplex, "MAX_PIVOTS", 1)
+    rc = main(["analyze", "cycle5", "--lambda", "0.3"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "simplex hit the cap of 1 pivots" in captured.err
 
 
 def test_analyze_dominant_schedule_prints_strict_json(capsys):

@@ -15,6 +15,7 @@ from scipy.optimize import linprog
 from csmasim import conflict_graph
 from csmasim.cli import main
 from csmasim.conflict_graph import (
+    FAMILY_CAP,
     MAX_NODES,
     ConflictGraph,
     PRESETS,
@@ -124,7 +125,7 @@ def test_enumeration_matches_subset_filter(g):
     assert list(fam.masks) == brute_force_masks(g.n, g.edges)
     for row, mask in enumerate(fam.masks):
         assert g.is_independent(mask)
-        assert fam.position(mask) == row
+        assert fam.index[mask] == row
         assert [int(v) for v in fam.matrix[row]] == [mask >> i & 1 for i in range(g.n)]
 
 
@@ -149,6 +150,19 @@ def test_preset_family_sizes():
 def test_enumeration_cap():
     with pytest.raises(ExactModeUnavailable):
         enumerate_independent_sets(ConflictGraph.from_edges(31, []))
+
+
+def test_family_cap_refuses_a_sparse_graph_early():
+    # an edgeless 25-node graph has 2^25 independent sets, a GB of masks
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactModeUnavailable, match="family cap"):
+            enumerate_independent_sets(ConflictGraph.from_edges(25, []))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000  # measured 2.7 MB
+    assert enumerate_independent_sets(ConflictGraph.from_edges(16, [])).size == FAMILY_CAP
 
 
 def test_induced_subgraph_relabels():
@@ -207,12 +221,10 @@ def test_clique2_examples():
     assert not is_strictly_admissible(fam, [0.6, 0.6]).admissible
 
 
-def test_margin_shrinks_slack():
+def test_single_node_slack_and_negative_rates():
     fam = enumerate_independent_sets(preset("single"))
-    cert = is_strictly_admissible(fam, [0.5], margin=0.3)
+    cert = is_strictly_admissible(fam, [0.8])
     assert cert.slack == pytest.approx(0.2, abs=1e-9)
-    with pytest.raises(ValueError):
-        is_strictly_admissible(fam, [0.5], margin=-0.1)
     with pytest.raises(ValueError):
         is_strictly_admissible(fam, [-0.5])
 

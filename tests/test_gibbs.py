@@ -87,7 +87,7 @@ def test_masked_entries_rejected_in_exact_path(clique2):
     with pytest.raises(ValueError):
         stationary_distribution(clique2, [-math.inf, 0.0])
     dist = stationary_distribution(clique2, [-1e9, 0.0])
-    assert dist.probs[clique2.position(0b01)] == 0.0
+    assert dist.probs[clique2.index[0b01]] == 0.0
 
 
 @settings(max_examples=80, deadline=None)

@@ -65,8 +65,6 @@ def test_diminishing_step_is_one_over_j(j):
 def test_constant_step_plan_published_values():
     plan = constant_step_plan(4, 0.5)
     assert plan.step == pytest.approx(5.425347222222222e-05, abs=1e-18)
-    assert plan.window == 3623878656  # 48*16*72 * 4^5 / 0.5^6
-    assert plan.box == pytest.approx(8.0)
     # exp((16/0.5) log 8) stays finite but astronomical
     assert plan.epoch_length == pytest.approx(math.exp(32.0 * math.log(8.0)), rel=1e-12)
 

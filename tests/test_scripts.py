@@ -17,10 +17,14 @@ def load(name):
 
 
 @pytest.mark.parametrize("name, argv, expect", [
-    ("chain_mixing_report", ["--drives", "0.0"], ["cycle5", "cut enumeration skipped"]),
+    ("chain_mixing_report", ["--drives", "0.0"],
+     ["cycle5", "skipped: conductance is exhaustive over cuts"]),
     ("rate_stability_sweep", ["--loads", "0.5", "--epochs", "20"],
      ["cycle5: n=5", "0.50"]),
     ("utility_gap_sweep", ["--betas", "5"], ["clique2: |schedules|=3", "optimal rates"]),
+    # the spectral gap rounds to 0 at this drive
+    ("chain_mixing_report", ["--graphs", "clique2", "--drives", "40"],
+     ["clique2", "skipped: spectral gap"]),
 ])
 def test_script_main_runs(monkeypatch, capsys, name, argv, expect):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])

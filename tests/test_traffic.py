@@ -106,33 +106,33 @@ def test_drain_only_partial_and_full():
     traj = constant_trajectory(g, 0b1, 2.0)
     state = QueueState(queue=np.array([1.5]), departed=np.zeros(1),
                        arrived=np.array([1.5]))
-    stats = integrate_epoch(state, traj)
-    assert stats.actual_service == pytest.approx([1.5], abs=1e-15)
+    served, peak, offered = integrate_epoch(state, traj)
+    assert served == pytest.approx([1.5], abs=1e-15)
     assert state.queue == pytest.approx([0.0], abs=1e-15)
     assert state.conservation_error() <= 1e-12
 
     state = QueueState(queue=np.array([3.0]), departed=np.zeros(1),
                        arrived=np.array([3.0]))
-    stats = integrate_epoch(state, traj)
-    assert stats.actual_service == pytest.approx([2.0], abs=1e-15)
+    served, peak, offered = integrate_epoch(state, traj)
+    assert served == pytest.approx([2.0], abs=1e-15)
     assert state.queue == pytest.approx([1.0], abs=1e-15)
-    assert stats.peak_queue == pytest.approx([3.0], abs=1e-15)
+    assert peak == pytest.approx([3.0], abs=1e-15)
 
 
 def test_deposits_land_at_interval_ends():
     g = preset("single")
     idle = constant_trajectory(g, 0, 2.0)
     state = QueueState.zeros(1)
-    stats = integrate_epoch(state, idle, deposits=np.array([[1.0], [2.0]]))
+    served, peak, offered = integrate_epoch(state, idle, deposits=np.array([[1.0], [2.0]]))
     assert state.queue == pytest.approx([3.0])
     assert state.arrived == pytest.approx([3.0])
-    assert stats.peak_queue == pytest.approx([3.0])
+    assert peak == pytest.approx([3.0])
 
     busy = constant_trajectory(g, 0b1, 2.0)
     state = QueueState.zeros(1)
-    stats = integrate_epoch(state, busy, deposits=np.array([[1.0], [1.0]]))
+    served, peak, offered = integrate_epoch(state, busy, deposits=np.array([[1.0], [1.0]]))
     # first deposit (t=1) is served over [1,2); the one at t=2 has no time left
-    assert stats.actual_service == pytest.approx([1.0], abs=1e-15)
+    assert served == pytest.approx([1.0], abs=1e-15)
     assert state.queue == pytest.approx([1.0], abs=1e-15)
     assert state.conservation_error() <= 1e-12
 
@@ -156,8 +156,8 @@ def test_fluid_inflow_served_as_it_arrives():
     g = preset("single")
     busy = constant_trajectory(g, 0b1, 10.0)
     state = QueueState.zeros(1)
-    stats = integrate_epoch(state, busy, inflow=np.array([0.3]))
-    assert stats.actual_service == pytest.approx([3.0], abs=1e-12)
+    served, peak, offered = integrate_epoch(state, busy, inflow=np.array([0.3]))
+    assert served == pytest.approx([3.0], abs=1e-12)
     assert state.queue == pytest.approx([0.0], abs=1e-15)
     assert state.arrived == pytest.approx([3.0], abs=1e-12)
 
@@ -167,9 +167,9 @@ def test_fluid_backlog_drains_then_tracks():
     busy = constant_trajectory(g, 0b1, 4.0)
     state = QueueState(queue=np.array([1.0]), departed=np.zeros(1),
                        arrived=np.array([1.0]))
-    stats = integrate_epoch(state, busy, inflow=np.array([0.5]))
+    served, peak, offered = integrate_epoch(state, busy, inflow=np.array([0.5]))
     # drains at rate 1/2, empty after 2, then serves the inflow directly
-    assert stats.actual_service == pytest.approx([3.0], abs=1e-12)
+    assert served == pytest.approx([3.0], abs=1e-12)
     assert state.queue == pytest.approx([0.0], abs=1e-15)
     assert state.conservation_error() <= 1e-12
 
@@ -178,10 +178,10 @@ def test_fluid_idle_node_accumulates():
     g = preset("single")
     idle = constant_trajectory(g, 0, 5.0)
     state = QueueState.zeros(1)
-    stats = integrate_epoch(state, idle, inflow=np.array([0.4]))
+    served, peak, offered = integrate_epoch(state, idle, inflow=np.array([0.4]))
     assert state.queue == pytest.approx([2.0], abs=1e-12)
-    assert stats.peak_queue == pytest.approx([2.0], abs=1e-12)
-    assert stats.actual_service == pytest.approx([0.0], abs=1e-15)
+    assert peak == pytest.approx([2.0], abs=1e-12)
+    assert served == pytest.approx([0.0], abs=1e-15)
 
 
 def replay_oracle(traj, q0, deposits=None, inflow=None):
@@ -231,16 +231,15 @@ def check_against_replay(traj, q0, fluid, rng):
     state = QueueState(queue=q0.copy(), departed=np.zeros(n), arrived=q0.copy())
     if fluid:
         inflow = rng.uniform(0.0, 1.0, size=n)
-        stats = integrate_epoch(state, traj, inflow=inflow)
+        got = integrate_epoch(state, traj, inflow=inflow)
         q, served, peak, busy = replay_oracle(traj, q0, inflow=inflow)
     else:
         deposits = rng.uniform(0.0, 1.0, size=(T, n)) * (rng.random((T, n)) < 0.5)
-        stats = integrate_epoch(state, traj, deposits=deposits)
+        got = integrate_epoch(state, traj, deposits=deposits)
         q, served, peak, busy = replay_oracle(traj, q0, deposits=deposits)
     assert state.queue == pytest.approx(q, abs=1e-12)
-    assert stats.actual_service == pytest.approx(served, abs=1e-12)
-    assert stats.peak_queue == pytest.approx(peak, abs=1e-12)
-    assert stats.offered_service == pytest.approx(busy, abs=1e-12)
+    for value, expected in zip(got, (served, peak, busy), strict=True):
+        assert value == pytest.approx(expected, abs=1e-12)
     assert state.conservation_error() <= 1e-9
 
 
@@ -289,13 +288,12 @@ def fluid_closed_form(q, a, s, length):
 def test_single_piece_matches_fluid_closed_form(nodes, length):
     q0, a, s = (np.array(v) for v in zip(*nodes))
     state = QueueState(queue=q0.copy(), departed=np.zeros(q0.size), arrived=q0.copy())
-    departed, peak = reflect(state, ((a - s) * length)[None, :], None, a * length, length)
+    departed, peak = reflect(state, ((a - s) * length)[None, :], None, a * length)
     for i in range(q0.size):
         newq, served, top = fluid_closed_form(q0[i], a[i], s[i], length)
         assert state.queue[i] == pytest.approx(newq, abs=1e-12)
         assert departed[i] == pytest.approx(served, abs=1e-12)
         assert peak[i] == pytest.approx(top, abs=1e-12)
-    assert state.t == length
     assert state.conservation_error() <= 1e-12
 
 
@@ -305,9 +303,9 @@ def test_offered_never_below_actual():
     traj = simulate(g, [0.3, 0.3], 12.0, rng=rng)
     deposits = (rng.random((12, 2)) < 0.4).astype(float)
     state = QueueState.zeros(2)
-    stats = integrate_epoch(state, traj, deposits=deposits)
-    assert np.all(stats.offered_service >= stats.actual_service - 1e-12)
-    assert np.all(stats.offered_service <= 12.0)
+    served, peak, offered = integrate_epoch(state, traj, deposits=deposits)
+    assert np.all(offered >= served - 1e-12)
+    assert np.all(offered <= 12.0)
 
 
 def test_departed_accumulates_across_epochs():
@@ -317,16 +315,15 @@ def test_departed_accumulates_across_epochs():
     integrate_epoch(state, busy, inflow=np.array([0.5]))
     integrate_epoch(state, busy, inflow=np.array([0.5]))
     assert state.departed == pytest.approx([3.0], abs=1e-12)
-    assert state.t == pytest.approx(6.0)
 
 
 def test_offered_service_counts_idle_transmission():
     # offered service is transmit time whether or not there is backlog
     g = preset("single")
     traj = constant_trajectory(g, 0b1, 2.0)
-    stats = integrate_epoch(QueueState.zeros(1), traj)
-    assert stats.offered_service == pytest.approx([2.0], abs=1e-15)
-    assert stats.actual_service == pytest.approx([0.0], abs=1e-15)
+    served, peak, offered = integrate_epoch(QueueState.zeros(1), traj)
+    assert offered == pytest.approx([2.0], abs=1e-15)
+    assert served == pytest.approx([0.0], abs=1e-15)
 
 
 def test_integrator_memory_does_not_grow_with_events_times_nodes():
@@ -343,11 +340,11 @@ def test_integrator_memory_does_not_grow_with_events_times_nodes():
     inflow = np.full(n, 0.01)
     tracemalloc.start()
     try:
-        stats = integrate_epoch(state, traj, inflow=inflow)
+        _, _, offered = integrate_epoch(state, traj, inflow=inflow)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 16 * own < events * n * 8
     # each node on the list transmits for one event gap per start/end pair
     gap = 100.0 / (events + 1)
-    assert stats.offered_service.sum() == pytest.approx(events // 2 * gap, rel=1e-9)
+    assert offered.sum() == pytest.approx(events // 2 * gap, rel=1e-9)
