@@ -2,21 +2,36 @@
 
 The continuous-time chain lives on feasible schedules: a transmitting node
 stops at rate 1; a silent node whose neighbors are all silent starts at rate
-exp(r_i); a blocked node's clock rate is 0.  Each clock depends only on the
-node's own drive and its neighbors' state, so `simulate` keeps one rate per
-node and samples the exact chain by Gillespie's direct method: the wait to
-the next event is exponential with the total rate, the toggled node is drawn
-in proportion to its rate from the running sums, and only the toggled node
-and its neighbors change rate afterwards.
+exp(r_i); a blocked node's clock rate is 0.  `simulate` samples the exact
+chain by Gillespie's direct method: the wait to the next event is
+exponential with the total rate, and the toggled node is drawn in proportion
+to its rate by a search of the running sums.  It has two ways to find the
+sums, and both give the same bits, so a (config, seed) gives the same run
+either way:
+
+* Per-node clocks (the default, and the only way past exact mode): keep one
+  rate per node, re-add them after each event, and update only the toggled
+  node and its neighbors.
+* A clock table (`clock_table`) of an enumerated family: each epoch fills
+  the (schedule, node) rate matrix at the current drive and takes its
+  running sums along the node axis (np.cumsum adds in the order
+  itertools.accumulate does); each event then reads its schedule's row and
+  jumps to a precomputed toggle target.  Filling the table costs
+  O(|I| n) per epoch, so `csmasim run` uses it only for families of at
+  most TABLE_STATES schedules, where it is faster.
+
+Both draw the same (wait, pick) pairs from `_clock_draws` and stop at the
+same t >= duration or at a total rate of 0.
 
 The discrete single-site kernel is that chain uniformized at rate 2R, with
 R = sum_k max(exp(r_k), 1):  P = I + G / (2R), G the generator from
-`ctmc_generator`, which is the one place the transitions are encoded.  Per
-tick this picks node i with probability max(exp(r_i), 1) / R and flips it
-with HALF the clock-consistent probability (down: min(exp(-r_i), 1)/2; up, if
-unblocked: min(exp(r_i), 1)/2), staying put otherwise.  Every diagonal entry
-is at least 1/2, which keeps the kernel aperiodic with a nonnegative spectrum
-while preserving reversibility w.r.t. the product-form law.
+`ctmc_generator`, which scatters the clock table; the table is the one place
+the transitions are encoded.  Per tick this picks node i with probability
+max(exp(r_i), 1) / R and flips it with HALF the clock-consistent probability
+(down: min(exp(-r_i), 1)/2; up, if unblocked: min(exp(r_i), 1)/2), staying
+put otherwise.  Every diagonal entry is at least 1/2, which keeps the kernel
+aperiodic with a nonnegative spectrum while preserving reversibility w.r.t.
+the product-form law.
 """
 from __future__ import annotations
 
@@ -32,6 +47,12 @@ from .errors import ExactModeUnavailable, InvariantViolation, NumericFailure
 from .gibbs import stationary_distribution
 
 CONDUCTANCE_STATE_CAP = 20
+# Largest family whose runs walk the clock table.  Each epoch fills the whole
+# table and lists each row it visits, which the cheaper events repay on small
+# families only.  Per epoch at drive 0 and epoch length 50, against per-node
+# clocks: 0.58x the time on cycle5, 0.79x on grid4x4 (1 234 sets), 1.00x on an
+# edgeless 11-node graph (2 048 sets), 1.21x at 4 096 sets, 5.7x at 65 536.
+TABLE_STATES = 2048
 DRIVE_LIMIT = 700.0  # exp(r) stays finite and well scaled below this
 # 1 - lambda must exceed GAP_ROUNDING * N * eps to be resolved.  The symmetrized
 # kernel S is nonnegative with norm 1, so the <= 4 roundings in each entry move
@@ -45,6 +66,43 @@ def _clock_draws(rng: np.random.Generator):
     """Yield (unit exponential wait, uniform pick) pairs, drawn a block at a time."""
     while True:
         yield from zip(rng.standard_exponential(1024).tolist(), rng.random(1024).tolist())
+
+
+@dataclass(frozen=True)
+class ClockTable:
+    """Every clock of the chain, one row per schedule of an enumerated family.
+
+    `toggles[s, i]` is the row reached from schedule s by flipping node i, and
+    -1 where that flip is infeasible (a silent node with a busy neighbor).
+    `rate_codes[s, i]` picks node i's clock rate in row s from exp(r) followed
+    by (1, 0): node i's own start rate when it may start, 1 when it
+    transmits, 0 when it is blocked.
+    """
+
+    family: IndependentSetFamily
+    masks: np.ndarray       # (S,) int64, ascending like family.masks
+    toggles: np.ndarray     # (S, n) row index or -1
+    rate_codes: np.ndarray  # (S, n) index into exp(r) + (1, 0)
+    jumps: list[list[int]]  # toggles as lists, for the per-event walk
+
+    def clock_rates(self, r: np.ndarray) -> np.ndarray:
+        """(S, n) clock rates at drive r."""
+        with np.errstate(over="raise"):
+            values = np.append(np.exp(r), (1.0, 0.0))  # exp(-inf) = 0: never starts
+        return values[self.rate_codes]
+
+
+def clock_table(family: IndependentSetFamily) -> ClockTable:
+    """Tabulate the family's transitions by a search over its sorted masks."""
+    n = family.n
+    masks = np.asarray(family.masks, dtype=np.int64)
+    flipped = masks[:, None] ^ (np.int64(1) << np.arange(n, dtype=np.int64))
+    rows = np.minimum(np.searchsorted(masks, flipped), masks.size - 1)
+    toggles = np.where(masks[rows] == flipped, rows, -1)
+    rate_codes = np.where(toggles < 0, n + 1,
+                          np.where(family.matrix > 0, n, np.arange(n)))
+    return ClockTable(family=family, masks=masks, toggles=toggles,
+                      rate_codes=rate_codes, jumps=toggles.tolist())
 
 
 @dataclass(frozen=True)
@@ -65,11 +123,13 @@ class Trajectory:
 
 
 def simulate(graph: ConflictGraph, r, duration: float, *,
-             initial_mask: int = 0, rng: np.random.Generator) -> Trajectory:
+             initial_mask: int = 0, rng: np.random.Generator,
+             table: ClockTable | None = None) -> Trajectory:
     """Sample the chain over [0, duration) starting from `initial_mask`.
 
     Entries of r may be -inf (node never transmits).  Deterministic given the
-    generator state.
+    generator state, and the same with or without a `table` of the graph's
+    family (see the module docstring).
     """
     r = np.asarray(r, dtype=float)
     if r.shape != (graph.n,):
@@ -82,12 +142,34 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
         raise ValueError("duration must be nonnegative")
     if not graph.is_independent(initial_mask):
         raise ValueError(f"initial mask {initial_mask:#x} is not a feasible schedule")
+    if table is not None and table.family.graph != graph:
+        raise ValueError("the clock table was built for another graph")
 
+    draws = _clock_draws(rng)
+    if table is None:
+        times, nodes, starts, final_mask = _walk_clocks(graph, r, duration,
+                                                        initial_mask, draws)
+    else:
+        times, nodes, starts, final_mask = _walk_table(table, r, duration,
+                                                       initial_mask, draws)
+    return Trajectory(
+        graph=graph,
+        initial_mask=initial_mask,
+        duration=float(duration),
+        times=np.asarray(times, dtype=float),
+        nodes=np.asarray(nodes, dtype=np.int64),
+        starts=np.asarray(starts, dtype=bool),
+        final_mask=final_mask,
+    )
+
+
+def _walk_clocks(graph: ConflictGraph, r: np.ndarray, duration: float,
+                 mask: int, draws):
+    """Direct method over per-node clocks, updated around each toggled node."""
     with np.errstate(over="raise"):
         start_rate = np.exp(r).tolist()  # exp(-inf) = 0: that node never starts
     nbr_masks = graph.neighbor_masks
     nbr_lists = [schedule_nodes(m) for m in nbr_masks]
-    mask = initial_mask
 
     def clock(i: int) -> float:
         if mask >> i & 1:
@@ -95,7 +177,6 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
         return 0.0 if mask & nbr_masks[i] else start_rate[i]
 
     rate = [clock(i) for i in range(graph.n)]
-    draws = _clock_draws(rng)
     t = 0.0
     ev_times: list[float] = []
     ev_nodes: list[int] = []
@@ -124,16 +205,46 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
         ev_times.append(t)
         ev_nodes.append(node)
         ev_starts.append(start)
+    return ev_times, ev_nodes, ev_starts, mask
 
-    return Trajectory(
-        graph=graph,
-        initial_mask=initial_mask,
-        duration=float(duration),
-        times=np.asarray(ev_times, dtype=float),
-        nodes=np.asarray(ev_nodes, dtype=np.int64),
-        starts=np.asarray(ev_starts, dtype=bool),
-        final_mask=mask,
-    )
+
+def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
+                initial_mask: int, draws):
+    """The same direct method, reading each schedule's running sums from a table.
+
+    np.cumsum adds along a row in the order itertools.accumulate does, so the
+    sums, and with them every wait and pick, are the incremental walk's bits.
+    """
+    cum = np.cumsum(table.clock_rates(r), axis=1)
+    sums_of = [None] * len(cum)  # rows become lists when the walk first visits them
+    jumps = table.jumps
+    row = table.family.index[initial_mask]
+    path = [row]
+    t = 0.0
+    ev_times: list[float] = []
+
+    while True:
+        sums = sums_of[row]
+        if sums is None:
+            sums = sums_of[row] = cum[row].tolist()
+        total = sums[-1]
+        if total == 0.0:
+            break
+        wait, pick = next(draws)
+        t += wait / total
+        if t >= duration:
+            break
+        node = bisect.bisect_right(sums, pick * total)
+        row = jumps[row][node]
+        if row < 0:
+            raise InvariantViolation(f"node {node} started against a busy neighbor")
+        ev_times.append(t)
+        path.append(row)
+
+    masks = table.masks[path]
+    flips = masks[1:] ^ masks[:-1]  # one bit each: the toggled node
+    nodes = np.frexp(flips.astype(float))[1] - 1
+    return ev_times, nodes, (masks[1:] & flips) != 0, int(masks[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +271,13 @@ def glauber_kernel(family: IndependentSetFamily, r) -> GlauberKernel:
 
 
 def ctmc_generator(family: IndependentSetFamily, r) -> np.ndarray:
-    """Continuous-time generator assembled directly from the clock rates."""
-    r = np.asarray(r, dtype=float)
-    n, size = family.n, family.size
-    gen = np.zeros((size, size))
-    nbr = family.graph.neighbor_masks
-    with np.errstate(over="raise"):
-        start_rate = np.exp(r)
-    for row, mask in enumerate(family.masks):
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                gen[row, family.index[mask ^ bit]] = 1.0
-            elif not mask & nbr[i] and start_rate[i] > 0:
-                gen[row, family.index[mask | bit]] = start_rate[i]
-        gen[row, row] = -gen[row].sum()
+    """Continuous-time generator: the clock table's rates scattered by row."""
+    table = clock_table(family)
+    rows, nodes = np.nonzero(table.toggles >= 0)
+    gen = np.zeros((family.size, family.size))
+    gen[rows, table.toggles[rows, nodes]] = table.clock_rates(
+        np.asarray(r, dtype=float))[rows, nodes]
+    np.fill_diagonal(gen, -gen.sum(axis=1))
     return gen
 
 

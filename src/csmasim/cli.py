@@ -88,42 +88,39 @@ def _summarize(cfg: ExperimentConfig, last: MetricsRecord) -> dict:
         "final_max_queue_ratio": last.max_queue_ratio,
         "avg_rates": None if last.avg_rates is None else list(last.avg_rates),
         "avg_rate_utility": last.avg_rate_utility,
-        "certificates": None,
     }
     try:
-        family = enumerate_independent_sets(cfg.graph)
-    except ExactModeUnavailable:
-        return summary
+        summary["certificates"] = _certificates(cfg, last, summary["elapsed"])
+    except (ExactModeUnavailable, ConvergenceFailure) as exc:
+        # past exact mode, or a solver that did not converge: the run stands
+        summary["certificates"] = {"skipped": str(exc)}
+    return summary
+
+
+def _certificates(cfg: ExperimentConfig, last: MetricsRecord, elapsed: float) -> dict:
+    family = enumerate_independent_sets(cfg.graph)
     if cfg.is_congestion:
         # Served rates never exceed offered service, so they lie in the capacity
         # region; the requested averages need not, and can beat the optimum.
-        served = np.asarray(last.departed) / summary["elapsed"]
-        try:
-            cert = utility_gap_certificate(family, cfg.utilities, cfg.beta, served)
-        except ConvergenceFailure:
-            return summary
-        summary["certificates"] = {
+        served = np.asarray(last.departed) / elapsed
+        cert = utility_gap_certificate(family, cfg.utilities, cfg.beta, served)
+        return {
             "utility_gap": cert.gap,
             "utility_gap_bound": cert.bound,
             "optimal_rates": [float(v) for v in cert.optimal_rates],
         }
-    else:
-        try:
-            fit = solve_backoff(family, cfg.arrivals.rates)
-        except InfeasibleRates as exc:
-            summary["certificates"] = {"admissible": False, "detail": str(exc)}
-            return summary
-        except ConvergenceFailure:
-            return summary
-        drive = np.asarray(last.drive)
-        target = np.where(np.isfinite(fit.r), fit.r, SILENCED)
-        summary["certificates"] = {
-            "admissible": True,
-            "fitted_drive": [_json_safe(float(v)) for v in fit.r],
-            "drive_distance_to_fit": float(np.abs(drive - target).max())
-            if not fit.masked else None,
-        }
-    return summary
+    try:
+        fit = solve_backoff(family, cfg.arrivals.rates)
+    except InfeasibleRates as exc:
+        return {"admissible": False, "detail": str(exc)}
+    drive = np.asarray(last.drive)
+    target = np.where(np.isfinite(fit.r), fit.r, SILENCED)
+    return {
+        "admissible": True,
+        "fitted_drive": [_json_safe(float(v)) for v in fit.r],
+        "drive_distance_to_fit": float(np.abs(drive - target).max())
+        if not fit.masked else None,
+    }
 
 
 def cmd_run(args) -> int:

@@ -170,13 +170,15 @@ class IndependentSetFamily:
         return self.graph.n
 
 
-def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
+def enumerate_independent_sets(graph: ConflictGraph, *,
+                               cap: int = FAMILY_CAP) -> IndependentSetFamily:
     """Enumerate every independent set by backtracking.
 
     Nodes are added in increasing index so each set is produced exactly once.
     Refuses a graph past EXACT_MODE_CAP nodes up front, and one with more
-    than FAMILY_CAP sets as soon as the count passes it, so a sparse graph
-    fails fast instead of exhausting memory.
+    than `cap` sets as soon as the count passes it, so a sparse graph fails
+    fast instead of exhausting memory.  A caller that only wants small
+    families passes a smaller cap.
     """
     if graph.n > EXACT_MODE_CAP:
         raise ExactModeUnavailable(
@@ -186,9 +188,9 @@ def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
 
     def extend(mask: int, candidates: int) -> None:
         found.append(mask)
-        if len(found) > FAMILY_CAP:
+        if len(found) > cap:
             raise ExactModeUnavailable(
-                f"exact mode unavailable: the graph has more than {FAMILY_CAP} "
+                f"exact mode unavailable: the graph has more than {cap} "
                 "independent sets (the family cap)")
         rest = candidates
         while rest:

@@ -28,12 +28,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .chain import DRIVE_LIMIT, simulate
+from .chain import DRIVE_LIMIT, TABLE_STATES, clock_table, simulate
 from .conflict_graph import ConflictGraph, enumerate_independent_sets
 from .congestion import (UtilityFunction, best_responses, default_beta,
                          initial_slope_bound, price_box_bound, total_utility,
                          update_prices_constant, update_prices_diminishing)
-from .errors import ConfigError, InvariantViolation, NumericFailure
+from .errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
+                     NumericFailure)
 from .gibbs import service_rates
 from .scheduling import (constant_step_plan, epoch_params, update_diminishing,
                          update_projected)
@@ -44,7 +45,23 @@ ALGORITHMS = ("sched1", "sched2", "cc1", "cc2")
 MODES = ("stochastic", "deterministic-oracle")
 ORACLE = "deterministic-oracle"
 CONSERVATION_TOL = 1e-9
-DESK_EPOCH_LIMIT = 1e8  # longest epoch, in time units, a run will simulate
+# Time units: the longest epoch of any run, and the most a stochastic run may
+# simulate in all.  cycle5 at drive 0 makes 2.7 events per time unit and the
+# clock table samples 0.5-1.2M events/s on a 2-vCPU host, so a run at the
+# limit takes 4-9 minutes there; events per unit grow with n (cycle100: 55).
+DESK_TIME_LIMIT = 1e8
+
+
+def _passes_time_limit(horizon: int, epoch_length: int | None) -> bool:
+    """Whether the run's epoch lengths add up to more than DESK_TIME_LIMIT."""
+    if epoch_length is not None:
+        return horizon * epoch_length > DESK_TIME_LIMIT  # exact in Python ints
+    total = 0
+    for j in range(1, horizon + 1):  # the published lengths pass the limit by j = 227
+        total += epoch_params(j)[0]
+        if total > DESK_TIME_LIMIT:
+            return True
+    return False
 
 
 def _whole(value) -> bool:
@@ -90,9 +107,9 @@ class ExperimentConfig:
             raise ConfigError("horizon must be a positive integer epoch count")
         if self.epoch_length is not None and (
                 not _whole(self.epoch_length)
-                or not 1 <= self.epoch_length <= DESK_EPOCH_LIMIT):
+                or not 1 <= self.epoch_length <= DESK_TIME_LIMIT):
             raise ConfigError("epoch_length override must be a positive integer "
-                              f"of at most {DESK_EPOCH_LIMIT:g}")
+                              f"of at most {DESK_TIME_LIMIT:g}")
         if self.seed is not None and (not _whole(self.seed) or self.seed < 0):
             raise ConfigError("seed must be a nonnegative integer")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
@@ -119,14 +136,6 @@ class ExperimentConfig:
         if self.algorithm in ("sched1", "cc1"):
             if self.step is not None:
                 raise ConfigError(f"{self.algorithm} steps by 1/j; step cannot be overridden")
-            # ceil(exp(sqrt(j))) > DESK_EPOCH_LIMIT exactly when j > log(limit)^2,
-            # as the limit is whole; comparing j never overflows exp
-            if (self.epoch_length is None and self.mode != ORACLE
-                    and self.horizon > math.log(DESK_EPOCH_LIMIT) ** 2):
-                raise ConfigError(
-                    f"the published epoch length ceil(exp(sqrt(j))) passes "
-                    f"{DESK_EPOCH_LIMIT:g} before epoch {self.horizon}; "
-                    "set an epoch_length override")
         elif self.algorithm == "cc2":
             if self.step is None:
                 raise ConfigError("cc2 needs a positive step override")
@@ -138,13 +147,19 @@ class ExperimentConfig:
             if self.epoch_length is None or self.step is None:
                 plan = constant_step_plan(n, self.epsilon, peak=self.arrivals.peak)
                 if self.epoch_length is None:
-                    if not plan.epoch_length <= DESK_EPOCH_LIMIT:  # inf once it overflows
+                    if not plan.epoch_length <= DESK_TIME_LIMIT:  # inf once it overflows
                         raise ConfigError(
                             "published constant-step epoch length is out of desk range "
                             f"({plan.epoch_length:.3g}); set an epoch_length override")
                     object.__setattr__(self, "epoch_length", math.ceil(plan.epoch_length))
                 if self.step is None:
                     object.__setattr__(self, "step", plan.step)
+
+        # fluid oracle epochs cost no events
+        if self.mode != ORACLE and _passes_time_limit(self.horizon, self.epoch_length):
+            raise ConfigError(
+                f"the run's epochs add up to more than {DESK_TIME_LIMIT:g} time units; "
+                "shorten the horizon or set a shorter epoch_length")
 
         if self.is_congestion and self.beta is None:
             if self.epsilon is None:
@@ -204,7 +219,14 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
     if not oracle and config.seed is None:
         raise ConfigError("stochastic runs need a seed")
 
-    family = enumerate_independent_sets(graph) if oracle else None
+    family = table = None
+    if oracle:
+        family = enumerate_independent_sets(graph)
+    else:
+        try:  # a family small enough to gain from it samples from a clock table
+            table = clock_table(enumerate_independent_sets(graph, cap=TABLE_STATES))
+        except ExactModeUnavailable:
+            pass  # the chain keeps per-node clocks
     congestion = config.is_congestion
     beta, step, fixed_length = config.beta, config.step, config.epoch_length
     drive = np.zeros(n)
@@ -246,7 +268,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             arr_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 1)))
             traj = simulate(graph, drive, float(length), initial_mask=mask,
-                            rng=chain_rng)
+                            rng=chain_rng, table=table)
             mask = traj.final_mask
             if congestion:
                 deposits = None

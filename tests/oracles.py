@@ -6,7 +6,9 @@ measures of a sampled trajectory and the total-variation distance judge the
 sampler against the product-form law (A04).  The entropy/KL identities say
 that the fit objective and the variational gap agree with the exact law
 (A10).  The box potential of the constant-step rule is what projection must
-never decrease (A07).  The fit objective and the congestion dual, with their
+never decrease (A07).  The per-node double loop over schedules is the
+reference for the generator that `chain.ctmc_generator` scatters from its
+clock table.  The fit objective and the congestion dual, with their
 derivatives, are written out here; the solvers evaluate them inline through
 `gibbs.moments`, which the likelihood calculus below reads (A02).
 """
@@ -73,6 +75,26 @@ def tv_distance(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return 0.5 * float(np.abs(p - q).sum())
+
+
+# -- the chain's generator, one clock at a time ----------------------------------
+
+def ctmc_generator_loop(family: IndependentSetFamily, r) -> np.ndarray:
+    """Generator from a double loop over schedules and nodes."""
+    r = np.asarray(r, dtype=float)
+    gen = np.zeros((family.size, family.size))
+    nbr = family.graph.neighbor_masks
+    with np.errstate(over="raise"):
+        start_rate = np.exp(r)
+    for row, mask in enumerate(family.masks):
+        for i in range(family.n):
+            bit = 1 << i
+            if mask & bit:
+                gen[row, family.index[mask ^ bit]] = 1.0
+            elif not mask & nbr[i] and start_rate[i] > 0:
+                gen[row, family.index[mask | bit]] = start_rate[i]
+        gen[row, row] = -gen[row].sum()
+    return gen
 
 
 # -- the fit objective and the congestion dual -----------------------------------

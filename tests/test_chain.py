@@ -11,7 +11,9 @@ from scipy.linalg import expm
 from csmasim import chain
 from csmasim.chain import (
     CONDUCTANCE_STATE_CAP,
+    DRIVE_LIMIT,
     chain_diagnostics,
+    clock_table,
     conductance,
     ctmc_generator,
     glauber_kernel,
@@ -19,14 +21,17 @@ from csmasim.chain import (
     simulate,
 )
 from csmasim.conflict_graph import (
+    PRESETS,
     ConflictGraph,
     enumerate_independent_sets,
     preset,
     schedule_nodes,
 )
-from csmasim.errors import ExactModeUnavailable, NumericFailure
+from csmasim.errors import ExactModeUnavailable, InvariantViolation, NumericFailure
 from csmasim.gibbs import stationary_distribution
-from oracles import empirical_distribution, occupancy, segments, tv_distance
+from hypothesis import example
+from oracles import (ctmc_generator_loop, empirical_distribution, occupancy, segments,
+                     tv_distance)
 
 
 @st.composite
@@ -135,6 +140,24 @@ def test_generator_rows_and_stationarity(pair):
     assert np.all(off >= 0.0)
     pi = stationary_distribution(fam, r).probs
     assert pi @ Q == pytest.approx(np.zeros(fam.size), abs=1e-9)
+
+
+SMALL_PRESETS = [name for name in sorted(PRESETS)
+                 if enumerate_independent_sets(preset(name)).size <= CONDUCTANCE_STATE_CAP]
+
+
+@pytest.mark.parametrize("name", SMALL_PRESETS)
+def test_generator_scatters_what_the_double_loop_builds(name):
+    fam = enumerate_independent_sets(preset(name))
+    rng = np.random.default_rng(len(name))
+    for _ in range(25):
+        r = rng.normal(0.0, 4.0, fam.n)
+        r[rng.random(fam.n) < 0.2] = -math.inf
+        assert np.array_equal(ctmc_generator(fam, r), ctmc_generator_loop(fam, r))
+
+
+def test_small_presets_cover_all_but_the_grid():
+    assert SMALL_PRESETS == ["clique2", "cycle5", "path3", "single"]
 
 
 # -- conductance and mixing estimates ------------------------------------------
@@ -448,3 +471,70 @@ def test_law_at_time_one_matches_matrix_exponential(name, r):
         counts[fam.index[simulate(g, r, 1.0, rng=rng).final_mask]] += 1
     z = np.abs(counts / runs - exact) / np.sqrt(exact * (1.0 - exact) / runs)
     assert z.max() <= 4.0
+
+
+# -- the clock-table walk against the per-node clocks ----------------------------
+
+def chain_case(n, edges, drive, initial_mask, duration, seed):
+    return ConflictGraph.from_edges(n, edges), drive, initial_mask, duration, seed
+
+
+@st.composite
+def chain_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    graph = ConflictGraph.from_edges(n, edges)
+    drive = draw(st.lists(st.one_of(
+        st.just(-math.inf), st.just(0.0), st.floats(min_value=-4.0, max_value=4.0),
+        st.floats(min_value=DRIVE_LIMIT - 1.0, max_value=DRIVE_LIMIT)),
+        min_size=n, max_size=n))
+    initial_mask = draw(st.sampled_from(enumerate_independent_sets(graph).masks))
+    duration = draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=30.0)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return graph, drive, initial_mask, duration, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_cases())
+@example(chain_case(5, [(i, (i + 1) % 5) for i in range(5)], [-math.inf] * 5,
+                    0b00101, 1e12, 2))  # all clocks silent: drains, then absorbs
+@example(chain_case(3, [(0, 1)], [0.0, DRIVE_LIMIT, -math.inf], 0b010, 0.0, 1))
+def test_table_walk_reproduces_the_clock_walk(case):
+    graph, drive, initial_mask, duration, seed = case
+    table = clock_table(enumerate_independent_sets(graph))
+    a = simulate(graph, drive, duration, initial_mask=initial_mask,
+                 rng=np.random.default_rng(seed))
+    b = simulate(graph, drive, duration, initial_mask=initial_mask,
+                 rng=np.random.default_rng(seed), table=table)
+    for field in ("times", "nodes", "starts"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and np.array_equal(x, y), field
+    assert a.final_mask == b.final_mask
+
+
+def test_clock_table_rows():
+    fam = enumerate_independent_sets(preset("path3"))  # masks 0, 1, 2, 4, 5
+    table = clock_table(fam)
+    assert table.toggles.tolist() == [[1, 2, 3], [0, -1, 4], [-1, 0, -1],
+                                      [4, -1, 0], [3, -1, 1]]
+    rates = table.clock_rates(np.log([2.0, 3.0, 5.0]))
+    assert rates[fam.index[0b001]] == pytest.approx([1.0, 0.0, 5.0], rel=1e-15)
+    assert rates[fam.index[0b000]] == pytest.approx([2.0, 3.0, 5.0], rel=1e-15)
+
+
+def test_table_walk_refuses_an_infeasible_jump():
+    # a table whose codes let a blocked node start must fail, not wrap around
+    g = preset("clique2")
+    table = clock_table(enumerate_independent_sets(g))
+    broken = dataclasses.replace(table, rate_codes=np.tile(np.arange(2), (3, 1)))
+    with pytest.raises(InvariantViolation, match="node 1 started against a busy neighbor"):
+        simulate(g, [-math.inf, 0.0], 10.0, initial_mask=0b01,
+                 rng=np.random.default_rng(0), table=broken)
+
+
+def test_simulate_rejects_a_table_of_another_graph():
+    table = clock_table(enumerate_independent_sets(preset("clique2")))
+    with pytest.raises(ValueError, match="another graph"):
+        simulate(ConflictGraph.from_edges(2, []), [0.0, 0.0], 1.0,
+                 rng=np.random.default_rng(0), table=table)

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 import csmasim
+from csmasim import cli
 from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.congestion import utility_gap_certificate
 from csmasim import simplex
-from csmasim.errors import ConfigError
+from csmasim.errors import ConfigError, ConvergenceFailure
 from oracles import clique2_log_gap
 
 
@@ -278,8 +279,10 @@ SCHED2_CYCLE5 = {
     (dict(BASE, mode="deterministic-oracle", arrivals={"kind": "scaled-bernoulli", "rates": 0.1},
           graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}), (),
      "exact mode unavailable"),
+    (dict(SCHED2_CYCLE5, horizon=10**6,
+          overrides={"epsilon": 0.2, "epoch_length": 101}), (), "more than 1e+08 time units"),
 ], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
-        "sched2-plan-on-clique2", "oracle-past-exact-mode"])
+        "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
     path = write_config(tmp_path, payload)
     out = tmp_path / "out"
@@ -346,6 +349,30 @@ def test_run_summary_carries_certificates(tmp_path):
     assert cert["admissible"] is True
     assert "drive_distance_to_fit" in cert
     assert summary["seed"] == 9
+
+
+def test_run_summary_skips_certificates_past_exact_mode(tmp_path):
+    # a 31-node cycle is past EXACT_MODE_CAP, so the run keeps per-node clocks
+    cycle31 = {"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}
+    path = write_config(tmp_path, dict(CC2, graph=cycle31, horizon=2, seed=3))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "exp-seed3-summary.json").read_text(),
+                         parse_constant=pytest.fail)
+    assert summary["epochs"] == 2
+    assert "exact mode unavailable" in summary["certificates"]["skipped"]
+
+
+def test_run_summary_skips_a_certificate_that_does_not_converge(tmp_path, monkeypatch):
+    def stalls(*_args):
+        raise ConvergenceFailure("backoff fit stalled")
+
+    monkeypatch.setattr(cli, "solve_backoff", stalls)
+    path = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "exp-seed9-summary.json").read_text())
+    assert summary["certificates"] == {"skipped": "backoff fit stalled"}
 
 
 def test_utility_certificate_uses_served_rates(tmp_path):

@@ -12,7 +12,8 @@ from csmasim.congestion import UtilityFunction, best_responses
 from csmasim import engine
 from csmasim.conflict_graph import enumerate_independent_sets, preset
 from csmasim.engine import ExperimentConfig, MetricsRecord, run_experiment
-from csmasim.errors import ConfigError, InvariantViolation, NumericFailure
+from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
+                            NumericFailure)
 from csmasim.gibbs import service_rates
 from csmasim.scheduling import epoch_params, update_diminishing
 from csmasim.traffic import ArrivalSpec
@@ -108,17 +109,20 @@ def test_resolved_constant_epoch_needs_override_at_desk_scale():
 
 @pytest.mark.parametrize("algorithm", ["sched1", "cc1"])
 def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
-    # epoch 339 lasts 9.9e7 time units and epoch 340 lasts 1.02e8
-    assert epoch_params(339)[0] <= engine.DESK_EPOCH_LIMIT < epoch_params(340)[0]
+    # epochs 1..226 of ceil(exp(sqrt(j))) add up to 9.66e7 time units, 1..227 to 1.0005e8
+    lengths = [epoch_params(j)[0] for j in range(1, 228)]
+    assert sum(lengths[:-1]) <= engine.DESK_TIME_LIMIT < sum(lengths)
     workload = (dict(arrivals=bern([0.1, 0.1])) if algorithm == "sched1"
                 else dict(utilities=(LOG1, LOG1), beta=10.0))
     make = functools.partial(ExperimentConfig, graph=preset("clique2"),
                              algorithm=algorithm, seed=0, **workload)
-    with pytest.raises(ConfigError, match="set an epoch_length override"):
-        make(horizon=340)
-    make(horizon=339)
+    with pytest.raises(ConfigError, match="set a shorter epoch_length"):
+        make(horizon=227)
+    make(horizon=226)
     make(horizon=340, epoch_length=60)
     make(horizon=340, mode="deterministic-oracle")  # fluid epochs cost no events
+    with pytest.raises(ConfigError, match="more than 1e\\+08 time units"):
+        make(horizon=10**18)  # the sum stops once it passes the limit
 
 
 def test_metrics_record_rejects_non_finite():
@@ -143,6 +147,70 @@ def test_stochastic_runs_are_bit_identical():
     assert a == b
     c = list(run_experiment(dataclasses.replace(cfg, seed=12)))
     assert c != a
+
+
+def test_time_limit_counts_every_epoch_of_a_stochastic_run():
+    ok = dict(graph=preset("cycle5"), algorithm="sched2", arrivals=bern([0.1] * 5),
+              epsilon=0.2, seed=0)
+    ExperimentConfig(horizon=1, epoch_length=10**8, **ok)
+    ExperimentConfig(horizon=10**6, epoch_length=100, **ok)
+    with pytest.raises(ConfigError, match="more than 1e\\+08 time units"):
+        ExperimentConfig(horizon=2, epoch_length=10**8, **ok)
+    with pytest.raises(ConfigError, match="more than 1e\\+08 time units"):
+        ExperimentConfig(horizon=10**400, epoch_length=1, **ok)  # no float overflow
+    ExperimentConfig(horizon=10**400, epoch_length=1, mode="deterministic-oracle", **ok)
+    cc2 = dict(graph=preset("clique2"), algorithm="cc2", utilities=(LOG1, LOG1),
+               beta=5.0, step=0.5, seed=0)
+    with pytest.raises(ConfigError, match="shorten the horizon"):
+        ExperimentConfig(horizon=10**6 + 1, epoch_length=100, **cc2)
+
+
+@pytest.mark.parametrize("algorithm, graph", [
+    ("sched1", "clique2"), ("sched2", "cycle5"), ("cc2", "cycle5")])
+def test_clock_table_runs_match_per_node_clock_runs(monkeypatch, algorithm, graph):
+    g = preset(graph)
+    workload = {
+        "sched1": dict(arrivals=bern([0.3] * g.n), epoch_length=40),
+        "sched2": dict(arrivals=bern([0.25] * g.n), epsilon=0.2, epoch_length=50),
+        "cc2": dict(utilities=(LOG1,) * g.n, beta=5.0, step=0.5, epoch_length=50),
+    }[algorithm]
+    cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=30, seed=4, **workload)
+    tables = []
+
+    def watch(*args, table, **kwargs):
+        tables.append(table)
+        return simulate(*args, table=table, **kwargs)
+
+    simulate = engine.simulate
+    monkeypatch.setattr(engine, "simulate", watch)
+    with_table = list(run_experiment(cfg))
+    assert tables and all(t is not None for t in tables)
+
+    def past_exact_mode(graph, **_cap):
+        raise ExactModeUnavailable("forced")
+
+    tables.clear()
+    monkeypatch.setattr(engine, "enumerate_independent_sets", past_exact_mode)
+    with_clocks = list(run_experiment(cfg))
+    assert tables and all(t is None for t in tables)
+    assert with_table == with_clocks
+
+
+def test_families_past_the_table_cap_keep_per_node_clocks(monkeypatch):
+    cfg = sched1(graph="cycle5", rates=[0.2] * 5, horizon=2, epoch_length=10)
+    tables = []
+
+    def watch(*args, table, **kwargs):
+        tables.append(table)
+        return simulate(*args, table=table, **kwargs)
+
+    simulate = engine.simulate
+    monkeypatch.setattr(engine, "simulate", watch)
+    for cap, uses_table in ((11, True), (10, False)):  # cycle5 has 11 schedules
+        monkeypatch.setattr(engine, "TABLE_STATES", cap)
+        tables.clear()
+        list(run_experiment(cfg))
+        assert [t is not None for t in tables] == [uses_table] * 2
 
 
 def test_stochastic_needs_some_seed():
