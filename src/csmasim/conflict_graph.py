@@ -4,7 +4,8 @@ Nodes are integers 0..n-1; a schedule is a bitmask over nodes.  A schedule is
 feasible when no two set bits are joined by a conflict edge, so the feasible
 schedules are exactly the independent sets of the graph.  The capacity region
 is the convex hull of those masks viewed as 0/1 vectors; membership queries
-run a small in-repo simplex rather than an external solver.
+price schedules into a small in-repo simplex rather than call an external
+solver.
 """
 from __future__ import annotations
 
@@ -15,13 +16,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ExactModeUnavailable, NumericFailure
-from .simplex import solve_standard_lp
+from .simplex import _PIVOT_TOL, solve_standard_lp
 
 EXACT_MODE_CAP = 30
 FAMILY_CAP = 1 << 16  # independent sets; enumeration reaches it in well under a second
 MAX_NODES = 10_000  # 25x cycle400; n-bit neighbour masks hold O(n^2) bits, < 13 MB
 STRICT_TOL = 1e-9  # LP slack that counts as strictly inside the region
-CERTIFICATE_TOL = 1e-9  # how far a decomposition may miss sum 1 and its target
+CERTIFICATE_TOL = 1e-9  # how far a decomposition or the dual bound may miss its target
 
 
 @dataclass(frozen=True)
@@ -246,11 +247,14 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
     """LP membership test: are the rates strictly inside the capacity region?
 
     Maximizes the uniform slack s subject to
-        sum_sigma nu_sigma * sigma >= rates + s,  sum nu = 1, nu >= 0.
-    The returned weights decompose the rates exactly; NumericFailure is raised
-    when one is negative, or their sum misses 1 or their mixture misses the
-    rates by more than CERTIFICATE_TOL.  The LP is feasible and bounded for
-    any such rates, so a solver that reports otherwise raises NumericFailure.
+        sum_sigma nu_sigma * sigma >= rates + s,  sum nu = 1, nu >= 0
+    by column generation (Dantzig-Wolfe): the master LP holds the schedules
+    priced in so far, from the empty one on, and each round adds the
+    max-weight schedule under its row duals until none has a positive reduced
+    cost, so at most family.size rounds run.  NumericFailure is raised when
+    pricing repeats a schedule, when the final duals' weak-duality bound
+    misses the slack by more than CERTIFICATE_TOL, and when the exact
+    decomposition of the rates fails its check.
     """
     rates = np.asarray(rates, dtype=float)
     n, size = family.n, family.size
@@ -259,22 +263,35 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
         raise ValueError("rates must be finite and nonnegative")
 
-    # columns: nu (size), slack+ , slack-, surplus (n)
-    ncols = size + 2 + n
-    A = np.zeros((n + 1, ncols))
-    bvec = np.zeros(n + 1)
-    A[:n, :size] = family.matrix.T
-    A[:n, size] = -1.0
-    A[:n, size + 1] = 1.0
-    A[:n, size + 2:] = -np.eye(n)
-    bvec[:n] = rates
-    A[n, :size] = 1.0
-    bvec[n] = 1.0
-    cost = np.zeros(ncols)
-    cost[size] = 1.0
-    cost[size + 1] = -1.0
-
-    x, slack = solve_standard_lp(cost, A, bvec)
+    # columns: slack+, slack-, surplus (n), then the priced schedules in order
+    fixed = np.zeros((n + 1, n + 2))
+    fixed[:n, :2] = -1.0, 1.0
+    fixed[:n, 2:] = -np.eye(n)
+    bvec = np.append(rates, 1.0)
+    rows = [0]  # family row 0 is the empty schedule
+    # slack- at the top rate, the other surpluses take up the difference
+    top = int(np.argmax(rates))
+    basis = [1] + [2 + i for i in range(n) if i != top] + [n + 2]
+    while True:
+        A = np.hstack([fixed, np.vstack([family.matrix[rows].T, np.ones(len(rows))])])
+        cost = np.zeros(A.shape[1])
+        cost[:2] = 1.0, -1.0
+        x, basis = solve_standard_lp(cost, A, bvec, basis)
+        y = np.linalg.solve(A[:, basis].T, cost[basis])
+        mask, value = max_weight_independent_set(family, -y[:n])
+        if value - y[n] <= _PIVOT_TOL:
+            break
+        if family.index[mask] in rows:
+            raise NumericFailure("admissibility LP: pricing repeated a master schedule")
+        rows.append(family.index[mask])
+    slack = float(x[0] - x[1])
+    # weak duality: node prices w >= 0 summing to 1 bound the full LP's slack
+    w = -y[:n]
+    bound = value - float(w @ rates)
+    if not (w.min() >= -CERTIFICATE_TOL and abs(w.sum() - 1.0) <= CERTIFICATE_TOL
+            and abs(bound - slack) <= CERTIFICATE_TOL):
+        raise NumericFailure(f"admissibility LP fails its dual check: slack {slack!r}, "
+                             f"dual bound {bound!r}")
     admissible = slack > STRICT_TOL
     if not admissible:
         return AdmissibilityCertificate(False, slack, None)
@@ -282,7 +299,8 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
     # Shave the dominating mixture down to an exact decomposition of the rates:
     # moving weight from a schedule to that schedule minus node i lowers
     # coordinate i alone, and the family is closed under subsets.
-    nu = np.maximum(x[:size], 0.0)
+    nu = np.zeros(size)
+    nu[rows] = np.maximum(x[n + 2:], 0.0)
     nu /= nu.sum()
     achieved = nu @ family.matrix
     for i in range(n):
@@ -290,10 +308,8 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
         if excess <= 0.0:
             continue
         bit = 1 << i
-        for pos in np.flatnonzero(family.matrix[:, i]):
+        for pos in np.flatnonzero((family.matrix[:, i] > 0.0) & (nu > 0.0)):
             take = min(nu[pos], excess)
-            if take <= 0.0:
-                continue
             nu[pos] -= take
             nu[family.index[family.masks[pos] ^ bit]] += take
             excess -= take

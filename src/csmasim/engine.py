@@ -45,20 +45,23 @@ ALGORITHMS = ("sched1", "sched2", "cc1", "cc2")
 MODES = ("stochastic", "deterministic-oracle")
 ORACLE = "deterministic-oracle"
 CONSERVATION_TOL = 1e-9
-# Time units: the longest epoch of any run, and the most a stochastic run may
-# simulate in all.  cycle5 at drive 0 makes 2.7 events per time unit and the
-# clock table samples 0.5-1.2M events/s on a 2-vCPU host, so a run at the
-# limit takes 4-9 minutes there; events per unit grow with n (cycle100: 55).
+# The desk budget of a stochastic run, in node-time units: n times the sum of
+# its epoch lengths.  A transmission ends at rate 1 and a node starts at most
+# once more than it stops, so a run expects at most 2 events per node-unit
+# (plus n); cycle5 and cycle100 both make 0.55 at drive 0 and 0.75-0.82 at
+# drive 2.  The clock table samples ~1.5M events/s and per-node clocks ~0.17M
+# on a 2-vCPU host, so a run at the limit takes 0.5-8 minutes there.  The same
+# number caps one epoch's length, in time units, in every mode.
 DESK_TIME_LIMIT = 1e8
 
 
-def _passes_time_limit(horizon: int, epoch_length: int | None) -> bool:
-    """Whether the run's epoch lengths add up to more than DESK_TIME_LIMIT."""
+def _passes_time_limit(n: int, horizon: int, epoch_length: int | None) -> bool:
+    """Whether n times the run's epoch lengths adds up to more than DESK_TIME_LIMIT."""
     if epoch_length is not None:
-        return horizon * epoch_length > DESK_TIME_LIMIT  # exact in Python ints
+        return n * horizon * epoch_length > DESK_TIME_LIMIT  # exact in Python ints
     total = 0
-    for j in range(1, horizon + 1):  # the published lengths pass the limit by j = 227
-        total += epoch_params(j)[0]
+    for j in range(1, horizon + 1):  # on two nodes the published lengths pass it by j = 208
+        total += n * epoch_params(j)[0]
         if total > DESK_TIME_LIMIT:
             return True
     return False
@@ -156,10 +159,10 @@ class ExperimentConfig:
                     object.__setattr__(self, "step", plan.step)
 
         # fluid oracle epochs cost no events
-        if self.mode != ORACLE and _passes_time_limit(self.horizon, self.epoch_length):
+        if self.mode != ORACLE and _passes_time_limit(n, self.horizon, self.epoch_length):
             raise ConfigError(
-                f"the run's epochs add up to more than {DESK_TIME_LIMIT:g} time units; "
-                "shorten the horizon or set a shorter epoch_length")
+                f"nodes x the run's epoch lengths add up to more than {DESK_TIME_LIMIT:g} "
+                "node-time units; shorten the horizon or set a shorter epoch_length")
 
         if self.is_congestion and self.beta is None:
             if self.epsilon is None:

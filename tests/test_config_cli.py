@@ -279,8 +279,8 @@ SCHED2_CYCLE5 = {
     (dict(BASE, mode="deterministic-oracle", arrivals={"kind": "scaled-bernoulli", "rates": 0.1},
           graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}), (),
      "exact mode unavailable"),
-    (dict(SCHED2_CYCLE5, horizon=10**6,
-          overrides={"epsilon": 0.2, "epoch_length": 101}), (), "more than 1e+08 time units"),
+    (dict(SCHED2_CYCLE5, horizon=2 * 10**5,
+          overrides={"epsilon": 0.2, "epoch_length": 101}), (), "more than 1e+08 node-time units"),
 ], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
         "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):

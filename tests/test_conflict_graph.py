@@ -4,6 +4,7 @@ The enumeration oracle used throughout is the dumb one: filter all 2^n subsets
 with a pairwise edge check.  Everything faster must agree with it.
 """
 
+import json
 import math
 import tracemalloc
 
@@ -263,12 +264,12 @@ def test_admissibility_certificate_is_checked(monkeypatch, weights):
     solve = conflict_graph.solve_standard_lp
 
     def perturbed(*args):
-        x, slack = solve(*args)
+        x, basis = solve(*args)
         x = x.copy()
-        x[:fam.size] = 0.0  # the slack still claims strict admissibility
+        x[fam.n + 2:] = 0.0  # master weights; the slack still claims strict admissibility
         if weights == "empty-schedule":
-            x[0] = 1.0
-        return x, slack
+            x[fam.n + 2] = 1.0  # the master's first schedule is the empty one
+        return x, basis
 
     monkeypatch.setattr(conflict_graph, "solve_standard_lp", perturbed)
     with pytest.raises(NumericFailure, match="certificate fails its check"):
@@ -276,24 +277,97 @@ def test_admissibility_certificate_is_checked(monkeypatch, weights):
     assert main(["analyze", "cycle5", "--lambda", "0.3"]) == 3
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_graphs(max_n=6), st.data())
-def test_slack_matches_linprog(g, data):
-    fam = enumerate_independent_sets(g)
-    rates = np.array(data.draw(st.lists(
-        st.floats(min_value=0, max_value=0.9, allow_nan=False),
-        min_size=g.n, max_size=g.n)))
-    cert = is_strictly_admissible(fam, rates)
+@pytest.mark.parametrize("rate", [0.3, 0.45])  # slack 0.1 and -0.05
+def test_admissibility_dual_check_fires_on_both_verdicts(monkeypatch, rate):
+    fam = enumerate_independent_sets(preset("cycle5"))
+    solve = conflict_graph.solve_standard_lp
+
+    def inflated(*args):
+        x, basis = solve(*args)
+        x = x.copy()
+        x[0] += 0.1  # slack+ claims more than the duals allow
+        return x, basis
+
+    monkeypatch.setattr(conflict_graph, "solve_standard_lp", inflated)
+    with pytest.raises(NumericFailure, match="fails its dual check"):
+        is_strictly_admissible(fam, np.full(5, rate))
+    assert main(["analyze", "cycle5", "--lambda", str(rate)]) == 3
+
+
+@st.composite
+def rates_for(draw, fam):
+    """Asymmetric, on-hull (slack 0) or scaled rates; scaling past 1 leaves the region."""
+    kind = draw(st.sampled_from(["asymmetric", "on-hull", "scaled"]))
+    if kind == "asymmetric":
+        return kind, np.array(draw(st.lists(
+            st.floats(min_value=0, max_value=1.2, allow_nan=False),
+            min_size=fam.n, max_size=fam.n)))
+    raw = np.array(draw(st.lists(st.floats(min_value=0, max_value=1, allow_nan=False),
+                                 min_size=fam.size, max_size=fam.size)))
+    if raw.sum() == 0:
+        raw[-1] = 1.0
+    mixture = (raw / raw.sum()) @ fam.matrix
+    if kind == "on-hull":
+        return kind, mixture
+    return kind, draw(st.floats(min_value=0.2, max_value=1.3)) * mixture
+
+
+def linprog_slack(fam, rates):
     # oracle: max s subject to nu @ matrix >= rates + s, sum nu = 1, nu >= 0
     size = fam.size
     c = np.zeros(size + 1)
     c[-1] = -1.0
-    A_ub = np.hstack([-fam.matrix.T, np.ones((g.n, 1))])
+    A_ub = np.hstack([-fam.matrix.T, np.ones((fam.n, 1))])
     A_eq = np.hstack([np.ones((1, size)), np.zeros((1, 1))])
     ref = linprog(c, A_ub=A_ub, b_ub=-rates, A_eq=A_eq, b_eq=[1.0],
                   bounds=[(0, None)] * size + [(None, None)], method="highs")
     assert ref.status == 0
-    assert cert.slack == pytest.approx(-ref.fun, abs=1e-7)
+    return -ref.fun
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(max_n=10), st.data())
+def test_slack_matches_linprog(g, data):
+    fam = enumerate_independent_sets(g)
+    kind, rates = data.draw(rates_for(fam))
+    if kind == "on-hull":
+        # a point of the region pushed out along the diagonal by its slack
+        rates = rates + linprog_slack(fam, rates)
+    cert = is_strictly_admissible(fam, rates)
+    assert cert.slack == pytest.approx(linprog_slack(fam, rates), abs=1e-12)
+    if kind == "on-hull":
+        assert abs(cert.slack) <= 1e-12 and not cert.admissible
+
+
+def cycle22_file(tmp_path):
+    # 39 603 schedules; the region holds the uniform load 1/2 on its boundary
+    path = tmp_path / "cycle22.txt"
+    path.write_text("22\n" + "".join(f"{i} {(i + 1) % 22}\n" for i in range(22)))
+    return path
+
+
+def test_slack_on_an_even_cycle_past_the_old_pivot_cap(tmp_path):
+    fam = enumerate_independent_sets(read_edge_list(cycle22_file(tmp_path)))
+    for rate in (0.3, 0.45, 0.5):
+        cert = is_strictly_admissible(fam, np.full(22, rate))
+        assert cert.slack == pytest.approx(0.5 - rate, abs=1e-12)
+        assert cert.admissible is (rate < 0.5)
+
+
+def test_analyze_certifies_an_even_cycle_past_the_old_pivot_cap(tmp_path, capsys):
+    assert main(["analyze", str(cycle22_file(tmp_path)), "--lambda", "0.3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["admissibility"]["admissible"] is True
+    assert report["admissibility"]["slack"] == pytest.approx(0.2, abs=1e-12)
+
+
+def test_slack_on_an_edgeless_graph_is_one_minus_the_top_rate():
+    fam = enumerate_independent_sets(ConflictGraph.from_edges(16, []))  # 65 536 schedules
+    assert fam.size == 1 << 16
+    for rates in (np.full(16, 0.3), 0.3 + 0.02 * np.arange(16)):
+        cert = is_strictly_admissible(fam, rates)
+        assert cert.slack == pytest.approx(1.0 - rates.max(), abs=1e-12)
+        assert cert.weights @ fam.matrix == pytest.approx(rates, abs=1e-9)
 
 
 def test_norm_bound_formula():

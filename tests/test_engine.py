@@ -10,7 +10,7 @@ import pytest
 
 from csmasim.congestion import UtilityFunction, best_responses
 from csmasim import engine
-from csmasim.conflict_graph import enumerate_independent_sets, preset
+from csmasim.conflict_graph import ConflictGraph, enumerate_independent_sets, preset
 from csmasim.engine import ExperimentConfig, MetricsRecord, run_experiment
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
@@ -109,19 +109,20 @@ def test_resolved_constant_epoch_needs_override_at_desk_scale():
 
 @pytest.mark.parametrize("algorithm", ["sched1", "cc1"])
 def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
-    # epochs 1..226 of ceil(exp(sqrt(j))) add up to 9.66e7 time units, 1..227 to 1.0005e8
-    lengths = [epoch_params(j)[0] for j in range(1, 228)]
-    assert sum(lengths[:-1]) <= engine.DESK_TIME_LIMIT < sum(lengths)
+    # on two nodes, epochs 1..207 of ceil(exp(sqrt(j))) add up to 9.67e7 node-time
+    # units, 1..208 to 1.003e8
+    lengths = [epoch_params(j)[0] for j in range(1, 209)]
+    assert 2 * sum(lengths[:-1]) <= engine.DESK_TIME_LIMIT < 2 * sum(lengths)
     workload = (dict(arrivals=bern([0.1, 0.1])) if algorithm == "sched1"
                 else dict(utilities=(LOG1, LOG1), beta=10.0))
     make = functools.partial(ExperimentConfig, graph=preset("clique2"),
                              algorithm=algorithm, seed=0, **workload)
     with pytest.raises(ConfigError, match="set a shorter epoch_length"):
-        make(horizon=227)
-    make(horizon=226)
+        make(horizon=208)
+    make(horizon=207)
     make(horizon=340, epoch_length=60)
     make(horizon=340, mode="deterministic-oracle")  # fluid epochs cost no events
-    with pytest.raises(ConfigError, match="more than 1e\\+08 time units"):
+    with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
         make(horizon=10**18)  # the sum stops once it passes the limit
 
 
@@ -152,17 +153,27 @@ def test_stochastic_runs_are_bit_identical():
 def test_time_limit_counts_every_epoch_of_a_stochastic_run():
     ok = dict(graph=preset("cycle5"), algorithm="sched2", arrivals=bern([0.1] * 5),
               epsilon=0.2, seed=0)
-    ExperimentConfig(horizon=1, epoch_length=10**8, **ok)
-    ExperimentConfig(horizon=10**6, epoch_length=100, **ok)
-    with pytest.raises(ConfigError, match="more than 1e\\+08 time units"):
-        ExperimentConfig(horizon=2, epoch_length=10**8, **ok)
-    with pytest.raises(ConfigError, match="more than 1e\\+08 time units"):
+    # five nodes: the budget is 2e7 time units
+    ExperimentConfig(horizon=1, epoch_length=2 * 10**7, **ok)
+    ExperimentConfig(horizon=2 * 10**5, epoch_length=100, **ok)
+    with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
+        ExperimentConfig(horizon=1, epoch_length=2 * 10**7 + 1, **ok)
+    with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
+        ExperimentConfig(horizon=2 * 10**5 + 1, epoch_length=100, **ok)
+    with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
         ExperimentConfig(horizon=10**400, epoch_length=1, **ok)  # no float overflow
     ExperimentConfig(horizon=10**400, epoch_length=1, mode="deterministic-oracle", **ok)
     cc2 = dict(graph=preset("clique2"), algorithm="cc2", utilities=(LOG1, LOG1),
                beta=5.0, step=0.5, seed=0)
+    ExperimentConfig(horizon=5 * 10**5, epoch_length=100, **cc2)
     with pytest.raises(ConfigError, match="shorten the horizon"):
-        ExperimentConfig(horizon=10**6 + 1, epoch_length=100, **cc2)
+        ExperimentConfig(horizon=5 * 10**5 + 1, epoch_length=100, **cc2)
+    # 100 nodes make ~20x cycle5's events per time unit, and get 1/20 of its time
+    cycle100 = ConflictGraph.from_edges(100, [(i, (i + 1) % 100) for i in range(100)])
+    big = dict(ok, graph=cycle100, arrivals=bern([0.1] * 100))
+    ExperimentConfig(horizon=100, epoch_length=10**4, **big)
+    with pytest.raises(ConfigError, match="node-time units"):
+        ExperimentConfig(horizon=101, epoch_length=10**4, **big)
 
 
 @pytest.mark.parametrize("algorithm, graph", [
