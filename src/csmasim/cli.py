@@ -143,13 +143,14 @@ def cmd_run(args) -> int:
     stem = Path(args.config).stem
     started = _utc_now()
     outputs = []
+    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
     for run in runs:
         run_path = out_dir / f"{stem}-seed{run.seed}.jsonl"
         summary_path = out_dir / f"{stem}-seed{run.seed}-summary.json"
         last = None
         with open(run_path, "w", encoding="utf-8") as fh:
             for record in run_experiment(run):
-                fh.write(json.dumps(vars(record), sort_keys=True) + "\n")
+                fh.write(encode(vars(record)) + "\n")
                 last = record
         _write_json(summary_path, _summarize(run, last))
         outputs.append(run_path.name)
@@ -195,7 +196,7 @@ def cmd_analyze(args) -> int:
             else {format(m, "#x"): w for m, w in zip(family.masks, cert.weights) if w > 0},
         }
         if cert.admissible:
-            fit = solve_backoff(family, rates)
+            fit = solve_backoff(family, rates, cert)
             eval_drive = np.where(np.isfinite(fit.r), fit.r, SILENCED)
             report["fitted_drive"] = [_json_safe(float(v)) for v in fit.r]
             report["service_at_fit"] = [float(v) for v in service_rates(family, eval_drive)]

@@ -201,10 +201,9 @@ def enumerate_independent_sets(graph: ConflictGraph, *,
 
     extend(0, (1 << graph.n) - 1)
     found.sort()
-    matrix = np.zeros((len(found), graph.n), dtype=float)
-    for row, mask in enumerate(found):
-        for i in schedule_nodes(mask):
-            matrix[row, i] = 1.0
+    # bit i of each mask is column i; n <= EXACT_MODE_CAP bits fit in int64
+    bits = np.array(found, dtype=np.int64)[:, None] >> np.arange(graph.n)
+    matrix = (bits & 1).astype(float)
     matrix.setflags(write=False)
     return IndependentSetFamily(
         graph=graph,

@@ -207,8 +207,7 @@ class MetricsRecord:
     def __post_init__(self):
         for name in ("drive", "arrival_rate_est", "offered_service_est",
                      "actual_service_rate", "queue", "departed", "peak_queue"):
-            values = getattr(self, name)
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, getattr(self, name))):
                 raise InvariantViolation(f"non-finite {name} in epoch {self.j}")
         if not math.isfinite(self.max_queue_ratio):
             raise InvariantViolation(f"non-finite max_queue_ratio in epoch {self.j}")
@@ -252,10 +251,14 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
     now = 0.0
     weighted_rates = np.zeros(n)
 
+    # The epoch path reduces through ufuncs and ndarray methods, not np.all,
+    # np.any or ndarray.max: on a few nodes their Python wrappers cost more
+    # than the arithmetic.
     for j in range(1, config.horizon + 1):
-        if not np.all(np.isfinite(drive)) or np.any(np.abs(drive) > DRIVE_LIMIT):
+        top = np.maximum.reduce(np.abs(drive))
+        if not top <= DRIVE_LIMIT:  # NaN fails it too
             raise NumericFailure(f"drive vector overflow entering epoch {j}: "
-                                 f"max |drive| = {np.abs(drive).max():.3g}")
+                                 f"max |drive| = {top:.3g}")
         # a run without a fixed length follows the published 1/j schedule
         length = fixed_length if fixed_length is not None else epoch_params(j)[0]
 
@@ -288,7 +291,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
         actual = served / length
 
         now += length
-        tol = CONSERVATION_TOL * (1.0 + float(qstate.arrived.max()))
+        tol = CONSERVATION_TOL * (1.0 + float(np.maximum.reduce(qstate.arrived)))
         err = qstate.conservation_error()
         if err > tol:
             raise InvariantViolation(f"queue conservation off by {err:.3e} at epoch {j}")
@@ -297,7 +300,8 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
         # slack covers rounding in q0 + A (at most the cumulative arrivals)
         # and in the offered service (at most the epoch length).
         slack = tol + CONSERVATION_TOL * length
-        if served.min() < -slack or (served - offered).max() > slack:
+        if (np.minimum.reduce(served) < -slack
+                or np.maximum.reduce(served - offered) > slack):
             raise InvariantViolation(
                 f"departures outside [0, offered service] at epoch {j}")
 
@@ -308,7 +312,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             new_drive = update_projected(drive, lam_hat, s_hat, config.epsilon,
                                          step, n)
             box = n / config.epsilon
-            if np.any(np.abs(new_drive) > box):
+            if (np.abs(new_drive) > box).any():
                 raise InvariantViolation(f"projection box violated at epoch {j}")
             new_rates = None
         elif config.algorithm == "cc1":
@@ -316,17 +320,17 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             new_rates = best_responses(config.utilities, beta, new_drive)
         else:  # cc2
             new_drive = update_prices_constant(drive, cc_rates, s_hat, step)
-            if np.any(new_drive < -1e-12) or np.any(new_drive > price_box + 1e-9):
+            if (new_drive < -1e-12).any() or (new_drive > price_box + 1e-9).any():
                 raise InvariantViolation(
                     f"price box [0, {price_box:.6g}] violated at epoch {j}: "
                     f"max price {new_drive.max():.6g}")
             if couple:
                 slack = 1e-6 * (1.0 + queue_cap)
                 coupling = (length / step) * new_drive
-                if np.any(qstate.queue > coupling + slack):
+                if (qstate.queue > coupling + slack).any():
                     raise InvariantViolation(
                         f"queue/price coupling violated at epoch {j}")
-                if np.any(peak > queue_cap + slack):
+                if (peak > queue_cap + slack).any():
                     raise InvariantViolation(
                         f"queue cap {queue_cap:.6g} violated at epoch {j}")
             new_rates = best_responses(config.utilities, beta, new_drive)
@@ -343,16 +347,16 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             j=j,
             epoch_start=now - length,
             epoch_length=float(length),
-            drive=tuple(float(v) for v in drive),
-            arrival_rate_est=tuple(float(v) for v in lam_hat),
-            offered_service_est=tuple(float(v) for v in s_hat),
-            actual_service_rate=tuple(float(v) for v in actual),
-            queue=tuple(float(v) for v in qstate.queue),
-            departed=tuple(float(v) for v in qstate.departed),
-            peak_queue=tuple(float(v) for v in peak),
-            max_queue_ratio=float(qstate.queue.max()) / now,
-            rates=None if cc_rates is None else tuple(float(v) for v in cc_rates),
-            avg_rates=None if avg_rates is None else tuple(float(v) for v in avg_rates),
+            drive=tuple(drive.tolist()),  # float64 arrays, so Python floats
+            arrival_rate_est=tuple(lam_hat.tolist()),
+            offered_service_est=tuple(s_hat.tolist()),
+            actual_service_rate=tuple(actual.tolist()),
+            queue=tuple(qstate.queue.tolist()),
+            departed=tuple(qstate.departed.tolist()),
+            peak_queue=tuple(peak.tolist()),
+            max_queue_ratio=float(np.maximum.reduce(qstate.queue)) / now,
+            rates=None if cc_rates is None else tuple(cc_rates.tolist()),
+            avg_rates=None if avg_rates is None else tuple(avg_rates.tolist()),
             avg_rate_utility=avg_utility,
         )
         drive = new_drive

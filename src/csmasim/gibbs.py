@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conflict_graph import (
+    AdmissibilityCertificate,
     IndependentSetFamily,
     backoff_norm_bound,
     enumerate_independent_sets,
@@ -42,7 +43,7 @@ def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (family.n,):
         raise ValueError(f"backoff vector must have shape ({family.n},)")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("backoff vector must be finite here; mask zero-rate nodes upstream")
     return r
 
@@ -56,8 +57,8 @@ class GibbsDistribution:
 def stationary_distribution(family: IndependentSetFamily, r) -> GibbsDistribution:
     r = _check_backoff(family, r)
     energy = family.matrix @ r
-    peak = float(energy.max())  # the max-shift keeps |r| up to ~700 safe
-    logz = peak + math.log(float(np.exp(energy - peak).sum()))
+    peak = float(np.maximum.reduce(energy))  # the max-shift keeps |r| up to ~700 safe
+    logz = peak + math.log(float(np.add.reduce(np.exp(energy - peak))))
     probs = np.exp(energy - logz)
     probs.setflags(write=False)
     return GibbsDistribution(probs=probs, log_partition=logz)
@@ -138,7 +139,8 @@ class BackoffSolution:
     norm_bound: float
 
 
-def solve_backoff(family: IndependentSetFamily, rates) -> BackoffSolution:
+def solve_backoff(family: IndependentSetFamily, rates,
+                  certificate: AdmissibilityCertificate | None = None) -> BackoffSolution:
     """Fit r so the stationary service rates equal `rates` exactly.
 
     Zero-rate nodes are excluded up front (their fitted value is -inf); the
@@ -146,6 +148,9 @@ def solve_backoff(family: IndependentSetFamily, rates) -> BackoffSolution:
     induced subgraph by `newton_minimize` down to a residual of BACKOFF_TOL.
     Raises InfeasibleRates when the targets are not strictly admissible or the
     search reaches past twice the certified a-priori norm bound.
+    `certificate` is `is_strictly_admissible(family, rates)` when the caller
+    already holds it; it stands in for that LP when no node is masked, and a
+    masked fit solves its own LP on the induced subgraph.
     """
     rates = np.asarray(rates, dtype=float)
     n = family.n
@@ -168,7 +173,9 @@ def solve_backoff(family: IndependentSetFamily, rates) -> BackoffSolution:
         sub_family = family
     sub_rates = rates[active]
 
-    cert = is_strictly_admissible(sub_family, sub_rates)
+    cert = certificate
+    if masked or cert is None:
+        cert = is_strictly_admissible(sub_family, sub_rates)
     if not cert.admissible:
         raise InfeasibleRates(
             f"rates are not strictly admissible (LP slack {cert.slack:.3g} <= 0)")

@@ -103,7 +103,7 @@ class QueueState:
         return cls(queue=np.zeros(n), departed=np.zeros(n), arrived=np.zeros(n))
 
     def conservation_error(self) -> float:
-        return float(np.abs(self.arrived - self.departed - self.queue).max())
+        return float(np.maximum.reduce(np.abs(self.arrived - self.departed - self.queue)))
 
 
 def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
@@ -130,7 +130,7 @@ def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
     state.queue = queue
     state.arrived = state.arrived + arrived
     state.departed = state.departed + departed
-    return departed, np.maximum(q0, x.max(axis=0))
+    return departed, np.maximum(q0, np.maximum.reduce(x))
 
 
 def integrate_epoch(state: QueueState, traj: Trajectory, *,

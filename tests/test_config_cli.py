@@ -21,7 +21,8 @@ from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.congestion import utility_gap_certificate
-from csmasim import simplex
+from csmasim.engine import run_experiment
+from csmasim import gibbs, simplex
 from csmasim.errors import ConfigError, ConvergenceFailure
 from oracles import clique2_log_gap
 
@@ -303,6 +304,9 @@ def test_run_writes_expected_files(tmp_path):
     assert run_file.exists() and summary.exists() and manifest.exists()
     lines = run_file.read_text().splitlines()
     assert len(lines) == BASE["horizon"]
+    # one line per record, keys sorted, as json.dumps prints it
+    records = run_experiment(load_config(cfg_path).experiment)
+    assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in records]
     first = json.loads(lines[0])
     assert first["j"] == 1 and len(first["drive"]) == 2
     meta = json.loads(manifest.read_text())
@@ -479,6 +483,29 @@ def test_analyze_broadcasts_lambda(capsys):
     assert report["fitted_drive"] == pytest.approx([0.35203229551578874] * 5, abs=1e-8)
     rc, _ = run_analyze(capsys, "cycle5", "--lambda", "0.3", "0.3")
     assert rc == 2  # 2 values on a 5-node graph
+
+
+@pytest.mark.parametrize("rates, solved", [
+    (["0.3"], [5]),                             # the fit reuses the report's LP
+    (["0", "0.3", "0.3", "0.3", "0.3"], [5, 4]),  # a masked fit solves its own
+], ids=["unmasked", "masked"])
+def test_analyze_solves_each_admissibility_lp_once(monkeypatch, capsys, rates, solved):
+    calls = []
+    real = cli.is_strictly_admissible
+
+    def counted(family, rates):
+        calls.append(family.n)
+        return real(family, rates)
+
+    monkeypatch.setattr(cli, "is_strictly_admissible", counted)
+    monkeypatch.setattr(gibbs, "is_strictly_admissible", counted)
+    rc, report = run_analyze(capsys, "cycle5", "--lambda", *rates)
+    assert rc == 0 and calls == solved
+    monkeypatch.undo()
+    fit = gibbs.solve_backoff(enumerate_independent_sets(preset("cycle5")),
+                              [float(v) for v in rates] * (5 // len(rates)))
+    assert report["fitted_drive"] == [None if math.isinf(v) else v for v in fit.r.tolist()]
+    assert report["drive_norm_bound"] == fit.norm_bound
 
 
 def test_analyze_congestion_certificates(capsys):

@@ -153,6 +153,19 @@ def test_enumeration_cap():
         enumerate_independent_sets(ConflictGraph.from_edges(31, []))
 
 
+def test_membership_matrix_reaches_the_top_bit_of_the_cap():
+    # the complete graph at the cap: the empty schedule and each node alone
+    n = conflict_graph.EXACT_MODE_CAP
+    g = ConflictGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    fam = enumerate_independent_sets(g)
+    assert fam.masks == (0,) + tuple(1 << i for i in range(n))
+    expected = np.zeros((fam.size, n))
+    for row, mask in enumerate(fam.masks):
+        expected[row, list(schedule_nodes(mask))] = 1.0
+    assert fam.matrix.dtype == np.float64
+    assert np.array_equal(fam.matrix, expected)
+
+
 def test_family_cap_refuses_a_sparse_graph_early():
     # an edgeless 25-node graph has 2^25 independent sets, a GB of masks
     tracemalloc.start()

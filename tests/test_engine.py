@@ -10,6 +10,7 @@ import pytest
 
 from csmasim.congestion import UtilityFunction, best_responses
 from csmasim import engine
+from csmasim.chain import DRIVE_LIMIT
 from csmasim.conflict_graph import ConflictGraph, enumerate_independent_sets, preset
 from csmasim.engine import ExperimentConfig, MetricsRecord, run_experiment
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
@@ -126,17 +127,46 @@ def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
         make(horizon=10**18)  # the sum stops once it passes the limit
 
 
-def test_metrics_record_rejects_non_finite():
-    base = dict(j=1, epoch_start=0.0, epoch_length=1.0, drive=(0.0,),
-                arrival_rate_est=(0.1,), offered_service_est=(0.5,),
-                actual_service_rate=(0.1,), queue=(0.0,), departed=(0.1,),
-                peak_queue=(0.0,), max_queue_ratio=0.0)
-    MetricsRecord(**base)
-    bad = dict(base, drive=(math.inf,))
-    with pytest.raises(InvariantViolation):
-        MetricsRecord(**bad)
-    payload = vars(MetricsRecord(**base))
+RECORD = dict(j=1, epoch_start=0.0, epoch_length=1.0, drive=(0.0, 0.2),
+              arrival_rate_est=(0.1, 0.1), offered_service_est=(0.5, 0.4),
+              actual_service_rate=(0.1, 0.1), queue=(0.0, 0.0), departed=(0.1, 0.1),
+              peak_queue=(0.0, 0.0), max_queue_ratio=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["drive", "arrival_rate_est", "offered_service_est",
+                                  "actual_service_rate", "queue", "departed",
+                                  "peak_queue", "max_queue_ratio"])
+def test_metrics_record_rejects_non_finite(name, bad):
+    payload = vars(MetricsRecord(**RECORD))
     assert payload["j"] == 1 and payload["rates"] is None
+    # the last entry, so a check that reads only the first misses it
+    value = bad if name == "max_queue_ratio" else RECORD[name][:-1] + (bad,)
+    with pytest.raises(InvariantViolation, match=f"non-finite {name} in epoch 1"):
+        MetricsRecord(**dict(RECORD, **{name: value}))
+
+
+@pytest.mark.parametrize("mode", ["stochastic", "deterministic-oracle"])
+@pytest.mark.parametrize("algorithm", ["sched1", "sched2", "cc1", "cc2"])
+def test_record_fields_are_python_floats(algorithm, mode):
+    # JSON prints a numpy int or a Python int without the ".0" a float gets
+    g = preset("cycle5")
+    workload = {
+        "sched1": dict(arrivals=bern([0.2] * 5), epoch_length=20),
+        "sched2": dict(arrivals=bern([0.2] * 5), epsilon=0.2, epoch_length=20, step=0.1),
+        "cc1": dict(utilities=(LOG1,) * 5, beta=5.0),
+        "cc2": dict(utilities=(LOG1,) * 5, beta=5.0, step=0.5, epoch_length=20),
+    }[algorithm]
+    cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=3, mode=mode, seed=5,
+                           **workload)
+    for rec in run_experiment(cfg):
+        for name, value in vars(rec).items():
+            if name == "j":
+                assert type(value) is int
+            elif isinstance(value, tuple):
+                assert len(value) == 5 and all(type(v) is float for v in value), name
+            else:
+                assert value is None or type(value) is float, name
 
 
 # -- reproducibility -------------------------------------------------------------
@@ -331,6 +361,59 @@ def test_drive_overflow_raises_numeric_failure():
                            epoch_length=4, seed=0)
     with pytest.raises(NumericFailure, match="overflow"):
         list(run_experiment(cfg))
+
+
+def oracle_cycle5():
+    return ExperimentConfig(graph=preset("cycle5"), algorithm="sched1", horizon=3,
+                            arrivals=bern([0.2] * 5), mode="deterministic-oracle",
+                            epoch_length=10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, DRIVE_LIMIT + 1.0,
+                                 -DRIVE_LIMIT - 1.0],
+                         ids=["nan", "inf", "-inf", "above", "below"])
+def test_drive_guard_stops_the_next_epoch(monkeypatch, bad):
+    def faulty(r, lam_hat, s_hat, j):
+        out = update_diminishing(r, lam_hat, s_hat, j)
+        out[-1] = bad
+        return out
+
+    monkeypatch.setattr(engine, "update_diminishing", faulty)
+    records = []
+    with pytest.raises(NumericFailure, match="drive vector overflow entering epoch 2"):
+        for rec in run_experiment(oracle_cycle5()):
+            records.append(rec)
+    assert len(records) == 1
+
+
+def test_drive_guard_admits_the_limit_itself(monkeypatch):
+    def at_limit(r, lam_hat, s_hat, j):
+        return np.array([DRIVE_LIMIT, -DRIVE_LIMIT, 0.0, 0.0, 0.0])
+
+    monkeypatch.setattr(engine, "update_diminishing", at_limit)
+    assert [rec.drive[0] for rec in run_experiment(oracle_cycle5())] == [0.0, DRIVE_LIMIT, DRIVE_LIMIT]
+
+
+@pytest.mark.parametrize("fault, match", [
+    ("lost", "queue conservation off"),          # departures the queue never lost
+    ("negative", "departures outside"),          # a balanced ledger, negative service
+], ids=["ledger", "negative-departures"])
+def test_queue_kernel_faults_raise(monkeypatch, fault, match):
+    real = engine.reflect
+
+    def faulty(state, net, jumps, arrived):
+        served, peak = real(state, net, jumps, arrived)
+        if fault == "lost":
+            state.departed = state.departed + 1e-3
+            return served, peak
+        shift = served + 1.0  # the ledger still balances, departures go negative
+        state.queue = state.queue + shift
+        state.departed = state.departed - shift
+        return served - shift, peak
+
+    monkeypatch.setattr(engine, "reflect", faulty)
+    with pytest.raises(InvariantViolation, match=f"{match}.* at epoch 1"):
+        list(run_experiment(oracle_cycle5()))
 
 
 def test_sched2_stays_in_projection_box():

@@ -84,8 +84,9 @@ def test_large_backoff_does_not_overflow(cycle5):
 
 def test_masked_entries_rejected_in_exact_path(clique2):
     # -inf masks belong to the sampler; the exact path wants the finite stand-in
-    with pytest.raises(ValueError):
-        stationary_distribution(clique2, [-math.inf, 0.0])
+    for bad in (-math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="backoff vector must be finite"):
+            stationary_distribution(clique2, [0.0, bad])
     dist = stationary_distribution(clique2, [-1e9, 0.0])
     assert dist.probs[clique2.index[0b01]] == 0.0
 

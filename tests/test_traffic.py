@@ -92,6 +92,8 @@ def test_queue_state_ledger():
     assert state.conservation_error() == 0.0
     state.queue = np.array([1.0, 0.0])
     assert state.conservation_error() == 1.0  # queue without matching arrivals
+    state.queue = np.array([0.0, -2.0])
+    assert state.conservation_error() == 2.0  # the largest miss, on any node
 
 
 def constant_trajectory(graph, mask, duration):
