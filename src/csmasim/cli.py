@@ -89,16 +89,19 @@ def _summarize(cfg: ExperimentConfig, last: MetricsRecord) -> dict:
         "avg_rates": None if last.avg_rates is None else list(last.avg_rates),
         "avg_rate_utility": last.avg_rate_utility,
     }
+    if isinstance(cfg.family, ExactModeUnavailable):
+        # past exact mode the config holds the refusal; the run stands
+        summary["certificates"] = {"skipped": str(cfg.family)}
+        return summary
     try:
         summary["certificates"] = _certificates(cfg, last, summary["elapsed"])
-    except (ExactModeUnavailable, ConvergenceFailure) as exc:
-        # past exact mode, or a solver that did not converge: the run stands
+    except ConvergenceFailure as exc:  # a solver that did not converge: the run stands
         summary["certificates"] = {"skipped": str(exc)}
     return summary
 
 
 def _certificates(cfg: ExperimentConfig, last: MetricsRecord, elapsed: float) -> dict:
-    family = enumerate_independent_sets(cfg.graph)
+    family = cfg.family
     if cfg.is_congestion:
         # Served rates never exceed offered service, so they lie in the capacity
         # region; the requested averages need not, and can beat the optimum.
@@ -133,18 +136,18 @@ def cmd_run(args) -> int:
         if cfg.mode != ORACLE:
             raise ConfigError("no seed: pass --seed or set one in the config")
         base_seed = 0
-    # replace() checks each seed, so a bad one fails before any file is written
-    runs = [dataclasses.replace(cfg, seed=base_seed + k) for k in range(args.seeds)]
-    if cfg.mode == ORACLE:
-        # the oracle enumerates the family; past exact mode, fail before any file exists
-        enumerate_independent_sets(cfg.graph)
+    seeds = range(base_seed, base_seed + args.seeds)
+    # replace() checks the seed before any file is written; later seeds only
+    # grow, so each of their configs is built when its run starts
+    first = dataclasses.replace(cfg, seed=base_seed)
     out_dir = Path(args.out or os.environ.get(OUTPUT_ENV) or parsed.output or "runs")
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.config).stem
     started = _utc_now()
     outputs = []
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
-    for run in runs:
+    for seed in seeds:
+        run = first if seed == base_seed else dataclasses.replace(cfg, seed=seed)
         run_path = out_dir / f"{stem}-seed{run.seed}.jsonl"
         summary_path = out_dir / f"{stem}-seed{run.seed}-summary.json"
         last = None
@@ -158,7 +161,7 @@ def cmd_run(args) -> int:
     manifest = {
         "artifact_version": __version__,
         "config_hash": parsed.digest,
-        "seeds": [run.seed for run in runs],
+        "seeds": list(seeds),
         "output_dir": str(out_dir),
         "outputs": outputs,
         "started": started,

@@ -171,15 +171,15 @@ class IndependentSetFamily:
         return self.graph.n
 
 
-def enumerate_independent_sets(graph: ConflictGraph, *,
-                               cap: int = FAMILY_CAP) -> IndependentSetFamily:
+def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
     """Enumerate every independent set by backtracking.
 
     Nodes are added in increasing index so each set is produced exactly once.
     Refuses a graph past EXACT_MODE_CAP nodes up front, and one with more
-    than `cap` sets as soon as the count passes it, so a sparse graph fails
-    fast instead of exhausting memory.  A caller that only wants small
-    families passes a smaller cap.
+    than FAMILY_CAP sets as soon as the count passes it, so a sparse graph
+    fails fast instead of exhausting memory.  `csmasim run` calls this once
+    per command, through ExperimentConfig, and hands the family (or the
+    refusal) to the engine and the run summary.
     """
     if graph.n > EXACT_MODE_CAP:
         raise ExactModeUnavailable(
@@ -189,9 +189,9 @@ def enumerate_independent_sets(graph: ConflictGraph, *,
 
     def extend(mask: int, candidates: int) -> None:
         found.append(mask)
-        if len(found) > cap:
+        if len(found) > FAMILY_CAP:
             raise ExactModeUnavailable(
-                f"exact mode unavailable: the graph has more than {cap} "
+                f"exact mode unavailable: the graph has more than {FAMILY_CAP} "
                 "independent sets (the family cap)")
         rest = candidates
         while rest:

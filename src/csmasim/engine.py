@@ -23,13 +23,14 @@ queues are empty are faithful, and the offered/actual gap is recorded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from .chain import DRIVE_LIMIT, TABLE_STATES, clock_table, simulate
-from .conflict_graph import ConflictGraph, enumerate_independent_sets
+from .conflict_graph import (ConflictGraph, IndependentSetFamily,
+                             enumerate_independent_sets)
 from .congestion import (UtilityFunction, best_responses, default_beta,
                          initial_slope_bound, price_box_bound, total_utility,
                          update_prices_constant, update_prices_diminishing)
@@ -53,6 +54,11 @@ CONSERVATION_TOL = 1e-9
 # on a 2-vCPU host, so a run at the limit takes 0.5-8 minutes there.  The same
 # number caps one epoch's length, in time units, in every mode.
 DESK_TIME_LIMIT = 1e8
+# The longest oracle run on the published lengths ceil(exp(sqrt(j))): the
+# largest H with sum_{j <= H} ceil(exp(sqrt(j))) <= sys.float_info.max, summed
+# exactly in Python ints.  The engine's clock adds the lengths in floats, and
+# at H + 1 it becomes inf; exp(sqrt(j)) itself overflows from j = 503 792.
+ORACLE_HORIZON_LIMIT = 493_556
 
 
 def _passes_time_limit(n: int, horizon: int, epoch_length: int | None) -> bool:
@@ -82,10 +88,15 @@ class ExperimentConfig:
     practical choice for the constant-step rules at desk scale.
 
     Construction checks every value and resolves what the run reads: beta
-    for congestion runs (the override, else 4n/epsilon), and sched2's epoch
-    length and step (each override, else the published plan).  The resolved
-    values replace the None they stand for, so dataclasses.replace keeps
-    them: change epsilon or the graph by building a new config.
+    for congestion runs (the override, else 4n/epsilon), sched2's epoch
+    length and step (each override, else the published plan), and `family`,
+    the graph's schedule family, which is not a setting.  Past exact mode a
+    stochastic config holds the ExactModeUnavailable that refused the graph
+    there, and an oracle config, whose service rates sum over the family,
+    raises it.  The resolved values replace the None they stand for, so
+    dataclasses.replace keeps them and a seed sweep enumerates once: change
+    epsilon or the graph by building a new config (a family carried to
+    another graph is refused).
     """
 
     graph: ConflictGraph
@@ -100,6 +111,8 @@ class ExperimentConfig:
     epsilon: float | None = None
     beta: float | None = None
     initial_queue: tuple[float, ...] | None = None
+    family: IndependentSetFamily | ExactModeUnavailable | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -158,8 +171,12 @@ class ExperimentConfig:
                 if self.step is None:
                     object.__setattr__(self, "step", plan.step)
 
-        # fluid oracle epochs cost no events
-        if self.mode != ORACLE and _passes_time_limit(n, self.horizon, self.epoch_length):
+        if self.mode == ORACLE:  # fluid epochs cost no events, but the clock must stay finite
+            if self.epoch_length is None and self.horizon > ORACLE_HORIZON_LIMIT:
+                raise ConfigError(
+                    f"an oracle run on the published epoch lengths overflows the clock past "
+                    f"horizon {ORACLE_HORIZON_LIMIT}; shorten it or set an epoch_length")
+        elif _passes_time_limit(n, self.horizon, self.epoch_length):
             raise ConfigError(
                 f"nodes x the run's epoch lengths add up to more than {DESK_TIME_LIMIT:g} "
                 "node-time units; shorten the horizon or set a shorter epoch_length")
@@ -179,6 +196,20 @@ class ExperimentConfig:
             if len(q0) != n or any(v < 0 or not math.isfinite(v) for v in q0):
                 raise ConfigError(f"initial_queue needs {n} finite nonnegative entries")
             object.__setattr__(self, "initial_queue", q0)
+
+        family = self.family
+        if family is None:
+            try:
+                family = enumerate_independent_sets(self.graph)
+            except ExactModeUnavailable as exc:
+                exc.graph = self.graph  # so a carried refusal is checked like a family
+                family = exc
+        elif family.graph != self.graph:
+            raise ConfigError("the schedule family belongs to another graph; "
+                              "build a new config for a new graph")
+        if self.mode == ORACLE and isinstance(family, ExactModeUnavailable):
+            raise family
+        object.__setattr__(self, "family", family)
 
     @property
     def is_congestion(self) -> bool:
@@ -209,8 +240,9 @@ class MetricsRecord:
                      "actual_service_rate", "queue", "departed", "peak_queue"):
             if not all(map(math.isfinite, getattr(self, name))):
                 raise InvariantViolation(f"non-finite {name} in epoch {self.j}")
-        if not math.isfinite(self.max_queue_ratio):
-            raise InvariantViolation(f"non-finite max_queue_ratio in epoch {self.j}")
+        for name in ("epoch_start", "epoch_length", "max_queue_ratio"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvariantViolation(f"non-finite {name} in epoch {self.j}")
 
 
 def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
@@ -221,14 +253,12 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
     if not oracle and config.seed is None:
         raise ConfigError("stochastic runs need a seed")
 
-    family = table = None
-    if oracle:
-        family = enumerate_independent_sets(graph)
-    else:
-        try:  # a family small enough to gain from it samples from a clock table
-            table = clock_table(enumerate_independent_sets(graph, cap=TABLE_STATES))
-        except ExactModeUnavailable:
-            pass  # the chain keeps per-node clocks
+    # A family small enough to gain from it samples from a clock table; a
+    # larger one, or a refusal past exact mode, keeps per-node clocks.
+    family = config.family
+    table = None
+    if not oracle and isinstance(family, IndependentSetFamily) and family.size <= TABLE_STATES:
+        table = clock_table(family)
     congestion = config.is_congestion
     beta, step, fixed_length = config.beta, config.step, config.epoch_length
     drive = np.zeros(n)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +22,9 @@ from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.congestion import utility_gap_certificate
-from csmasim.engine import run_experiment
-from csmasim import gibbs, simplex
-from csmasim.errors import ConfigError, ConvergenceFailure
+from csmasim.engine import ORACLE_HORIZON_LIMIT, run_experiment
+from csmasim import engine, gibbs, simplex
+from csmasim.errors import ConfigError, ConvergenceFailure, NumericFailure
 from oracles import clique2_log_gap
 
 
@@ -282,8 +283,11 @@ SCHED2_CYCLE5 = {
      "exact mode unavailable"),
     (dict(SCHED2_CYCLE5, horizon=2 * 10**5,
           overrides={"epsilon": 0.2, "epoch_length": 101}), (), "more than 1e+08 node-time units"),
+    (dict(BASE, mode="deterministic-oracle", horizon=ORACLE_HORIZON_LIMIT + 1), (),
+     "overflows the clock"),
 ], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
-        "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit"])
+        "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit",
+        "oracle-published-horizon-past-float-range"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
     path = write_config(tmp_path, payload)
     out = tmp_path / "out"
@@ -334,6 +338,50 @@ def test_run_seed_sweep_and_seed_override(tmp_path):
     assert meta["seeds"] == [20, 21, 22]
     # different seeds produce different trajectories
     assert (out / "exp-seed20.jsonl").read_bytes() != (out / "exp-seed21.jsonl").read_bytes()
+
+
+def test_run_builds_each_seed_config_when_its_run_starts(tmp_path, monkeypatch):
+    def fails(_config):
+        raise NumericFailure("the first run fails")
+
+    monkeypatch.setattr(cli, "run_experiment", fails)
+    path = write_config(tmp_path, BASE)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path), "--seeds", str(10**6), "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 2_000_000  # a config per seed up front took ~216 MB
+
+
+GRAPHS = {
+    "cycle5": {"preset": "cycle5"},
+    "edgeless16": {"n": 16},  # 65 536 sets: exactly the family cap
+    "edgeless17": {"n": 17},  # past the family cap
+    "cycle31": {"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]},  # past 30 nodes
+}
+
+
+@pytest.mark.parametrize("seeds", [1, 3])
+@pytest.mark.parametrize("mode", ["stochastic", "deterministic-oracle"])
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_each_run_command_enumerates_once(tmp_path, monkeypatch, graph, mode, seeds):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_independent_sets(g)
+
+    for module in (cli, engine, gibbs):
+        monkeypatch.setattr(module, "enumerate_independent_sets", counted)
+    path = write_config(tmp_path, dict(BASE, graph=GRAPHS[graph], mode=mode, horizon=2,
+                                       overrides={"epoch_length": 5}))
+    code = main(["run", str(path), "--seeds", str(seeds), "--out", str(tmp_path / "out")])
+    exact = graph in ("cycle5", "edgeless16")
+    assert code == (0 if exact or mode == "stochastic" else 2)
+    assert len(calls) == 1
 
 
 def test_run_output_dir_from_environment(tmp_path, monkeypatch):

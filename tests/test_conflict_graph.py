@@ -177,11 +177,6 @@ def test_family_cap_refuses_a_sparse_graph_early():
         tracemalloc.stop()
     assert peak < 8_000_000  # measured 2.7 MB
     assert enumerate_independent_sets(ConflictGraph.from_edges(16, [])).size == FAMILY_CAP
-    # a caller's smaller cap: 2^11 sets are admitted at 2048, 2^12 are not
-    edgeless = ConflictGraph.from_edges(12, [])
-    with pytest.raises(ExactModeUnavailable, match="more than 2048 independent sets"):
-        enumerate_independent_sets(edgeless, cap=2048)
-    assert enumerate_independent_sets(ConflictGraph.from_edges(11, []), cap=2048).size == 2048
 
 
 def test_induced_subgraph_relabels():

@@ -3,16 +3,22 @@ invariants, oracle/recursion equivalence, and the run diagnostics."""
 
 import dataclasses
 import functools
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from csmasim.congestion import UtilityFunction, best_responses
 from csmasim import engine
 from csmasim.chain import DRIVE_LIMIT
-from csmasim.conflict_graph import ConflictGraph, enumerate_independent_sets, preset
-from csmasim.engine import ExperimentConfig, MetricsRecord, run_experiment
+from csmasim.config import parse_config
+from csmasim.conflict_graph import (EXACT_MODE_CAP, MAX_NODES, ConflictGraph,
+                                    enumerate_independent_sets, preset)
+from csmasim.engine import (DESK_TIME_LIMIT, ORACLE, ORACLE_HORIZON_LIMIT, ExperimentConfig,
+                            MetricsRecord, run_experiment)
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
 from csmasim.gibbs import service_rates
@@ -127,6 +133,128 @@ def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
         make(horizon=10**18)  # the sum stops once it passes the limit
 
 
+def test_oracle_horizon_limit_is_the_last_finite_clock():
+    # the exact total of the published lengths fits in a float through the
+    # limit and not one epoch further, and so does the engine's float clock
+    total, clock = 0, 0.0
+    for j in range(1, ORACLE_HORIZON_LIMIT + 1):
+        length = epoch_params(j)[0]
+        total += length
+        clock += length
+    following = epoch_params(ORACLE_HORIZON_LIMIT + 1)[0]
+    assert total <= sys.float_info.max < total + following
+    assert math.isfinite(clock) and clock + following == math.inf
+
+
+# -- guards, each checked on both sides by construction alone ---------------------
+
+def _cheap_graph(n):
+    """A graph whose family resolves at once: a clique (n + 1 sets) within the
+    exact-mode cap, and no edges past it, where it is refused before any set
+    is listed."""
+    edges = itertools.combinations(range(n), 2) if n <= EXACT_MODE_CAP else ()
+    return ConflictGraph.from_edges(n, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, MAX_NODES), length=st.integers(1, 10**5), above=st.booleans())
+def test_time_budget_bounds_nodes_times_horizon_times_length(n, length, above):
+    horizon = int(DESK_TIME_LIMIT) // (n * length) + above
+    if horizon < 1:
+        return  # a single epoch already passes the budget; the other side covers it
+    make = functools.partial(ExperimentConfig, graph=_cheap_graph(n), algorithm="sched1",
+                             horizon=horizon, arrivals=bern([0.1] * n),
+                             epoch_length=length, seed=0)
+    assert (n * horizon * length > DESK_TIME_LIMIT) == above
+    if above:
+        with pytest.raises(ConfigError, match="node-time units"):
+            make()
+    else:
+        make()
+
+
+@settings(max_examples=40, deadline=None)
+@given(length=st.one_of(st.integers(-2, 2).map(lambda d: int(DESK_TIME_LIMIT) + d),
+                        st.integers(1, 10**12), st.integers(10**12, 10**400)))
+def test_epoch_length_cap(length):
+    # oracle epochs are exempt from the run's budget, so only the cap applies
+    make = functools.partial(sched1, horizon=1, epoch_length=length, mode=ORACLE)
+    if length > DESK_TIME_LIMIT:
+        with pytest.raises(ConfigError, match="epoch_length override must be"):
+            make()
+    else:
+        make()
+
+
+@settings(max_examples=40, deadline=None)
+# past the exact-mode cap, so an edgeless graph is refused before any set is listed
+@given(n=st.one_of(st.integers(-2, 2).map(lambda d: MAX_NODES + d),
+                   st.integers(EXACT_MODE_CAP + 1, 4 * MAX_NODES),
+                   st.integers(EXACT_MODE_CAP + 1, 10**30)))
+def test_node_cap(n):
+    data = {"version": 1, "graph": {"n": n}, "algorithm": "sched1", "horizon": 1,
+            "seed": 0, "arrivals": {"kind": "scaled-bernoulli", "rates": 0.1},
+            "overrides": {"epoch_length": 1}}
+    if n > MAX_NODES:  # refused before the O(n) neighbour masks are built
+        with pytest.raises(ConfigError, match=f"1 to {MAX_NODES} nodes"):
+            parse_config(data)
+    else:
+        assert parse_config(data).experiment.graph.n == n
+
+
+@settings(max_examples=40, deadline=None)
+@given(horizon=st.one_of(st.integers(-2, 2).map(lambda d: ORACLE_HORIZON_LIMIT + d),
+                         st.integers(1, 10**400)),
+       algorithm=st.sampled_from(["sched1", "cc1"]))
+@example(horizon=2000, algorithm="sched1")  # A06
+@example(horizon=10_000, algorithm="cc1")  # A08
+def test_oracle_horizon_cap(horizon, algorithm):
+    workload = (dict(arrivals=bern([0.5])) if algorithm == "sched1"
+                else dict(utilities=(LOG1,), beta=10.0))
+    make = functools.partial(ExperimentConfig, graph=preset("single"), algorithm=algorithm,
+                             horizon=horizon, mode=ORACLE, **workload)
+    if horizon > ORACLE_HORIZON_LIMIT:
+        with pytest.raises(ConfigError, match="overflows the clock"):
+            make()
+        make(epoch_length=100)  # fixed lengths do not grow
+    else:
+        make()
+
+
+# -- the schedule family --------------------------------------------------------------
+
+def test_config_enumerates_the_family_once(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return enumerate_independent_sets(g)
+
+    monkeypatch.setattr(engine, "enumerate_independent_sets", counted)
+    cfg = sched1(graph="cycle5", rates=[0.2] * 5, horizon=2, epoch_length=10)
+    assert cfg.family.size == 11 and cfg.family.graph == cfg.graph
+    seeded = dataclasses.replace(cfg, seed=7)
+    assert seeded.family is cfg.family
+    assert len(list(run_experiment(seeded))) == 2
+    assert len(calls) == 1
+    with pytest.raises(ConfigError, match="belongs to another graph"):
+        dataclasses.replace(cfg, graph=preset("grid3x3"), arrivals=bern([0.2] * 9))
+
+
+def test_past_exact_mode_a_stochastic_config_holds_the_refusal():
+    cycle31 = ConflictGraph.from_edges(31, [(i, (i + 1) % 31) for i in range(31)])
+    cfg = ExperimentConfig(graph=cycle31, algorithm="sched1", horizon=2,
+                           arrivals=bern([0.1] * 31), epoch_length=5, seed=0)
+    assert isinstance(cfg.family, ExactModeUnavailable)
+    assert "exact-mode cap 30" in str(cfg.family)
+    assert dataclasses.replace(cfg, seed=1).family is cfg.family
+    assert len(list(run_experiment(cfg))) == 2  # on per-node clocks
+    with pytest.raises(ExactModeUnavailable, match="exact-mode cap 30"):
+        dataclasses.replace(cfg, mode=ORACLE)
+    with pytest.raises(ConfigError, match="belongs to another graph"):
+        dataclasses.replace(cfg, graph=ConflictGraph.from_edges(31, []))
+
+
 RECORD = dict(j=1, epoch_start=0.0, epoch_length=1.0, drive=(0.0, 0.2),
               arrival_rate_est=(0.1, 0.1), offered_service_est=(0.5, 0.4),
               actual_service_rate=(0.1, 0.1), queue=(0.0, 0.0), departed=(0.1, 0.1),
@@ -134,14 +262,14 @@ RECORD = dict(j=1, epoch_start=0.0, epoch_length=1.0, drive=(0.0, 0.2),
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", ["drive", "arrival_rate_est", "offered_service_est",
-                                  "actual_service_rate", "queue", "departed",
-                                  "peak_queue", "max_queue_ratio"])
+@pytest.mark.parametrize("name", ["epoch_start", "epoch_length", "drive", "arrival_rate_est",
+                                  "offered_service_est", "actual_service_rate", "queue",
+                                  "departed", "peak_queue", "max_queue_ratio"])
 def test_metrics_record_rejects_non_finite(name, bad):
     payload = vars(MetricsRecord(**RECORD))
     assert payload["j"] == 1 and payload["rates"] is None
     # the last entry, so a check that reads only the first misses it
-    value = bad if name == "max_queue_ratio" else RECORD[name][:-1] + (bad,)
+    value = bad if isinstance(RECORD[name], float) else RECORD[name][:-1] + (bad,)
     with pytest.raises(InvariantViolation, match=f"non-finite {name} in epoch 1"):
         MetricsRecord(**dict(RECORD, **{name: value}))
 
@@ -227,11 +355,8 @@ def test_clock_table_runs_match_per_node_clock_runs(monkeypatch, algorithm, grap
     with_table = list(run_experiment(cfg))
     assert tables and all(t is not None for t in tables)
 
-    def past_exact_mode(graph, **_cap):
-        raise ExactModeUnavailable("forced")
-
     tables.clear()
-    monkeypatch.setattr(engine, "enumerate_independent_sets", past_exact_mode)
+    monkeypatch.setattr(engine, "TABLE_STATES", 0)  # every family keeps per-node clocks
     with_clocks = list(run_experiment(cfg))
     assert tables and all(t is None for t in tables)
     assert with_table == with_clocks
