@@ -38,7 +38,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ def _clock_draws(rng: np.random.Generator):
         yield from zip(rng.standard_exponential(1024).tolist(), rng.random(1024).tolist())
 
 
-@dataclass(frozen=True)
-class ClockTable:
+class ClockTable(NamedTuple):
     """Every clock of the chain, one row per schedule of an enumerated family.
 
     `toggles[s, i]` is the row reached from schedule s by flipping node i, and
@@ -105,8 +104,7 @@ def clock_table(family: IndependentSetFamily) -> ClockTable:
                       rate_codes=rate_codes, jumps=toggles.tolist())
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Piecewise-constant schedule path over [0, duration)."""
 
     graph: ConflictGraph
@@ -250,8 +248,7 @@ def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
 # ---------------------------------------------------------------------------
 # discrete kernel, generator, and spectral diagnostics
 
-@dataclass(frozen=True)
-class GlauberKernel:
+class GlauberKernel(NamedTuple):
     """Half-lazy single-site kernel I + G/(2R) (see the module docstring)."""
 
     matrix: np.ndarray
@@ -323,8 +320,7 @@ def conductance(flow_matrix, probs) -> float:
     return best
 
 
-@dataclass(frozen=True)
-class ChainDiagnostics:
+class ChainDiagnostics(NamedTuple):
     lambda_max: float
     conductance: float
     cheeger_upper: float       # 1 - conductance^2 / 2; vacuous if negative

@@ -234,7 +234,7 @@ def cmd_analyze(args) -> int:
 
     try:
         report["chain"] = dict(
-            dataclasses.asdict(chain_diagnostics(family, diag_drive)),
+            chain_diagnostics(family, diag_drive)._asdict(),
             at_drive=[float(v) for v in diag_drive],
         )
     except (ExactModeUnavailable, NumericFailure) as exc:

@@ -11,10 +11,9 @@ file.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 from pathlib import Path
 
 from .conflict_graph import ConflictGraph, preset, read_edge_list
@@ -33,14 +32,15 @@ _UTILITY_KEYS = {"family", "shift", "weight", "fairness"}
 _OVERRIDE_KEYS = {"epoch_length", "step", "epsilon", "beta"}
 
 
-@dataclass(frozen=True)
-class ParsedConfig:
+class ParsedConfig(NamedTuple):
     experiment: ExperimentConfig
     output: str | None
     digest: str
 
 
 def config_hash(data: dict) -> str:
+    import hashlib  # loads OpenSSL (~5 ms); only `run` hashes a config
+
     return hashlib.sha256(
         json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 

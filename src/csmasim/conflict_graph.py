@@ -10,8 +10,7 @@ solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,8 +24,7 @@ STRICT_TOL = 1e-9  # LP slack that counts as strictly inside the region
 CERTIFICATE_TOL = 1e-9  # how far a decomposition or the dual bound may miss its target
 
 
-@dataclass(frozen=True)
-class ConflictGraph:
+class ConflictGraph(NamedTuple):
     """Undirected conflict graph; an edge forbids simultaneous transmission."""
 
     n: int
@@ -149,12 +147,12 @@ def read_edge_list(path) -> ConflictGraph:
 # ---------------------------------------------------------------------------
 # feasible-schedule family
 
-@dataclass(frozen=True)
-class IndependentSetFamily:
+class IndependentSetFamily(NamedTuple):
     """All feasible schedules of a graph, sorted ascending by mask.
 
     `matrix` is the (size, n) 0/1 membership matrix aligned with `masks`;
-    it is the workhorse for every vectorized expectation downstream.
+    it is the workhorse for every vectorized expectation downstream.  `index`
+    maps each mask to its row; the field shadows tuple.index.
     """
 
     graph: ConflictGraph
@@ -227,8 +225,7 @@ def max_weight_independent_set(family: IndependentSetFamily,
 # ---------------------------------------------------------------------------
 # capacity-region membership
 
-@dataclass(frozen=True)
-class AdmissibilityCertificate:
+class AdmissibilityCertificate(NamedTuple):
     """Outcome of the strict-admissibility LP.
 
     `slack` is the largest s with  rates + s  still dominated by a convex

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,8 +155,7 @@ def price_box_bound(utilities, beta: float, alpha: float) -> float:
     return beta * initial_slope_bound(utilities) + alpha
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     prices: np.ndarray
     rates: np.ndarray          # best responses at the optimal prices
     value: float               # dual objective at the optimum
@@ -201,8 +201,7 @@ def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float) -> 
                         value=value, residual=residual, iterations=steps)
 
 
-@dataclass(frozen=True)
-class UtilityOptimum:
+class UtilityOptimum(NamedTuple):
     rates: np.ndarray
     value: float
     gap: float                 # linearized ascent gap at exit
@@ -215,7 +214,8 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities) -> UtilityOpt
 
     Away-step Frank-Wolfe: the linear oracle is max_weight_independent_set,
     the away vertex is the worst active one, and the step size comes from
-    bisecting the directional derivative (concavity makes it monotone).
+    bisecting the directional derivative (concavity makes it monotone), for
+    80 passes or until the interval stops shrinking.
     Away steps restore linear convergence, which plain Frank-Wolfe lacks and
     which the UTILITY_TOL gap needs.
     """
@@ -226,8 +226,9 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities) -> UtilityOpt
     weights = {start: 1.0}
     lam = matrix[start].copy()
 
-    def grad(point):
-        return np.array([u.derivative(y) for u, y in zip(utilities, point, strict=True)])
+    def grad(point):  # Python floats: a derivative call on numpy scalars costs more
+        return np.array([u.derivative(y)
+                         for u, y in zip(utilities, point.tolist(), strict=True)])
 
     def line_search(point, direction, gamma_max):
         def slope(gamma):
@@ -238,10 +239,10 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities) -> UtilityOpt
         lo, hi = 0.0, gamma_max
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
+            bounds = (mid, hi) if slope(mid) > 0.0 else (lo, mid)
+            if bounds == (lo, hi):
+                break  # the interval stopped shrinking: every later pass repeats this one
+            lo, hi = bounds
         return 0.5 * (lo + hi)
 
     gap = math.inf
@@ -281,8 +282,7 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities) -> UtilityOpt
         f"rate optimization hit the iteration cap at gap {gap:.3e} (tol {UTILITY_TOL:.1e})")
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(NamedTuple):
     gap: float            # optimal total utility minus achieved total utility
     bound: float          # log(family size) / beta
     optimal_rates: np.ndarray

@@ -23,6 +23,7 @@ queues are empty are faithful, and the offered/actual gap is recorded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -61,14 +62,14 @@ DESK_TIME_LIMIT = 1e8
 ORACLE_HORIZON_LIMIT = 493_556
 
 
-def _passes_time_limit(n: int, horizon: int, epoch_length: int | None) -> bool:
-    """Whether n times the run's epoch lengths adds up to more than DESK_TIME_LIMIT."""
+def _run_exceeds(horizon: int, epoch_length: int | None, limit: float) -> bool:
+    """Whether the run's epoch lengths add up to more than `limit` time units."""
     if epoch_length is not None:
-        return n * horizon * epoch_length > DESK_TIME_LIMIT  # exact in Python ints
+        return horizon * epoch_length > limit  # exact in Python ints
     total = 0
-    for j in range(1, horizon + 1):  # on two nodes the published lengths pass it by j = 208
-        total += n * epoch_params(j)[0]
-        if total > DESK_TIME_LIMIT:
+    for j in range(1, horizon + 1):  # on two nodes the published lengths pass 1e8 / 2 by j = 208
+        total += epoch_params(j)[0]
+        if total > limit:
             return True
     return False
 
@@ -176,7 +177,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"an oracle run on the published epoch lengths overflows the clock past "
                     f"horizon {ORACLE_HORIZON_LIMIT}; shorten it or set an epoch_length")
-        elif _passes_time_limit(n, self.horizon, self.epoch_length):
+        elif _run_exceeds(self.horizon, self.epoch_length, int(DESK_TIME_LIMIT) // n):
             raise ConfigError(
                 f"nodes x the run's epoch lengths add up to more than {DESK_TIME_LIMIT:g} "
                 "node-time units; shorten the horizon or set a shorter epoch_length")
@@ -196,6 +197,28 @@ class ExperimentConfig:
             if len(q0) != n or any(v < 0 or not math.isfinite(v) for v in q0):
                 raise ConfigError(f"initial_queue needs {n} finite nonnegative entries")
             object.__setattr__(self, "initial_queue", q0)
+
+        # The queue ledger's largest entry is q0 plus the work arrived, and every
+        # other value the queue kernel forms stays within it plus an epoch length.
+        # Work arrives at most at `inflow` per time unit: 1 for congestion rates,
+        # the rate itself where arrivals are fluid (oracle or controlled), else
+        # the peak of each interval's increment.
+        if self.is_congestion:
+            inflow = [1.0] * n
+        elif self.mode == ORACLE or self.arrivals.kind == "controlled":
+            inflow = self.arrivals.rates.tolist()
+        else:
+            inflow = [self.arrivals.peak] * n
+        top = sys.float_info.max
+        # time until an entry passes the float range; an entry that outlasts the
+        # clock is left to the clock's own limits (ORACLE_HORIZON_LIMIT)
+        fill = min(((top - q) / c for q, c in zip(self.initial_queue or [0.0] * n, inflow)
+                    if c > 0), default=math.inf)
+        if fill < top and _run_exceeds(self.horizon, self.epoch_length, fill):
+            raise ConfigError(
+                f"the queue ledger (initial queue + arrivals) passes the float range "
+                f"after {fill:.3g} time units, within the run; lower the rates, the peak "
+                "or the initial queue, or shorten the run")
 
         family = self.family
         if family is None:

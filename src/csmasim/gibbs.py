@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class GibbsDistribution:
+class GibbsDistribution(NamedTuple):
     probs: np.ndarray
     log_partition: float
 
@@ -127,8 +126,7 @@ def newton_minimize(evaluate, x, lower, *, tol: float):
         x, value, grad, hess = trial, trial_value, trial_grad, trial_hess
 
 
-@dataclass(frozen=True)
-class BackoffSolution:
+class BackoffSolution(NamedTuple):
     """Fitted backoff vector; masked nodes carry -inf and never transmit."""
 
     r: np.ndarray

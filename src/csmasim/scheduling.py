@@ -11,7 +11,7 @@ the epoch length is astronomically conservative, so desk runs override it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ def update_projected(r, lam_hat, s_hat, epsilon: float, alpha: float,
     return np.clip(stepped, -box, box)
 
 
-@dataclass(frozen=True)
-class ConstantStepPlan:
+class ConstantStepPlan(NamedTuple):
     epoch_length: float  # exp((n^2/eps) log(n/eps)); inf once it overflows
     step: float          # eps^2 / (72 n^2 (K+1)^2)
 
@@ -74,5 +73,10 @@ def constant_step_plan(n: int, epsilon: float, peak: float = 1.0) -> ConstantSte
         raise ConfigError("peak increment must be positive")
     exponent = (n * n / epsilon) * math.log(n / epsilon)
     length = math.inf if exponent > 700.0 else math.exp(exponent)
-    step = epsilon ** 2 / (72.0 * n * n * (peak + 1.0) ** 2)
+    try:
+        step = epsilon ** 2 / (72.0 * n * n * (peak + 1.0) ** 2)
+    except OverflowError:  # a square past the float range
+        raise ConfigError(f"the published constant step overflows at peak {peak:.3g} and "
+                          f"slack {epsilon:.3g}; set both the epoch_length and step "
+                          "overrides") from None
     return ConstantStepPlan(epoch_length=length, step=step)

@@ -10,7 +10,9 @@ never decrease (A07).  The per-node double loop over schedules is the
 reference for the generator that `chain.ctmc_generator` scatters from its
 clock table.  The fit objective and the congestion dual, with their
 derivatives, are written out here; the solvers evaluate them inline through
-`gibbs.moments`, which the likelihood calculus below reads (A02).
+`gibbs.moments`, which the likelihood calculus below reads (A02).  The
+Frank-Wolfe optimum that bisects its step a full 80 times on numpy scalars is
+the bit-for-bit reference of `congestion.solve_utility_optimum`.
 """
 
 import math
@@ -19,8 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from csmasim.chain import Trajectory
-from csmasim.conflict_graph import IndependentSetFamily, schedule_nodes
-from csmasim.congestion import UtilityFunction, best_response, best_responses
+from csmasim.conflict_graph import (IndependentSetFamily, max_weight_independent_set,
+                                    schedule_nodes)
+from csmasim.congestion import (UTILITY_MAX_ITER, UTILITY_TOL, UtilityFunction,
+                                UtilityOptimum, best_response, best_responses,
+                                total_utility)
+from csmasim.errors import ConvergenceFailure
 from csmasim.gibbs import (BackoffSolution, moments, service_rates, solve_backoff,
                            stationary_distribution)
 
@@ -151,6 +157,67 @@ def clique2_log_gap(beta: float) -> float:
         else:
             lo = mid
     return 2.0 * math.log(1.5 * lo / beta)
+
+
+def utility_optimum_full_bisection(family: IndependentSetFamily, utilities
+                                   ) -> UtilityOptimum:
+    """Away-step Frank-Wolfe whose line search always makes 80 bisection passes."""
+    matrix = family.matrix
+    start = family.size - 1
+    weights = {start: 1.0}
+    lam = matrix[start].copy()
+
+    def grad(point):
+        return np.array([u.derivative(y) for u, y in zip(utilities, point, strict=True)])
+
+    def line_search(point, direction, gamma_max):
+        def slope(gamma):
+            moved = point + gamma * direction
+            return float(np.dot(grad(moved), direction))
+        if slope(gamma_max) >= 0.0:
+            return gamma_max
+        lo, hi = 0.0, gamma_max
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    gap = math.inf
+    for it in range(1, UTILITY_MAX_ITER + 1):
+        g = grad(lam)
+        fw_idx, _ = max_weight_independent_set(family, g)
+        fw_row = family.index[fw_idx]
+        gap = float(np.dot(g, matrix[fw_row] - lam))
+        if gap <= UTILITY_TOL:
+            return UtilityOptimum(rates=lam, value=total_utility(utilities, lam), gap=gap,
+                                  weights={family.masks[k]: w for k, w in weights.items()},
+                                  iterations=it)
+        away_row = max(weights, key=lambda k: -float(np.dot(g, matrix[k])))
+        away_gap = float(np.dot(g, lam - matrix[away_row]))
+        if gap >= away_gap:
+            direction = matrix[fw_row] - lam
+            gamma = line_search(lam, direction, 1.0)
+            if gamma >= 1.0:
+                weights = {fw_row: 1.0}
+            else:
+                weights = {k: w * (1.0 - gamma) for k, w in weights.items()}
+                weights[fw_row] = weights.get(fw_row, 0.0) + gamma
+        else:
+            w_away = weights[away_row]
+            direction = lam - matrix[away_row]
+            gamma = line_search(lam, direction, w_away / (1.0 - w_away))
+            weights = {k: w * (1.0 + gamma) for k, w in weights.items()}
+            weights[away_row] -= gamma
+        weights = {k: w for k, w in weights.items() if w > 1e-15}
+        total = sum(weights.values())
+        weights = {k: w / total for k, w in weights.items()}
+        lam = np.zeros(family.n)
+        for k, w in weights.items():
+            lam += w * matrix[k]
+    raise ConvergenceFailure(f"reference optimum hit the iteration cap at gap {gap:.3e}")
 
 
 # -- entropy, KL and the variational identities ---------------------------------

@@ -1,6 +1,5 @@
 """Sampler, discrete kernel, generator, and the spectral/cut diagnostics."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -295,7 +294,7 @@ def test_chain_diagnostics_fields():
     assert 0.0 < diag.conductance <= 2.0
     assert diag.lambda_max < 1.0
     assert diag.cheeger_upper == pytest.approx(1.0 - diag.conductance ** 2 / 2.0, abs=1e-12)
-    payload = dataclasses.asdict(diag)
+    payload = diag._asdict()
     assert set(payload) == {"lambda_max", "conductance", "cheeger_upper",
                             "mixing_estimate", "mixing_worst_case"}
 
@@ -527,7 +526,7 @@ def test_table_walk_refuses_an_infeasible_jump():
     # a table whose codes let a blocked node start must fail, not wrap around
     g = preset("clique2")
     table = clock_table(enumerate_independent_sets(g))
-    broken = dataclasses.replace(table, rate_codes=np.tile(np.arange(2), (3, 1)))
+    broken = table._replace(rate_codes=np.tile(np.arange(2), (3, 1)))
     with pytest.raises(InvariantViolation, match="node 1 started against a busy neighbor"):
         simulate(g, [-math.inf, 0.0], 10.0, initial_mask=0b01,
                  rng=np.random.default_rng(0), table=broken)

@@ -26,7 +26,8 @@ from csmasim.congestion import (
     utility_gap_certificate,
 )
 from csmasim.gibbs import service_rates
-from oracles import best_response_value, clique2_log_gap, dual_gradient, dual_value
+from oracles import (best_response_value, clique2_log_gap, dual_gradient, dual_value,
+                     utility_optimum_full_bisection)
 
 
 LOG1 = UtilityFunction("log-shifted")
@@ -314,6 +315,39 @@ def test_asymmetric_weights_shift_the_optimum(clique2):
     opt = solve_utility_optimum(clique2, heavy)
     assert opt.rates[0] > 0.7
     assert opt.rates[0] + opt.rates[1] == pytest.approx(1.0, abs=1e-9)
+
+
+@st.composite
+def utility_problems(draw):
+    """A preset family with one random utility per node, of any family."""
+    name = draw(st.sampled_from(["single", "clique2", "path3", "cycle5"]))
+    family = enumerate_independent_sets(preset(name))
+    shifts = st.floats(min_value=0.05, max_value=5.0)
+    utilities = []
+    for _ in range(family.n):
+        kind = draw(st.sampled_from(["log-shifted", "weighted-log-shifted",
+                                     "alpha-fair-shifted"]))
+        extra = {}
+        if kind == "weighted-log-shifted":
+            extra["weight"] = draw(st.floats(min_value=0.1, max_value=10.0))
+        elif kind == "alpha-fair-shifted":
+            extra["fairness"] = draw(st.floats(min_value=0.2, max_value=4.0).filter(
+                lambda a: abs(a - 1.0) > 1e-3))
+        utilities.append(UtilityFunction(kind, shift=draw(shifts), **extra))
+    return family, tuple(utilities)
+
+
+@settings(max_examples=40, deadline=None)
+@given(utility_problems())
+def test_utility_optimum_keeps_the_bits_of_the_full_bisection(problem):
+    # stopping the bisection once its interval stops shrinking, and taking
+    # derivatives on Python floats, must not move a single bit
+    family, utilities = problem
+    opt = solve_utility_optimum(family, utilities)
+    ref = utility_optimum_full_bisection(family, utilities)
+    assert opt.rates.tobytes() == ref.rates.tobytes()
+    assert (opt.value, opt.gap, opt.iterations) == (ref.value, ref.gap, ref.iterations)
+    assert list(opt.weights.items()) == list(ref.weights.items())
 
 
 # -- the gap certificate ---------------------------------------------------------------------

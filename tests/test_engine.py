@@ -221,6 +221,56 @@ def test_oracle_horizon_cap(horizon, algorithm):
         make()
 
 
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(2, 10**4), horizon=st.integers(1, 10**4), queued=st.booleans(),
+       above=st.booleans(), mode=st.sampled_from(["stochastic", ORACLE]))
+def test_queue_ledger_stays_in_float_range(length, horizon, queued, above, mode):
+    # the ledger's largest entry is q0 + the run's arrivals: the rate times the
+    # run's time units where arrivals are fluid (oracle), the peak times them
+    # where each unit interval may deposit it
+    q0 = sys.float_info.max / 2 if queued else 0.0
+    per_unit = (sys.float_info.max - q0) / (length * horizon) * (1.5 if above else 0.5)
+    arrivals = (bern([per_unit], peak=sys.float_info.max) if mode == ORACLE
+                else bern([per_unit / 2], peak=per_unit))
+    make = functools.partial(ExperimentConfig, graph=preset("single"), algorithm="sched1",
+                             horizon=horizon, mode=mode, seed=0, arrivals=arrivals,
+                             epoch_length=length, initial_queue=(q0,))
+    if above:
+        with pytest.raises(ConfigError, match="queue ledger"):
+            make()
+    else:
+        make()
+
+
+def test_huge_oracle_rate_is_refused_before_its_first_epoch():
+    # 1e307 per time unit over one 100-unit epoch is 1e309
+    with pytest.raises(ConfigError, match="after 18 time units"):
+        ExperimentConfig(graph=preset("single"), algorithm="sched1", horizon=1, mode=ORACLE,
+                         arrivals=bern([1e307], peak=1e308), epoch_length=100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(peak=st.one_of(st.floats(1e150, 1e160), st.sampled_from([1e153, 1e155])))
+def test_sched2_published_step_never_overflows_uncaught(peak):
+    # (peak + 1)^2 leaves the float range from ~1.34e154; below that the step
+    # is positive or underflows to 0, and every side exits as a ConfigError
+    make = functools.partial(ExperimentConfig, graph=preset("cycle5"), algorithm="sched2",
+                             horizon=3, seed=1, arrivals=bern([0.25] * 5, peak=peak),
+                             epsilon=0.2, epoch_length=200)
+    make(step=0.01)  # both overrides set: the published plan is not consulted
+    try:
+        step = 0.2 ** 2 / (72.0 * 5 * 5 * (peak + 1.0) ** 2)
+    except OverflowError:
+        with pytest.raises(ConfigError, match="published constant step overflows"):
+            make()
+        return
+    if step > 0.0:
+        assert make().step == step
+    else:
+        with pytest.raises(ConfigError, match="step must be positive and finite, got 0.0"):
+            make()
+
+
 # -- the schedule family --------------------------------------------------------------
 
 def test_config_enumerates_the_family_once(monkeypatch):

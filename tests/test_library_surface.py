@@ -115,3 +115,20 @@ def test_package_init_reexports_nothing():
     # callers import each name from the module that defines it
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert not [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def _frozen_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               and any(kw.arg == "frozen" and getattr(kw.value, "value", False)
+                       for kw in d.keywords)
+               for d in node.decorator_list)
+
+
+def test_frozen_dataclasses_validate():
+    # a frozen record that checks nothing is a NamedTuple: @dataclass generates
+    # its methods by exec at every import, ~1 ms a class
+    bare = [f"{path.stem}.{node.name}" for path, tree in _parse(sorted(PACKAGE.glob("*.py"))).items()
+            for node in tree.body if isinstance(node, ast.ClassDef) and _frozen_dataclass(node)
+            and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                        for item in node.body)]
+    assert bare == []
