@@ -12,11 +12,13 @@ either way:
 * Per-node clocks (the default, and the only way past exact mode): keep one
   rate per node, re-add them after each event, and update only the toggled
   node and its neighbors.
-* A clock table (`clock_table`) of an enumerated family: each epoch fills
-  the (schedule, node) rate matrix at the current drive and takes its
-  running sums along the node axis (np.cumsum adds in the order
-  itertools.accumulate does); each event then reads its schedule's row and
-  jumps to a precomputed toggle target.  Filling the table costs
+* A clock table (`clock_table`) of an enumerated family, whose rows are the
+  family's rows: each epoch fills the (schedule, node) rate matrix at the
+  current drive and takes its running sums along the node axis (np.cumsum
+  adds in the order itertools.accumulate does); each event then reads its
+  schedule's row and jumps to a precomputed toggle target.  The walk finds
+  its first row with one search of `family.masks` and reads its path back
+  through the same array.  Filling the table costs
   O(|I| n) per epoch, so `csmasim run` uses it only for families of at
   most TABLE_STATES schedules, where it is faster.
 
@@ -69,7 +71,7 @@ def _clock_draws(rng: np.random.Generator):
 
 
 class ClockTable(NamedTuple):
-    """Every clock of the chain, one row per schedule of an enumerated family.
+    """Every clock of the chain; row s is schedule `family.masks[s]`.
 
     `toggles[s, i]` is the row reached from schedule s by flipping node i, and
     -1 where that flip is infeasible (a silent node with a busy neighbor).
@@ -79,7 +81,6 @@ class ClockTable(NamedTuple):
     """
 
     family: IndependentSetFamily
-    masks: np.ndarray       # (S,) int64, ascending like family.masks
     toggles: np.ndarray     # (S, n) row index or -1
     rate_codes: np.ndarray  # (S, n) index into exp(r) + (1, 0)
     jumps: list[list[int]]  # toggles as lists, for the per-event walk
@@ -93,14 +94,13 @@ class ClockTable(NamedTuple):
 
 def clock_table(family: IndependentSetFamily) -> ClockTable:
     """Tabulate the family's transitions by a search over its sorted masks."""
-    n = family.n
-    masks = np.asarray(family.masks, dtype=np.int64)
+    n, masks = family.n, family.masks
     flipped = masks[:, None] ^ (np.int64(1) << np.arange(n, dtype=np.int64))
     rows = np.minimum(np.searchsorted(masks, flipped), masks.size - 1)
     toggles = np.where(masks[rows] == flipped, rows, -1)
     rate_codes = np.where(toggles < 0, n + 1,
                           np.where(family.matrix > 0, n, np.arange(n)))
-    return ClockTable(family=family, masks=masks, toggles=toggles,
+    return ClockTable(family=family, toggles=toggles,
                       rate_codes=rate_codes, jumps=toggles.tolist())
 
 
@@ -216,7 +216,7 @@ def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
     cum = np.cumsum(table.clock_rates(r), axis=1)
     sums_of = [None] * len(cum)  # rows become lists when the walk first visits them
     jumps = table.jumps
-    row = table.family.index[initial_mask]
+    row = int(np.searchsorted(table.family.masks, initial_mask))
     path = [row]
     t = 0.0
     ev_times: list[float] = []
@@ -239,7 +239,7 @@ def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
         ev_times.append(t)
         path.append(row)
 
-    masks = table.masks[path]
+    masks = table.family.masks[path]
     flips = masks[1:] ^ masks[:-1]  # one bit each: the toggled node
     nodes = np.frexp(flips.astype(float))[1] - 1
     return ev_times, nodes, (masks[1:] & flips) != 0, int(masks[-1])

@@ -150,15 +150,16 @@ def read_edge_list(path) -> ConflictGraph:
 class IndependentSetFamily(NamedTuple):
     """All feasible schedules of a graph, sorted ascending by mask.
 
-    `matrix` is the (size, n) 0/1 membership matrix aligned with `masks`;
-    it is the workhorse for every vectorized expectation downstream.  `index`
-    maps each mask to its row; the field shadows tuple.index.
+    `masks` is a read-only int64 array, and a schedule's position in it is
+    its row everywhere: in `matrix`, the (size, n) 0/1 membership matrix
+    that every vectorized expectation downstream reads, in the laws and
+    weights over schedules, and in the clock table.  np.searchsorted finds
+    the row of a mask.
     """
 
     graph: ConflictGraph
-    masks: tuple[int, ...]
+    masks: np.ndarray
     matrix: np.ndarray
-    index: Mapping[int, int]
 
     @property
     def size(self) -> int:
@@ -170,56 +171,44 @@ class IndependentSetFamily(NamedTuple):
 
 
 def enumerate_independent_sets(graph: ConflictGraph) -> IndependentSetFamily:
-    """Enumerate every independent set by backtracking.
+    """Enumerate every independent set by doubling, one node at a time.
 
-    Nodes are added in increasing index so each set is produced exactly once.
-    Refuses a graph past EXACT_MODE_CAP nodes up front, and one with more
-    than FAMILY_CAP sets as soon as the count passes it, so a sparse graph
-    fails fast instead of exhausting memory.  `csmasim run` calls this once
-    per command, through ExperimentConfig, and hands the family (or the
-    refusal) to the engine and the run summary.
+    The sets on nodes 0..i are those on nodes 0..i-1 plus each of them that
+    misses node i's neighbors with node i added.  Each added mask exceeds
+    every earlier one, so the masks come out sorted.  Refuses a graph past
+    EXACT_MODE_CAP nodes up front, and one with more than FAMILY_CAP sets as
+    soon as the count passes it (at most 2 * FAMILY_CAP masks are ever held),
+    so a sparse graph fails fast instead of exhausting memory.  `csmasim run`
+    calls this once per command, through ExperimentConfig, and hands the
+    family (or the refusal) to the engine and the run summary.
     """
     if graph.n > EXACT_MODE_CAP:
         raise ExactModeUnavailable(
             f"exact mode unavailable: n={graph.n} exceeds the exact-mode cap {EXACT_MODE_CAP}")
-    nbr = graph.neighbor_masks
-    found: list[int] = []
-
-    def extend(mask: int, candidates: int) -> None:
-        found.append(mask)
-        if len(found) > FAMILY_CAP:
+    # n <= EXACT_MODE_CAP bits fit in int64; bit i of each mask is column i
+    nbr = np.array(graph.neighbor_masks, dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int64)
+    for i in range(graph.n):
+        masks = np.append(masks, masks[(masks & nbr[i]) == 0] | 1 << i)
+        if masks.size > FAMILY_CAP:
             raise ExactModeUnavailable(
                 f"exact mode unavailable: the graph has more than {FAMILY_CAP} "
                 "independent sets (the family cap)")
-        rest = candidates
-        while rest:
-            bit = rest & -rest
-            rest ^= bit  # rest now holds only larger indices
-            extend(mask | bit, rest & ~nbr[bit.bit_length() - 1])
-
-    extend(0, (1 << graph.n) - 1)
-    found.sort()
-    # bit i of each mask is column i; n <= EXACT_MODE_CAP bits fit in int64
-    bits = np.array(found, dtype=np.int64)[:, None] >> np.arange(graph.n)
-    matrix = (bits & 1).astype(float)
+    matrix = ((masks[:, None] >> np.arange(graph.n)) & 1).astype(float)
+    masks.setflags(write=False)
     matrix.setflags(write=False)
-    return IndependentSetFamily(
-        graph=graph,
-        masks=tuple(found),
-        matrix=matrix,
-        index={mask: row for row, mask in enumerate(found)},
-    )
+    return IndependentSetFamily(graph=graph, masks=masks, matrix=matrix)
 
 
 def max_weight_independent_set(family: IndependentSetFamily,
                                weights) -> tuple[int, float]:
-    """Max-weight schedule; ties resolved toward the smallest mask."""
+    """Row and weight of a max-weight schedule; ties go to the smallest mask."""
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (family.n,):
         raise ValueError(f"weights must have shape ({family.n},)")
     scores = family.matrix @ weights
-    pos = int(np.argmax(scores))  # first maximum == smallest mask (sorted family)
-    return family.masks[pos], float(scores[pos])
+    row = int(np.argmax(scores))  # first maximum == smallest mask (sorted family)
+    return row, float(scores[row])
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +263,12 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
         cost[:2] = 1.0, -1.0
         x, basis = solve_standard_lp(cost, A, bvec, basis)
         y = np.linalg.solve(A[:, basis].T, cost[basis])
-        mask, value = max_weight_independent_set(family, -y[:n])
+        row, value = max_weight_independent_set(family, -y[:n])
         if value - y[n] <= _PIVOT_TOL:
             break
-        if family.index[mask] in rows:
+        if row in rows:
             raise NumericFailure("admissibility LP: pricing repeated a master schedule")
-        rows.append(family.index[mask])
+        rows.append(row)
     slack = float(x[0] - x[1])
     # weak duality: node prices w >= 0 summing to 1 bound the full LP's slack
     w = -y[:n]
@@ -307,7 +296,7 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
         for pos in np.flatnonzero((family.matrix[:, i] > 0.0) & (nu > 0.0)):
             take = min(nu[pos], excess)
             nu[pos] -= take
-            nu[family.index[family.masks[pos] ^ bit]] += take
+            nu[np.searchsorted(family.masks, family.masks[pos] ^ bit)] += take
             excess -= take
             if excess <= 0.0:
                 break

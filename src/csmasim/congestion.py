@@ -248,13 +248,12 @@ def solve_utility_optimum(family: IndependentSetFamily, utilities) -> UtilityOpt
     gap = math.inf
     for it in range(1, UTILITY_MAX_ITER + 1):
         g = grad(lam)
-        fw_idx, _ = max_weight_independent_set(family, g)
-        fw_row = family.index[fw_idx]
+        fw_row, _ = max_weight_independent_set(family, g)
         gap = float(np.dot(g, matrix[fw_row] - lam))
         if gap <= UTILITY_TOL:
             value = total_utility(utilities, lam)
             return UtilityOptimum(rates=lam, value=value, gap=gap,
-                                  weights={family.masks[k]: w for k, w in weights.items()},
+                                  weights={int(family.masks[k]): w for k, w in weights.items()},
                                   iterations=it)
         away_row = max(weights, key=lambda k: -float(np.dot(g, matrix[k])))
         away_gap = float(np.dot(g, lam - matrix[away_row]))

@@ -12,7 +12,9 @@ clock table.  The fit objective and the congestion dual, with their
 derivatives, are written out here; the solvers evaluate them inline through
 `gibbs.moments`, which the likelihood calculus below reads (A02).  The
 Frank-Wolfe optimum that bisects its step a full 80 times on numpy scalars is
-the bit-for-bit reference of `congestion.solve_utility_optimum`.
+the bit-for-bit reference of `congestion.solve_utility_optimum`.  The
+backtracking enumerator, one recursive call per independent set, is the
+reference of the doubling in `conflict_graph.enumerate_independent_sets`.
 """
 
 import math
@@ -21,14 +23,47 @@ from dataclasses import dataclass
 import numpy as np
 
 from csmasim.chain import Trajectory
-from csmasim.conflict_graph import (IndependentSetFamily, max_weight_independent_set,
-                                    schedule_nodes)
+from csmasim.conflict_graph import (FAMILY_CAP, ConflictGraph, IndependentSetFamily,
+                                    max_weight_independent_set, schedule_nodes)
 from csmasim.congestion import (UTILITY_MAX_ITER, UTILITY_TOL, UtilityFunction,
                                 UtilityOptimum, best_response, best_responses,
                                 total_utility)
-from csmasim.errors import ConvergenceFailure
+from csmasim.errors import ConvergenceFailure, ExactModeUnavailable
 from csmasim.gibbs import (BackoffSolution, moments, service_rates, solve_backoff,
                            stationary_distribution)
+
+
+# -- the schedule family --------------------------------------------------------
+
+def row_of(family: IndependentSetFamily, mask: int) -> int:
+    """Row of a schedule in the family; raises KeyError for a mask it lacks."""
+    row = int(np.searchsorted(family.masks, mask))
+    if row == family.size or family.masks[row] != mask:
+        raise KeyError(mask)
+    return row
+
+
+def enumerate_independent_sets_recursive(graph: ConflictGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Masks and membership matrix by backtracking, nodes added in increasing index."""
+    nbr = graph.neighbor_masks
+    found: list[int] = []
+
+    def extend(mask: int, candidates: int) -> None:
+        found.append(mask)
+        if len(found) > FAMILY_CAP:
+            raise ExactModeUnavailable(f"more than {FAMILY_CAP} independent sets (the family cap)")
+        rest = candidates
+        while rest:
+            bit = rest & -rest
+            rest ^= bit  # rest now holds only larger indices
+            extend(mask | bit, rest & ~nbr[bit.bit_length() - 1])
+
+    extend(0, (1 << graph.n) - 1)
+    found.sort()
+    masks = np.array(found, dtype=np.int64)
+    matrix = np.array([[mask >> i & 1 for i in range(graph.n)] for mask in found],
+                      dtype=float)
+    return masks, matrix
 
 
 # -- occupancy of a sampled trajectory ------------------------------------------
@@ -73,7 +108,7 @@ def empirical_distribution(occ: Occupancy, family: IndependentSetFamily) -> np.n
     """Occupancy fractions aligned with the family's mask order."""
     out = np.zeros(family.size)
     for mask, frac in occ.mask_fractions.items():
-        out[family.index[mask]] = frac
+        out[row_of(family, mask)] = frac
     return out
 
 
@@ -92,13 +127,13 @@ def ctmc_generator_loop(family: IndependentSetFamily, r) -> np.ndarray:
     nbr = family.graph.neighbor_masks
     with np.errstate(over="raise"):
         start_rate = np.exp(r)
-    for row, mask in enumerate(family.masks):
+    for row, mask in enumerate(family.masks.tolist()):
         for i in range(family.n):
             bit = 1 << i
             if mask & bit:
-                gen[row, family.index[mask ^ bit]] = 1.0
+                gen[row, row_of(family, mask ^ bit)] = 1.0
             elif not mask & nbr[i] and start_rate[i] > 0:
-                gen[row, family.index[mask | bit]] = start_rate[i]
+                gen[row, row_of(family, mask | bit)] = start_rate[i]
         gen[row, row] = -gen[row].sum()
     return gen
 
@@ -188,12 +223,11 @@ def utility_optimum_full_bisection(family: IndependentSetFamily, utilities
     gap = math.inf
     for it in range(1, UTILITY_MAX_ITER + 1):
         g = grad(lam)
-        fw_idx, _ = max_weight_independent_set(family, g)
-        fw_row = family.index[fw_idx]
+        fw_row, _ = max_weight_independent_set(family, g)
         gap = float(np.dot(g, matrix[fw_row] - lam))
         if gap <= UTILITY_TOL:
             return UtilityOptimum(rates=lam, value=total_utility(utilities, lam), gap=gap,
-                                  weights={family.masks[k]: w for k, w in weights.items()},
+                                  weights={int(family.masks[k]): w for k, w in weights.items()},
                                   iterations=it)
         away_row = max(weights, key=lambda k: -float(np.dot(g, matrix[k])))
         away_gap = float(np.dot(g, lam - matrix[away_row]))

@@ -31,6 +31,7 @@ from csmasim.conflict_graph import (
     schedule_nodes,
 )
 from csmasim.errors import ExactModeUnavailable, NumericFailure
+from oracles import enumerate_independent_sets_recursive, row_of
 
 
 def brute_force_masks(n, edges):
@@ -123,11 +124,41 @@ def test_read_edge_list(tmp_path):
 @given(small_graphs())
 def test_enumeration_matches_subset_filter(g):
     fam = enumerate_independent_sets(g)
-    assert list(fam.masks) == brute_force_masks(g.n, g.edges)
-    for row, mask in enumerate(fam.masks):
+    assert fam.masks.tolist() == brute_force_masks(g.n, g.edges)
+    for row, mask in enumerate(fam.masks.tolist()):
         assert g.is_independent(mask)
-        assert fam.index[mask] == row
+        assert row_of(fam, mask) == row
         assert [int(v) for v in fam.matrix[row]] == [mask >> i & 1 for i in range(g.n)]
+
+
+def assert_family_matches_the_recursive_reference(g):
+    fam = enumerate_independent_sets(g)
+    masks, matrix = enumerate_independent_sets_recursive(g)
+    assert fam.masks.dtype == np.int64 and np.array_equal(fam.masks, masks)
+    assert fam.matrix.dtype == np.float64 and np.array_equal(fam.matrix, matrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(max_n=12))
+def test_doubling_matches_the_recursive_enumeration(g):
+    assert_family_matches_the_recursive_reference(g)
+
+
+@pytest.mark.parametrize("n, edges", [
+    (22, [(i, (i + 1) % 22) for i in range(22)]),  # cycle22, 39 603 sets
+    (25, conflict_graph._grid(5, 5)),              # grid5x5
+    (16, []),                                      # edgeless16, exactly FAMILY_CAP sets
+])
+def test_doubling_matches_the_recursive_enumeration_at_the_frontier(n, edges):
+    assert_family_matches_the_recursive_reference(ConflictGraph.from_edges(n, edges))
+
+
+def test_family_arrays_are_read_only():
+    fam = enumerate_independent_sets(preset("cycle5"))
+    for array in (fam.masks, fam.matrix):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
 
 
 def test_path_family_sizes_are_fibonacci():
@@ -145,7 +176,7 @@ def test_preset_family_sizes():
     grid = preset("grid3x3")
     fam = enumerate_independent_sets(grid)
     assert fam.size == 63
-    assert list(fam.masks) == brute_force_masks(grid.n, grid.edges)
+    assert fam.masks.tolist() == brute_force_masks(grid.n, grid.edges)
 
 
 def test_enumeration_cap():
@@ -158,9 +189,9 @@ def test_membership_matrix_reaches_the_top_bit_of_the_cap():
     n = conflict_graph.EXACT_MODE_CAP
     g = ConflictGraph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     fam = enumerate_independent_sets(g)
-    assert fam.masks == (0,) + tuple(1 << i for i in range(n))
+    assert fam.masks.tolist() == [0] + [1 << i for i in range(n)]
     expected = np.zeros((fam.size, n))
-    for row, mask in enumerate(fam.masks):
+    for row, mask in enumerate(fam.masks.tolist()):
         expected[row, list(schedule_nodes(mask))] = 1.0
     assert fam.matrix.dtype == np.float64
     assert np.array_equal(fam.matrix, expected)
@@ -195,8 +226,9 @@ def test_max_weight_matches_brute_force(g, data):
         st.floats(min_value=-2, max_value=2, allow_nan=False),
         min_size=g.n, max_size=g.n)))
     fam = enumerate_independent_sets(g)
-    mask, value = max_weight_independent_set(fam, w)
-    best = max(sum(w[i] for i in schedule_nodes(m)) for m in fam.masks)
+    row, value = max_weight_independent_set(fam, w)
+    mask = fam.masks.tolist()[row]
+    best = max(sum(w[i] for i in schedule_nodes(m)) for m in fam.masks.tolist())
     assert g.is_independent(mask)
     assert value == pytest.approx(best, abs=1e-12)
     assert sum(w[i] for i in schedule_nodes(mask)) == pytest.approx(value, abs=1e-12)

@@ -300,6 +300,14 @@ def test_utility_optimum_clique2_splits_evenly(clique2):
     assert sum(opt.weights.values()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["clique2", "cycle5", "grid3x3"])
+def test_utility_optimum_weights_are_keyed_by_python_int_masks(name):
+    family = enumerate_independent_sets(preset(name))
+    opt = solve_utility_optimum(family, [LOG1] * family.n)
+    assert opt.weights and all(type(mask) is int for mask in opt.weights)
+    assert set(opt.weights) <= set(family.masks.tolist())
+
+
 def test_utility_optimum_dominates_random_mixtures(clique2):
     utilities = (LOG1, UtilityFunction("weighted-log-shifted", weight=2.5))
     opt = solve_utility_optimum(clique2, utilities)

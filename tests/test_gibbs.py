@@ -20,7 +20,7 @@ from csmasim.gibbs import (
 from csmasim.conflict_graph import is_strictly_admissible
 from oracles import (decomposition_identity_value, entropy, kl_divergence,
                      log_likelihood, log_likelihood_gradient, log_likelihood_hessian,
-                     variational_gap)
+                     row_of, variational_gap)
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +88,7 @@ def test_masked_entries_rejected_in_exact_path(clique2):
         with pytest.raises(ValueError, match="backoff vector must be finite"):
             stationary_distribution(clique2, [0.0, bad])
     dist = stationary_distribution(clique2, [-1e9, 0.0])
-    assert dist.probs[clique2.index[0b01]] == 0.0
+    assert dist.probs[row_of(clique2, 0b01)] == 0.0
 
 
 @settings(max_examples=80, deadline=None)
