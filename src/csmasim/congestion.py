@@ -41,7 +41,9 @@ class UtilityFunction:
     with fairness a >= 0, a != 1 (a = 0 degrades to linear).  The shift keeps
     the derivative at zero finite, which the price-box bounds need.  A family
     rejects a non-default value of a parameter it does not use, so
-    log-shifted is weighted-log-shifted at weight 1.
+    log-shifted is weighted-log-shifted at weight 1.  U' and |U''| fall on
+    [0, 1] and U rises from U(0) = 0, so a finite U'(0), U''(0) and U(1)
+    bound all three there; parameters that overflow any of them are refused.
     """
 
     family: str = "log-shifted"
@@ -62,6 +64,13 @@ class UtilityFunction:
             raise ValueError(f"{self.family} takes no weight")
         if self.family != "alpha-fair-shifted" and self.fairness != 0.0:
             raise ValueError(f"{self.family} takes no fairness")
+        try:
+            bounds = (self.derivative(0.0), self.second_derivative(0.0), self.value(1.0))
+        except (OverflowError, ZeroDivisionError):  # ** past the float range, or 1/0
+            bounds = (math.inf,)
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError("U'(0), U''(0) and U(1) must be finite (they bound U, U' "
+                             "and |U''| on [0, 1]); lower the fairness or raise the shift")
 
     def value(self, y: float) -> float:
         d = self.shift

@@ -232,6 +232,15 @@ class ExperimentConfig:
                               "build a new config for a new graph")
         if self.mode == ORACLE and isinstance(family, ExactModeUnavailable):
             raise family
+        if self.mode == ORACLE and self.algorithm == "sched1" and self.horizon > 1:
+            # epoch 2's drive: the engine's update_diminishing(0, lambda, s(0), 1),
+            # which adds 0 to (lambda - s(0)) / 1 and so is lambda - s(0) exactly
+            drive = self.arrivals.rates - service_rates(family, np.zeros(n))
+            top = np.maximum.reduce(np.abs(drive))
+            if not top <= DRIVE_LIMIT:
+                raise ConfigError(
+                    f"the first update moves the drive to {top:.3g}, past the limit "
+                    f"{DRIVE_LIMIT:g} that epoch 2 enforces; lower the arrival rates")
         object.__setattr__(self, "family", family)
 
     @property

@@ -65,8 +65,11 @@ class ArrivalSpec:
                 raise ValueError(
                     "rate equal to the peak forces an arrival every interval "
                     "(violates Pr(increment=0) > 0)")
-            if self.kind == "binomial" and (self.peak != int(self.peak) or self.peak < 1):
-                raise ValueError("binomial arrivals need an integer peak >= 1")
+            # Generator.binomial takes its count as int64
+            if self.kind == "binomial" and not (1 <= self.peak < 2.0 ** 63
+                                                and self.peak == int(self.peak)):
+                raise ValueError("binomial arrivals need an integer peak >= 1 and "
+                                 "below 2**63 (numpy draws the count as int64)")
         rates = rates.copy()
         rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)

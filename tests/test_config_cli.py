@@ -261,6 +261,15 @@ def test_every_config_number_is_a_finite_float(tmp_path, capsys, config, section
     assert not out.exists()
 
 
+SLOPE_OVERFLOW = {"family": "alpha-fair-shifted", "shift": 0.3, "fairness": 702}  # 0.3**-702
+
+
+def test_analyze_refuses_a_utility_whose_slope_overflows(capsys):
+    assert main(["analyze", "path3", "--utilities", json.dumps(SLOPE_OVERFLOW),
+                 "--beta", "10"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 SCHED2_CYCLE5 = {
     "version": 1,
     "graph": {"preset": "cycle5"},
@@ -285,9 +294,17 @@ SCHED2_CYCLE5 = {
           overrides={"epsilon": 0.2, "epoch_length": 101}), (), "more than 1e+08 node-time units"),
     (dict(BASE, mode="deterministic-oracle", horizon=ORACLE_HORIZON_LIMIT + 1), (),
      "overflows the clock"),
+    (dict(CC2, algorithm="cc1", graph={"preset": "path3"}, utilities=SLOPE_OVERFLOW,
+          overrides={"beta": 10.0, "epoch_length": 10}), (), "must be finite"),
+    (dict(BASE, graph={"preset": "cycle5"},
+          arrivals={"kind": "binomial", "rates": 0.3, "peak": 1e300}), (), "below 2**63"),
+    (dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
+          arrivals={"kind": "scaled-bernoulli", "rates": 800, "peak": 1000},
+          overrides={"epoch_length": 10}), (), "past the limit 700"),
 ], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
         "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit",
-        "oracle-published-horizon-past-float-range"])
+        "oracle-published-horizon-past-float-range", "utility-slope-past-float-range",
+        "binomial-peak-past-int64", "oracle-first-update-past-drive-limit"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
     path = write_config(tmp_path, payload)
     out = tmp_path / "out"

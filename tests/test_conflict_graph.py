@@ -153,6 +153,13 @@ def test_doubling_matches_the_recursive_enumeration_at_the_frontier(n, edges):
     assert_family_matches_the_recursive_reference(ConflictGraph.from_edges(n, edges))
 
 
+def test_family_cap_refuses_one_set_past_it():
+    # edgeless16 plus a node joined to all 16: exactly FAMILY_CAP + 1 sets
+    star = ConflictGraph.from_edges(17, [(i, 16) for i in range(16)])
+    with pytest.raises(ExactModeUnavailable, match="family cap"):
+        enumerate_independent_sets(star)
+
+
 def test_family_arrays_are_read_only():
     fam = enumerate_independent_sets(preset("cycle5"))
     for array in (fam.masks, fam.matrix):

@@ -71,6 +71,29 @@ def test_utility_validation():
             UtilityFunction(family, **extra)
 
 
+@pytest.mark.parametrize("family, params", [
+    ("alpha-fair-shifted", dict(shift=0.3, fairness=702.0)),     # U'(0) = 0.3**-702 overflows
+    ("alpha-fair-shifted", dict(shift=1e-200, fairness=1.5)),    # U''(0) alone: 1.5e500
+    ("weighted-log-shifted", dict(shift=1e-300, weight=1e300)),  # U'(0) = inf, U''(0) = w/0
+    ("log-shifted", dict(shift=1e-160)),                         # U''(0) alone: -1e320
+])
+def test_utility_with_a_slope_past_the_float_range_is_refused(family, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        UtilityFunction(family, **params)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("alpha-fair-shifted", dict(shift=0.3, fairness=500.0)),
+    ("alpha-fair-shifted", dict(shift=1e-100, fairness=1.5)),
+    ("weighted-log-shifted", dict(shift=1e-8, weight=1e290)),
+    ("log-shifted", dict(shift=1e-150)),
+])
+def test_utility_with_finite_slopes_is_accepted(family, params):
+    u = UtilityFunction(family, **params)
+    for y in (0.0, 0.5, 1.0):
+        assert all(map(math.isfinite, (u.value(y), u.derivative(y), u.second_derivative(y))))
+
+
 def test_log_family_closed_forms():
     assert LOG1.value(1.0) == pytest.approx(math.log(2.0), abs=1e-15)
     assert LOG1.derivative(0.0) == pytest.approx(1.0, abs=1e-15)

@@ -227,14 +227,16 @@ def test_oracle_horizon_cap(horizon, algorithm):
 def test_queue_ledger_stays_in_float_range(length, horizon, queued, above, mode):
     # the ledger's largest entry is q0 + the run's arrivals: the rate times the
     # run's time units where arrivals are fluid (oracle), the peak times them
-    # where each unit interval may deposit it
+    # where each unit interval may deposit it.  sched2 projects its drive, so
+    # the ledger alone limits the rate (an oracle sched1 run at these rates is
+    # refused for its first update)
     q0 = sys.float_info.max / 2 if queued else 0.0
     per_unit = (sys.float_info.max - q0) / (length * horizon) * (1.5 if above else 0.5)
     arrivals = (bern([per_unit], peak=sys.float_info.max) if mode == ORACLE
                 else bern([per_unit / 2], peak=per_unit))
-    make = functools.partial(ExperimentConfig, graph=preset("single"), algorithm="sched1",
+    make = functools.partial(ExperimentConfig, graph=preset("single"), algorithm="sched2",
                              horizon=horizon, mode=mode, seed=0, arrivals=arrivals,
-                             epoch_length=length, initial_queue=(q0,))
+                             epoch_length=length, epsilon=0.2, step=0.01, initial_queue=(q0,))
     if above:
         with pytest.raises(ConfigError, match="queue ledger"):
             make()
@@ -269,6 +271,33 @@ def test_sched2_published_step_never_overflows_uncaught(peak):
     else:
         with pytest.raises(ConfigError, match="step must be positive and finite, got 0.0"):
             make()
+
+
+@pytest.mark.parametrize("name", ["single", "cycle5"])
+def test_oracle_sched1_first_update_past_the_drive_limit_is_refused(name):
+    # epoch 2 starts at drive lambda - s(0); construction refuses exactly the
+    # rates whose run the engine would stop entering epoch 2
+    graph = preset(name)
+    s0 = service_rates(enumerate_independent_sets(graph), np.zeros(graph.n))[0]
+    rate = DRIVE_LIMIT + s0
+    for _ in range(4):  # step down to where the rounded drive is back within the limit
+        rate = math.nextafter(rate, 0.0)
+    verdicts = set()
+    for _ in range(9):
+        make = functools.partial(ExperimentConfig, graph=graph, algorithm="sched1", mode=ORACLE,
+                                 arrivals=bern([rate] * graph.n, peak=1000.0), epoch_length=10)
+        unchecked = make(horizon=1)  # one epoch never reaches the epoch-2 check
+        object.__setattr__(unchecked, "horizon", 2)  # skip construction's check
+        try:
+            list(run_experiment(unchecked))
+            make(horizon=2)
+            verdicts.add("accepted")
+        except NumericFailure:
+            with pytest.raises(ConfigError, match="past the limit 700"):
+                make(horizon=2)
+            verdicts.add("refused")
+        rate = math.nextafter(rate, math.inf)
+    assert verdicts == {"accepted", "refused"}
 
 
 # -- the schedule family --------------------------------------------------------------

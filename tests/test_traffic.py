@@ -46,6 +46,18 @@ def test_spec_validation():
     assert ArrivalSpec("controlled", [1.0]).n == 1  # rate 1 is legal when controlled
 
 
+def test_binomial_peak_fits_the_generator_int64():
+    top = math.nextafter(2.0 ** 63, 0.0)  # the largest float below 2**63
+    spec = ArrivalSpec("binomial", [0.5, top / 2], peak=top)
+    block = sample_epoch_arrivals(spec, 4, np.random.default_rng(0))
+    assert block.shape == (4, 2)
+    assert np.all((block >= 0.0) & (block <= top))
+    assert np.all(block[:, 1] > 0.0)  # mean top/2: a real draw, not a zero
+    for peak in (2.0 ** 63, 1e300):
+        with pytest.raises(ValueError, match=r"below 2\*\*63"):
+            ArrivalSpec("binomial", [0.5], peak=peak)
+
+
 def test_spec_rates_are_frozen():
     spec = ArrivalSpec("scaled-bernoulli", [0.3])
     with pytest.raises(ValueError):
