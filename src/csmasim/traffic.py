@@ -65,7 +65,6 @@ class ArrivalSpec:
                 raise ValueError(
                     "rate equal to the peak forces an arrival every interval "
                     "(violates Pr(increment=0) > 0)")
-            # Generator.binomial takes its count as int64
             if self.kind == "binomial" and not (1 <= self.peak < 2.0 ** 63
                                                 and self.peak == int(self.peak)):
                 raise ValueError("binomial arrivals need an integer peak >= 1 and "
