@@ -236,10 +236,12 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
     by column generation (Dantzig-Wolfe): the master LP holds the schedules
     priced in so far, from the empty one on, and each round adds the
     max-weight schedule under its row duals until none has a positive reduced
-    cost, so at most family.size rounds run.  NumericFailure is raised when
-    pricing repeats a schedule, when the final duals' weak-duality bound
-    misses the slack by more than CERTIFICATE_TOL, and when the exact
-    decomposition of the rates fails its check.
+    cost, so at most family.size rounds run.  A top rate above 1 is
+    inadmissible outright, and its slack is solved at a top rate of 1 and
+    shifted back.  NumericFailure is raised when pricing repeats a schedule,
+    when the final duals' weak-duality bound misses the slack by more than
+    CERTIFICATE_TOL, and when the exact decomposition of the rates fails its
+    check.
     """
     rates = np.asarray(rates, dtype=float)
     n, size = family.n, family.size
@@ -247,6 +249,14 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
         raise ValueError(f"rates must have shape ({n},)")
     if not np.all(np.isfinite(rates)) or np.any(rates < 0):
         raise ValueError("rates must be finite and nonnegative")
+    shift = float(rates.max()) - 1.0
+    if shift > 0.0:
+        # No schedule serves a node above 1, so the slack is <= -shift.  Lowering
+        # every rate by `shift` raises the slack by exactly `shift`, and a rate
+        # clamped at 0 cannot bind at a slack <= 0; the LP then runs at the
+        # scale of 1, where the simplex's absolute tolerances hold.
+        lowered = is_strictly_admissible(family, np.maximum(rates - shift, 0.0))
+        return AdmissibilityCertificate(False, lowered.slack - shift, None)
 
     # columns: slack+, slack-, surplus (n), then the priced schedules in order
     fixed = np.zeros((n + 1, n + 2))

@@ -192,6 +192,12 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        if self.algorithm == "cc2" and self.horizon > 1 and self.step > DRIVE_LIMIT:
+            # epoch 2's prices: update_prices_constant(0, 1, s_hat, step) drains a
+            # zero price to 0 and adds step * 1, so each is the step exactly
+            raise ConfigError(
+                f"the first update moves the prices to the step {self.step!r}, past the "
+                f"limit {DRIVE_LIMIT:g} that epoch 2 enforces; lower the step")
         if self.initial_queue is not None:
             q0 = tuple(float(v) for v in self.initial_queue)
             if len(q0) != n or any(v < 0 or not math.isfinite(v) for v in q0):

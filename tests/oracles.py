@@ -15,8 +15,10 @@ Frank-Wolfe optimum that bisects its step a full 80 times on numpy scalars is
 the bit-for-bit reference of `congestion.solve_utility_optimum`.  The
 backtracking enumerator, one recursive call per independent set, is the
 reference of the doubling in `conflict_graph.enumerate_independent_sets`.
+`strict_json` parses the commands' JSON the way a strict reader would.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -31,6 +33,14 @@ from csmasim.congestion import (UTILITY_MAX_ITER, UTILITY_TOL, UtilityFunction,
 from csmasim.errors import ConvergenceFailure, ExactModeUnavailable
 from csmasim.gibbs import (BackoffSolution, moments, service_rates, solve_backoff,
                            stationary_distribution)
+
+
+def strict_json(text: str):
+    """Parse JSON that must hold no Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # -- the schedule family --------------------------------------------------------

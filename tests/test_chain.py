@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm
 
 from csmasim import chain
 from csmasim.chain import (
@@ -459,6 +458,7 @@ def test_law_at_time_one_matches_matrix_exponential(name, r):
     ~0.07 apart in total variation, 9-10 standard errors on the state that
     moves most.
     """
+    expm = pytest.importorskip("scipy.linalg").expm
     g = preset(name)
     fam = enumerate_independent_sets(g)
     r = np.asarray(r)

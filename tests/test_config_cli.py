@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from csmasim.congestion import utility_gap_certificate
 from csmasim.engine import ORACLE_HORIZON_LIMIT, run_experiment
 from csmasim import engine, gibbs, simplex
 from csmasim.errors import ConfigError, ConvergenceFailure, NumericFailure
-from oracles import clique2_log_gap
+from oracles import clique2_log_gap, strict_json
 
 
 BASE = {
@@ -42,6 +43,9 @@ def write_config(tmp_path, payload, name="exp.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return path
+
+
+BUDGET = 20.0  # seconds for a refusal or a desk-scale command
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -301,16 +305,33 @@ SCHED2_CYCLE5 = {
     (dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
           arrivals={"kind": "scaled-bernoulli", "rates": 800, "peak": 1000},
           overrides={"epoch_length": 10}), (), "past the limit 700"),
+    (dict(BASE, graph={"n": 17}, mode="deterministic-oracle", horizon=3,
+          arrivals={"kind": "scaled-bernoulli", "rates": 0.3}, overrides={"epoch_length": 20}),
+     (), "family cap"),
+    (dict(SCHED2_CYCLE5, arrivals={"kind": "scaled-bernoulli", "rates": 0.25, "peak": 1e155},
+          overrides={"epsilon": 0.2, "epoch_length": 200}), (),
+     "published constant step overflows"),
+    (dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
+          arrivals={"kind": "scaled-bernoulli", "rates": 1e307, "peak": 1e308},
+          overrides={"epoch_length": 100}), (), "queue ledger"),
+    (dict(CC2, graph={"preset": "single"}, overrides={"beta": 5.0, "step": 1e5,
+                                                     "epoch_length": 10}),
+     (), "past the limit 700"),
 ], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
         "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit",
         "oracle-published-horizon-past-float-range", "utility-slope-past-float-range",
-        "binomial-peak-past-int64", "oracle-first-update-past-drive-limit"])
+        "binomial-peak-past-int64", "oracle-first-update-past-drive-limit",
+        "oracle-past-family-cap", "sched2-published-step-past-float-range",
+        "oracle-queue-ledger-past-float-range", "cc2-first-update-past-drive-limit"])
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
     path = write_config(tmp_path, payload)
     out = tmp_path / "out"
+    t0 = time.perf_counter()
     assert main(["run", str(path), "--out", str(out), *flags]) == 2
+    elapsed = time.perf_counter() - t0
     assert detail in capsys.readouterr().err
     assert not out.exists()
+    assert elapsed < BUDGET, f"the refusal took {elapsed:.1f}s"
 
 
 # -- csmasim run -------------------------------------------------------------------
@@ -337,11 +358,21 @@ def test_run_writes_expected_files(tmp_path):
 
 
 def test_run_is_byte_identical_across_invocations(tmp_path):
-    cfg_path = write_config(tmp_path, dict(BASE, horizon=6))
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["run", str(cfg_path), "--out", str(out_a)]) == 0
-    assert main(["run", str(cfg_path), "--out", str(out_b)]) == 0
-    assert (out_a / "exp-seed9.jsonl").read_bytes() == (out_b / "exp-seed9.jsonl").read_bytes()
+    oracle = {"version": 1, "graph": {"preset": "cycle5"}, "algorithm": "sched1",
+              "mode": "deterministic-oracle", "horizon": 200,
+              "arrivals": {"kind": "scaled-bernoulli", "rates": 0.27},
+              "overrides": {"epoch_length": 100}}
+    for payload, stem in ((dict(BASE, horizon=6), "exp-seed9"), (oracle, "exp-seed0")):
+        cfg_path = write_config(tmp_path, payload)
+        out_a, out_b = tmp_path / f"{stem}-a", tmp_path / f"{stem}-b"
+        assert main(["run", str(cfg_path), "--out", str(out_a)]) == 0
+        assert main(["run", str(cfg_path), "--out", str(out_b)]) == 0
+        for name in (f"{stem}.jsonl", f"{stem}-summary.json"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        records = [strict_json(line) for line in (out_a / f"{stem}.jsonl").open()]
+        assert [r["j"] for r in records] == list(range(1, payload["horizon"] + 1))
+        summary = strict_json((out_a / f"{stem}-summary.json").read_text())
+        assert summary["certificates"]["admissible"] is True
 
 
 def test_run_seed_sweep_and_seed_override(tmp_path):
@@ -421,15 +452,24 @@ def test_run_summary_carries_certificates(tmp_path):
 
 
 def test_run_summary_skips_certificates_past_exact_mode(tmp_path):
-    # a 31-node cycle is past EXACT_MODE_CAP, so the run keeps per-node clocks
-    cycle31 = {"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}
-    path = write_config(tmp_path, dict(CC2, graph=cycle31, horizon=2, seed=3))
-    out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 0
-    summary = json.loads((out / "exp-seed3-summary.json").read_text(),
-                         parse_constant=pytest.fail)
-    assert summary["epochs"] == 2
-    assert "exact mode unavailable" in summary["certificates"]["skipped"]
+    # a 31-node cycle is past EXACT_MODE_CAP and an edgeless 17-node graph past
+    # FAMILY_CAP, so each run keeps per-node clocks
+    cycle31 = dict(CC2, graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]},
+                   horizon=2, seed=3)
+    edgeless17 = dict(BASE, graph={"n": 17}, horizon=2, seed=3,
+                      arrivals={"kind": "scaled-bernoulli", "rates": 0.3},
+                      overrides={"epoch_length": 20})
+    for payload, reason in ((cycle31, "exact mode unavailable"), (edgeless17, "family cap")):
+        path = write_config(tmp_path, payload)
+        out = tmp_path / reason
+        t0 = time.perf_counter()
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert time.perf_counter() - t0 < BUDGET
+        for line in (out / "exp-seed3.jsonl").open():
+            strict_json(line)
+        summary = strict_json((out / "exp-seed3-summary.json").read_text())
+        assert summary["epochs"] == 2
+        assert reason in summary["certificates"]["skipped"]
 
 
 def test_run_summary_skips_a_certificate_that_does_not_converge(tmp_path, monkeypatch):
@@ -498,6 +538,17 @@ def test_runtime_never_imports_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_run_summary_of_rates_past_1_is_inadmissible(tmp_path):
+    # no schedule serves a node above 1: the summary says so, at any scale
+    payload = dict(SCHED2_CYCLE5, arrivals={"kind": "scaled-bernoulli", "rates": 1e20,
+                                            "peak": 1e21})
+    out = tmp_path / "out"
+    assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    summary = strict_json((out / "exp-seed1-summary.json").read_text())
+    assert summary["certificates"]["admissible"] is False
+    assert "slack -1e+20" in summary["certificates"]["detail"]
+
+
 def test_run_exit_codes(tmp_path):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
     bad_version = write_config(tmp_path, dict(BASE, version=3), "v.json")
@@ -519,7 +570,7 @@ def test_run_exit_codes(tmp_path):
 def run_analyze(capsys, *argv):
     rc = main(["analyze", *argv])
     out = capsys.readouterr().out
-    return rc, (json.loads(out) if out else None)
+    return rc, (strict_json(out) if out else None)
 
 
 def test_analyze_single_half_load(capsys):
@@ -538,6 +589,16 @@ def test_analyze_reports_inadmissible_without_fit(capsys):
     rc, report = run_analyze(capsys, "single", "--lambda", "1.0")
     assert rc == 0
     assert report["admissibility"]["admissible"] is False
+    assert "fitted_drive" not in report
+
+
+@pytest.mark.parametrize("rate", ["1e12", "1e20", "1e154"])
+def test_analyze_reports_rates_past_1_at_any_scale(capsys, rate):
+    rc, report = run_analyze(capsys, "cycle5", "--lambda", rate)
+    assert rc == 0
+    # the uniform load 2/5 is the largest cycle5 serves
+    assert report["admissibility"] == {"admissible": False, "decomposition": None,
+                                       "slack": pytest.approx(0.4 - float(rate), rel=1e-15)}
     assert "fitted_drive" not in report
 
 
@@ -650,13 +711,8 @@ def test_analyze_simplex_pivot_cap_exits_3(monkeypatch, capsys):
 def test_analyze_dominant_schedule_prints_strict_json(capsys):
     # at this entropy weight one schedule holds nearly all of the law; the
     # report must hold no infinity or NaN wherever the chain block lands
-    rc = main(["analyze", "cycle5", "--utilities", "log-shifted", "--epsilon", "0.4"])
+    rc, _ = run_analyze(capsys, "cycle5", "--utilities", "log-shifted", "--epsilon", "0.4")
     assert rc == 0
-
-    def reject(constant):
-        raise ValueError(f"non-finite JSON constant {constant}")
-
-    json.loads(capsys.readouterr().out, parse_constant=reject)
 
 
 @pytest.mark.parametrize("graph", ["grid3x3", "grid4x4"])

@@ -4,14 +4,13 @@ The enumeration oracle used throughout is the dumb one: filter all 2^n subsets
 with a pairwise edge check.  Everything faster must agree with it.
 """
 
-import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.optimize import linprog
+from hypothesis import assume, given, settings, strategies as st
 
 from csmasim import conflict_graph
 from csmasim.cli import main
@@ -31,7 +30,7 @@ from csmasim.conflict_graph import (
     schedule_nodes,
 )
 from csmasim.errors import ExactModeUnavailable, NumericFailure
-from oracles import enumerate_independent_sets_recursive, row_of
+from oracles import enumerate_independent_sets_recursive, row_of, strict_json
 
 
 def brute_force_masks(n, edges):
@@ -370,6 +369,7 @@ def rates_for(draw, fam):
 
 def linprog_slack(fam, rates):
     # oracle: max s subject to nu @ matrix >= rates + s, sum nu = 1, nu >= 0
+    linprog = pytest.importorskip("scipy.optimize").linprog
     size = fam.size
     c = np.zeros(size + 1)
     c[-1] = -1.0
@@ -393,11 +393,15 @@ def test_slack_matches_linprog(g, data):
         assert abs(cert.slack) <= 1e-12 and not cert.admissible
 
 
+def edge_list_file(tmp_path, name, n, edges):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(f"{n}\n" + "".join(f"{i} {j}\n" for i, j in edges))
+    return path
+
+
 def cycle22_file(tmp_path):
     # 39 603 schedules; the region holds the uniform load 1/2 on its boundary
-    path = tmp_path / "cycle22.txt"
-    path.write_text("22\n" + "".join(f"{i} {(i + 1) % 22}\n" for i in range(22)))
-    return path
+    return edge_list_file(tmp_path, "cycle22", 22, [(i, (i + 1) % 22) for i in range(22)])
 
 
 def test_slack_on_an_even_cycle_past_the_old_pivot_cap(tmp_path):
@@ -408,11 +412,36 @@ def test_slack_on_an_even_cycle_past_the_old_pivot_cap(tmp_path):
         assert cert.admissible is (rate < 0.5)
 
 
-def test_analyze_certifies_an_even_cycle_past_the_old_pivot_cap(tmp_path, capsys):
-    assert main(["analyze", str(cycle22_file(tmp_path)), "--lambda", "0.3"]) == 0
-    report = json.loads(capsys.readouterr().out)
+FRONTIER_BUDGET = 20.0  # seconds; before column generation these took 64-113 s
+
+
+@pytest.mark.parametrize("name, n, edges, sets, slack", [
+    # the bipartite graphs hold the uniform load 1/2 on their boundary, the
+    # edgeless one the load 1
+    ("cycle22", 22, [(i, (i + 1) % 22) for i in range(22)], 39_603, 0.2),
+    ("grid5x5", 25, conflict_graph._grid(5, 5), 55_447, 0.2),
+    ("edgeless16", 16, [], FAMILY_CAP, 0.7),
+], ids=["cycle22", "grid5x5", "edgeless16"])
+def test_analyze_certifies_the_frontier_in_time(tmp_path, capsys, name, n, edges, sets, slack):
+    path = edge_list_file(tmp_path, name, n, edges)
+    t0 = time.perf_counter()
+    assert main(["analyze", str(path), "--lambda", "0.3"]) == 0
+    elapsed = time.perf_counter() - t0
+    report = strict_json(capsys.readouterr().out)
     assert report["admissibility"]["admissible"] is True
-    assert report["admissibility"]["slack"] == pytest.approx(0.2, abs=1e-12)
+    assert report["admissibility"]["slack"] == pytest.approx(slack, abs=1e-12)
+    assert report["independent_set_count"] == sets
+    assert elapsed < FRONTIER_BUDGET, f"{name} took {elapsed:.1f}s"
+
+
+def test_analyze_refuses_a_sparse_graph_past_the_family_cap_in_time(tmp_path, capsys):
+    path = edge_list_file(tmp_path, "edgeless25", 25, [])  # 2^25 independent sets
+    t0 = time.perf_counter()
+    assert main(["analyze", str(path)]) == 2
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert captured.out == "" and "family cap" in captured.err
+    assert elapsed < FRONTIER_BUDGET, f"the refusal took {elapsed:.1f}s"
 
 
 def test_slack_on_an_edgeless_graph_is_one_minus_the_top_rate():
@@ -422,6 +451,34 @@ def test_slack_on_an_edgeless_graph_is_one_minus_the_top_rate():
         cert = is_strictly_admissible(fam, rates)
         assert cert.slack == pytest.approx(1.0 - rates.max(), abs=1e-12)
         assert cert.weights @ fam.matrix == pytest.approx(rates, abs=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_graphs(max_n=8), st.integers(0, 14), st.data())
+def test_slack_past_a_top_rate_of_1_matches_linprog(g, exponent, data):
+    # no schedule serves a node above 1, so these rates are inadmissible at
+    # every scale; linprog solves them unshifted (HiGHS reads 1e20 as infinite)
+    fam = enumerate_independent_sets(g)
+    rates = 10.0 ** exponent * np.array(data.draw(st.lists(
+        st.floats(min_value=0, max_value=10), min_size=fam.n, max_size=fam.n)))
+    assume(rates.max() > 1.0)
+    cert = is_strictly_admissible(fam, rates)
+    assert not cert.admissible and cert.weights is None
+    assert cert.slack == pytest.approx(linprog_slack(fam, rates), rel=1e-12, abs=1e-9)
+
+
+@pytest.mark.parametrize("rates, slack", [
+    ([0.1, 0.2, 0.3, 0.4, 5e3], -4999.0),  # node 4 alone is served at 1
+    ([2.0] * 5, -1.6),  # the uniform load 2/5 is the largest cycle5 serves
+    ([1e12] * 5, 0.4 - 1e12),
+    ([1e20] * 5, -1e20),
+    ([1e154] * 5, -1e154),
+], ids=["one-node-at-5e3", "2", "1e12", "1e20", "1e154"])
+def test_slack_past_a_top_rate_of_1_at_any_scale(rates, slack):
+    cert = is_strictly_admissible(enumerate_independent_sets(preset("cycle5")), rates)
+    assert not cert.admissible and cert.weights is None
+    # the LP at a top rate of 1 errs by ~1e-16, and the shift adds one rounding
+    assert cert.slack == pytest.approx(slack, rel=0, abs=1e-15 + np.spacing(-slack))
 
 
 def test_norm_bound_formula():

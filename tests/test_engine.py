@@ -300,6 +300,26 @@ def test_oracle_sched1_first_update_past_the_drive_limit_is_refused(name):
     assert verdicts == {"accepted", "refused"}
 
 
+@pytest.mark.parametrize("mode", ["stochastic", ORACLE])
+@pytest.mark.parametrize("name", ["single", "cycle5"])
+def test_cc2_first_update_past_the_drive_limit_is_refused(name, mode):
+    # epoch 2 starts at prices equal to the step, so a step of DRIVE_LIMIT runs
+    # and construction refuses the next float up, whose run dies entering epoch 2
+    graph = preset(name)
+    make = functools.partial(ExperimentConfig, graph=graph, algorithm="cc2", mode=mode, seed=1,
+                             utilities=(LOG1,) * graph.n, beta=5.0, epoch_length=10)
+    records = list(run_experiment(make(horizon=3, step=DRIVE_LIMIT)))
+    assert records[1].drive == (DRIVE_LIMIT,) * graph.n
+    above = math.nextafter(DRIVE_LIMIT, math.inf)
+    unchecked = make(horizon=1, step=above)  # one epoch never reaches epoch 2
+    object.__setattr__(unchecked, "horizon", 2)  # skip construction's check
+    with pytest.raises(NumericFailure, match="entering epoch 2"):
+        list(run_experiment(unchecked))
+    for step in (above, 1e5, 1e300):
+        with pytest.raises(ConfigError, match="past the limit 700"):
+            make(horizon=2, step=step)
+
+
 # -- the schedule family --------------------------------------------------------------
 
 def test_config_enumerates_the_family_once(monkeypatch):

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy.optimize import linprog
 
 from csmasim.errors import NumericFailure
 from csmasim.simplex import solve_standard_lp
@@ -62,6 +61,7 @@ def random_standard_lp(draw):
 @settings(max_examples=150, deadline=None)
 @given(random_standard_lp())
 def test_matches_linprog_on_feasible_instances(problem):
+    linprog = pytest.importorskip("scipy.optimize").linprog
     c, A, b, basis = problem
     ref = linprog(-c, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
     if ref.status == 3:
