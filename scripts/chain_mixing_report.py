@@ -36,9 +36,8 @@ def main() -> int:
             except (ExactModeUnavailable, NumericFailure) as exc:
                 print(f"{name:>8} {level:5.2f} {family.size:4d} skipped: {exc}")
                 continue
-            ceiling = 1.0 - diag.conductance ** 2 / 2.0
             print(f"{name:>8} {level:5.2f} {family.size:4d} {diag.lambda_max:9.5f} "
-                  f"{diag.conductance:7.4f} {ceiling:9.5f} "
+                  f"{diag.conductance:7.4f} {diag.cheeger_upper:9.5f} "
                   f"{diag.mixing_estimate:9.3f} {diag.mixing_worst_case:11.4g}")
     return 0
 

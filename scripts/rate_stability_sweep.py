@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Sweep offered load on one graph and watch the stability knee.
 
-For each load factor the symmetric arrival vector is load * (peak_share / n)
-per node, run under the diminishing-step scheduler.  Inside the capacity
-region the backlog ratio max_i Q_i(t)/t falls toward zero and the drive
-vector settles near the fitted fixed point; past the boundary the ratio
-stays bounded away from zero.
+For each load factor the symmetric arrival vector is load times the
+symmetric capacity (the largest rate every node can get at once), run
+under the diminishing-step scheduler.  Inside the capacity region the
+backlog ratio max_i Q_i(t)/t falls toward zero and the drive vector settles
+near the fitted fixed point; past the boundary the ratio stays bounded away
+from zero.
 
     python3 scripts/rate_stability_sweep.py --graph cycle5 \
         --loads 0.5 0.7 0.9 1.1 --epochs 1500 --seed 1
@@ -14,7 +15,8 @@ import argparse
 
 import numpy as np
 
-from csmasim.conflict_graph import enumerate_independent_sets, preset
+from csmasim.conflict_graph import (enumerate_independent_sets, is_strictly_admissible,
+                                    preset)
 from csmasim.engine import ExperimentConfig, run_experiment
 from csmasim.errors import InfeasibleRates
 from csmasim.gibbs import solve_backoff
@@ -22,8 +24,8 @@ from csmasim.traffic import ArrivalSpec
 
 
 def uniform_capacity_share(family) -> float:
-    """Largest symmetric per-node rate inside the hull (max schedule size / n)."""
-    return family.matrix.sum(axis=1).max() / family.n
+    """Largest symmetric per-node rate in the hull: the LP slack at zero rates."""
+    return is_strictly_admissible(family, np.zeros(family.n)).slack
 
 
 def run_leg(graph, rates, epochs, epoch_length, seed):

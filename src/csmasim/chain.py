@@ -17,13 +17,14 @@ either way:
   current drive and takes its running sums along the node axis (np.cumsum
   adds in the order itertools.accumulate does); each event then reads its
   schedule's row and jumps to a precomputed toggle target.  The walk finds
-  its first row with one search of `family.masks` and reads its path back
-  through the same array.  Filling the table costs
+  its first row with one search of `family.masks`.  Filling the table costs
   O(|I| n) per epoch, so `csmasim run` uses it only for families of at
   most TABLE_STATES schedules, where it is faster.
 
-Both draw the same (wait, pick) pairs from `_clock_draws` and stop at the
-same t >= duration or at a total rate of 0.
+Both draw the same (wait, pick) pairs from `_clock_draws`, stop at the
+same t >= duration or at a total rate of 0, and record each event as its
+(time, node) pair: every event flips one node, so the start schedule and
+those pairs fix the path.
 
 The discrete single-site kernel is that chain uniformized at rate 2R, with
 R = sum_k max(exp(r_k), 1):  P = I + G / (2R), G the generator from
@@ -105,14 +106,13 @@ def clock_table(family: IndependentSetFamily) -> ClockTable:
 
 
 class Trajectory(NamedTuple):
-    """Piecewise-constant schedule path over [0, duration)."""
+    """Schedule path over [0, duration): each event flips its node (start or end)."""
 
     graph: ConflictGraph
     initial_mask: int
     duration: float
-    times: np.ndarray   # event times, strictly increasing, in (0, duration)
-    nodes: np.ndarray   # toggled node per event
-    starts: np.ndarray  # True = transmission start, False = end
+    times: np.ndarray  # event times, strictly increasing, in (0, duration)
+    nodes: np.ndarray  # toggled node per event
     final_mask: int
 
     @property
@@ -145,18 +145,15 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
 
     draws = _clock_draws(rng)
     if table is None:
-        times, nodes, starts, final_mask = _walk_clocks(graph, r, duration,
-                                                        initial_mask, draws)
+        times, nodes, final_mask = _walk_clocks(graph, r, duration, initial_mask, draws)
     else:
-        times, nodes, starts, final_mask = _walk_table(table, r, duration,
-                                                       initial_mask, draws)
+        times, nodes, final_mask = _walk_table(table, r, duration, initial_mask, draws)
     return Trajectory(
         graph=graph,
         initial_mask=initial_mask,
         duration=float(duration),
         times=np.asarray(times, dtype=float),
         nodes=np.asarray(nodes, dtype=np.int64),
-        starts=np.asarray(starts, dtype=bool),
         final_mask=final_mask,
     )
 
@@ -178,7 +175,6 @@ def _walk_clocks(graph: ConflictGraph, r: np.ndarray, duration: float,
     t = 0.0
     ev_times: list[float] = []
     ev_nodes: list[int] = []
-    ev_starts: list[bool] = []
 
     while True:
         cum = list(itertools.accumulate(rate))
@@ -192,8 +188,7 @@ def _walk_clocks(graph: ConflictGraph, r: np.ndarray, duration: float,
         # pick * total < total, and a zero rate repeats the sum before it, so
         # the search lands on a node whose clock is running
         node = bisect.bisect_right(cum, pick * total)
-        start = not mask >> node & 1
-        if start and mask & nbr_masks[node]:
+        if not mask >> node & 1 and mask & nbr_masks[node]:
             raise InvariantViolation(f"node {node} started against a busy neighbor")
         mask ^= 1 << node
         # only the toggled node and its neighbors (all silent now) change clock
@@ -202,8 +197,7 @@ def _walk_clocks(graph: ConflictGraph, r: np.ndarray, duration: float,
             rate[j] = clock(j)
         ev_times.append(t)
         ev_nodes.append(node)
-        ev_starts.append(start)
-    return ev_times, ev_nodes, ev_starts, mask
+    return ev_times, ev_nodes, mask
 
 
 def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
@@ -217,9 +211,9 @@ def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
     sums_of = [None] * len(cum)  # rows become lists when the walk first visits them
     jumps = table.jumps
     row = int(np.searchsorted(table.family.masks, initial_mask))
-    path = [row]
     t = 0.0
     ev_times: list[float] = []
+    ev_nodes: list[int] = []
 
     while True:
         sums = sums_of[row]
@@ -237,12 +231,8 @@ def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
         if row < 0:
             raise InvariantViolation(f"node {node} started against a busy neighbor")
         ev_times.append(t)
-        path.append(row)
-
-    masks = table.family.masks[path]
-    flips = masks[1:] ^ masks[:-1]  # one bit each: the toggled node
-    nodes = np.frexp(flips.astype(float))[1] - 1
-    return ev_times, nodes, (masks[1:] & flips) != 0, int(masks[-1])
+        ev_nodes.append(node)
+    return ev_times, ev_nodes, int(table.family.masks[row])
 
 
 # ---------------------------------------------------------------------------

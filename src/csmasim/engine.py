@@ -38,8 +38,8 @@ from .congestion import (UtilityFunction, best_responses, default_beta,
 from .errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                      NumericFailure)
 from .gibbs import service_rates
-from .scheduling import (constant_step_plan, epoch_params, update_diminishing,
-                         update_projected)
+from .scheduling import (constant_step_plan, published_epoch_length,
+                         update_diminishing, update_projected)
 from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
                       sample_epoch_arrivals)
 
@@ -68,7 +68,7 @@ def _run_exceeds(horizon: int, epoch_length: int | None, limit: float) -> bool:
         return horizon * epoch_length > limit  # exact in Python ints
     total = 0
     for j in range(1, horizon + 1):  # on two nodes the published lengths pass 1e8 / 2 by j = 208
-        total += epoch_params(j)[0]
+        total += published_epoch_length(j)
         if total > limit:
             return True
     return False
@@ -84,7 +84,8 @@ class ExperimentConfig:
     """One experiment: graph, algorithm, workload, horizon, overrides.
 
     Scheduling algorithms need an arrival spec; congestion algorithms need
-    one utility per node and generate their own (controlled) arrivals.
+    one utility per node and generate their own arrivals, which accrue
+    continuously at the chosen rates.
     epoch_length/step override the published schedules, which is the only
     practical choice for the constant-step rules at desk scale.
 
@@ -207,8 +208,9 @@ class ExperimentConfig:
         # The queue ledger's largest entry is q0 plus the work arrived, and every
         # other value the queue kernel forms stays within it plus an epoch length.
         # Work arrives at most at `inflow` per time unit: 1 for congestion rates,
-        # the rate itself where arrivals are fluid (oracle or controlled), else
-        # the peak of each interval's increment.
+        # the rate itself in oracle runs and for the controlled kind (which
+        # deposits its rate each interval), else the peak of each interval's
+        # increment.
         if self.is_congestion:
             inflow = [1.0] * n
         elif self.mode == ORACLE or self.arrivals.kind == "controlled":
@@ -328,7 +330,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             raise NumericFailure(f"drive vector overflow entering epoch {j}: "
                                  f"max |drive| = {top:.3g}")
         # a run without a fixed length follows the published 1/j schedule
-        length = fixed_length if fixed_length is not None else epoch_params(j)[0]
+        length = fixed_length if fixed_length is not None else published_epoch_length(j)
 
         if oracle:
             s_hat = service_rates(family, drive)

@@ -18,16 +18,14 @@ import numpy as np
 from .errors import ConfigError
 
 
-def epoch_params(j: int) -> tuple[int, float]:
-    """(epoch length, step size) for diminishing-step epoch j >= 1.
+def published_epoch_length(j: int) -> int:
+    """Length ceil(exp(sqrt(j))) of diminishing-step epoch j >= 1.
 
-    Length ceil(exp(sqrt(j))) keeps epoch boundaries on unit-interval
-    boundaries; step 1/j gives the usual square-summable-not-summable
-    schedule.
+    Whole lengths keep epoch boundaries on unit-interval boundaries.
     """
     if j < 1:
         raise ValueError("epoch index starts at 1")
-    return math.ceil(math.exp(math.sqrt(j))), 1.0 / j
+    return math.ceil(math.exp(math.sqrt(j)))
 
 
 def update_diminishing(r, lam_hat, s_hat, j: int) -> np.ndarray:

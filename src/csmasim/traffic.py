@@ -1,8 +1,10 @@
 """Arrival processes and exact queueing over piecewise-constant schedules.
 
 Work is fluid: a transmitting node drains its queue at rate 1 while backlog
-remains.  Discrete arrivals land at the END of each unit interval; controlled
-(congestion-mode) arrivals accrue continuously.
+remains.  Every `ArrivalSpec` kind lands its increments at the END of each
+unit interval; the `controlled` kind deposits each node's rate there, with no
+randomness.  Only the congestion controllers' rates, passed to
+`integrate_epoch` as `inflow`, accrue continuously.
 
 Every queue is its net input reflected at zero.  With q0 the starting
 backlog, A(t) the work arrived by time t and S(t) the offered service (time
@@ -39,7 +41,11 @@ BLOCK_CELLS = 1 << 16  # (breakpoint, node) cells per reflection block
 
 @dataclass(frozen=True)
 class ArrivalSpec:
-    """Per-node arrival process; increments live in [0, peak] with Pr(0) > 0."""
+    """Per-node arrival process, one increment per node and unit interval.
+
+    The random kinds draw increments in [0, peak] with Pr(0) > 0; the
+    `controlled` kind deposits each rate, in [0, 1], every interval.
+    """
 
     kind: str
     rates: np.ndarray
@@ -57,7 +63,7 @@ class ArrivalSpec:
             raise ValueError("peak increment must be positive")
         if self.kind == "controlled":
             if np.any(rates > 1.0):
-                raise ValueError("controlled arrivals are fluid rates in [0, 1]")
+                raise ValueError("controlled arrival rates must lie in [0, 1]")
         else:
             if np.any(rates > self.peak):
                 raise ValueError("mean rate above the peak increment is impossible")
@@ -169,9 +175,8 @@ def integrate_epoch(state: QueueState, traj: Trajectory, *,
     events = traj.times.size
     times = np.concatenate([traj.times, stops])
     order = np.argsort(times, kind="stable")
-    sign = np.where(traj.starts, 1.0, -1.0)
-    busy = np.zeros(n)
-    busy[list(schedule_nodes(traj.initial_mask))] = 1.0
+    busy = np.zeros(n, dtype=bool)
+    busy[list(schedule_nodes(traj.initial_mask))] = True
     departed = np.zeros(n)
     offered = np.zeros(n)
     peak = state.queue.copy()
@@ -183,15 +188,15 @@ def integrate_epoch(state: QueueState, traj: Trajectory, *,
         end = float(t[-1])
         m = src.size
         # row k < m: transmit indicator over the piece ending at breakpoint k;
-        # row m: the indicator after the block, carried into the next one
-        on = np.zeros((m + 1, n))
+        # row m: the indicator after the block, carried into the next one.
+        # Each event flips its node, so a node's state is its toggle parity.
+        on = np.zeros((m + 1, n), dtype=bool)
         on[0] = busy
         hit = np.flatnonzero(src < events)
-        on[hit + 1, traj.nodes[src[hit]]] = sign[src[hit]]
-        np.cumsum(on, axis=0, out=on)
+        on[hit + 1, traj.nodes[src[hit]]] = True
+        np.logical_xor.accumulate(on, axis=0, out=on)
         busy = on[m].copy()
-        supplied = on[:m]                      # offered service S since t0
-        supplied *= np.diff(t, prepend=t0)[:, None]
+        supplied = on[:m] * np.diff(t, prepend=t0)[:, None]  # offered service S since t0
         np.cumsum(supplied, axis=0, out=supplied)
         offered += supplied[-1]
         net = np.multiply.outer(t - t0, rate)

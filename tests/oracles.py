@@ -82,11 +82,10 @@ def segments(traj: Trajectory):
     """Yield (t0, t1, mask) pieces covering [0, duration)."""
     mask = traj.initial_mask
     t0 = 0.0
-    for t, node, start in zip(traj.times.tolist(), traj.nodes.tolist(),
-                              traj.starts.tolist()):
+    for t, node in zip(traj.times.tolist(), traj.nodes.tolist()):
         if t > t0:
             yield t0, t, mask
-        mask = mask | (1 << node) if start else mask & ~(1 << node)
+        mask ^= 1 << node  # each event flips its node
         t0 = t
     if traj.duration > t0:
         yield t0, traj.duration, mask

@@ -345,7 +345,6 @@ def test_simulate_reproducible_and_feasible():
     b = simulate(g, r, 50.0, rng=np.random.default_rng(42))
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.starts, b.starts)
     assert a.final_mask == b.final_mask
     covered = 0.0
     for t0, t1, mask in segments(a):
@@ -402,11 +401,11 @@ def test_occupancy_against_event_replay():
     on_since = {}
     for i in schedule_nodes(traj.initial_mask):
         on_since[i] = 0.0
-    for t, node, start in zip(traj.times, traj.nodes, traj.starts):
-        if start:
-            on_since[int(node)] = float(t)
+    for t, node in zip(traj.times.tolist(), traj.nodes.tolist()):
+        if node in on_since:  # a transmitting node's event ends its transmission
+            busy[node] += t - on_since.pop(node)
         else:
-            busy[int(node)] += float(t) - on_since.pop(int(node))
+            on_since[node] = t
     for i, t0 in on_since.items():
         busy[i] += traj.duration - t0
     assert occ.busy_fraction == pytest.approx(busy / traj.duration, abs=1e-12)
@@ -438,7 +437,11 @@ def test_silenced_chain_drains_and_stops():
     traj = simulate(g, [-math.inf] * 5, 1e12, initial_mask=0b00101,
                     rng=np.random.default_rng(2))
     assert sorted(traj.nodes.tolist()) == [0, 2]
-    assert not traj.starts.any()
+    mask = traj.initial_mask
+    for node in traj.nodes.tolist():  # every event ends a transmission
+        after = mask ^ 1 << node
+        assert after & mask == after
+        mask = after
     assert traj.final_mask == 0
     fam = enumerate_independent_sets(g)
     emp = empirical_distribution(occupancy(traj), fam)
@@ -506,10 +509,15 @@ def test_table_walk_reproduces_the_clock_walk(case):
                  rng=np.random.default_rng(seed))
     b = simulate(graph, drive, duration, initial_mask=initial_mask,
                  rng=np.random.default_rng(seed), table=table)
-    for field in ("times", "nodes", "starts"):
+    for field in ("times", "nodes"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and np.array_equal(x, y), field
     assert a.final_mask == b.final_mask
+    mask = initial_mask
+    for node in b.nodes.tolist():  # each event flips its node
+        mask ^= 1 << node
+        assert graph.is_independent(mask)
+    assert mask == b.final_mask
 
 
 def test_clock_table_rows():

@@ -22,7 +22,7 @@ from csmasim.engine import (DESK_TIME_LIMIT, ORACLE, ORACLE_HORIZON_LIMIT, Exper
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
 from csmasim.gibbs import service_rates
-from csmasim.scheduling import epoch_params, update_diminishing
+from csmasim.scheduling import published_epoch_length, update_diminishing
 from csmasim.traffic import ArrivalSpec
 
 LOG1 = UtilityFunction("log-shifted")
@@ -118,7 +118,7 @@ def test_resolved_constant_epoch_needs_override_at_desk_scale():
 def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
     # on two nodes, epochs 1..207 of ceil(exp(sqrt(j))) add up to 9.67e7 node-time
     # units, 1..208 to 1.003e8
-    lengths = [epoch_params(j)[0] for j in range(1, 209)]
+    lengths = [published_epoch_length(j) for j in range(1, 209)]
     assert 2 * sum(lengths[:-1]) <= engine.DESK_TIME_LIMIT < 2 * sum(lengths)
     workload = (dict(arrivals=bern([0.1, 0.1])) if algorithm == "sched1"
                 else dict(utilities=(LOG1, LOG1), beta=10.0))
@@ -138,10 +138,10 @@ def test_oracle_horizon_limit_is_the_last_finite_clock():
     # limit and not one epoch further, and so does the engine's float clock
     total, clock = 0, 0.0
     for j in range(1, ORACLE_HORIZON_LIMIT + 1):
-        length = epoch_params(j)[0]
+        length = published_epoch_length(j)
         total += length
         clock += length
-    following = epoch_params(ORACLE_HORIZON_LIMIT + 1)[0]
+    following = published_epoch_length(ORACLE_HORIZON_LIMIT + 1)
     assert total <= sys.float_info.max < total + following
     assert math.isfinite(clock) and clock + following == math.inf
 

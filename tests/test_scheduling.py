@@ -10,23 +10,23 @@ from csmasim.conflict_graph import enumerate_independent_sets, preset
 from csmasim.gibbs import service_rates
 from csmasim.scheduling import (
     constant_step_plan,
-    epoch_params,
+    published_epoch_length,
     update_diminishing,
     update_projected,
 )
 from oracles import fitted_reference, lyapunov_potential, potential_lower_bound
 
 
-def test_epoch_params_first_values():
-    assert epoch_params(1) == (3, 1.0)      # ceil(e)
-    assert epoch_params(4) == (8, 0.25)     # ceil(e^2)
-    assert epoch_params(9) == (21, 1.0 / 9)  # ceil(e^3)
+def test_published_epoch_length_first_values():
+    assert published_epoch_length(1) == 3   # ceil(e)
+    assert published_epoch_length(4) == 8   # ceil(e^2)
+    assert published_epoch_length(9) == 21  # ceil(e^3)
     with pytest.raises(ValueError):
-        epoch_params(0)
+        published_epoch_length(0)
 
 
 def test_epoch_lengths_are_nondecreasing():
-    lengths = [epoch_params(j)[0] for j in range(1, 200)]
+    lengths = [published_epoch_length(j) for j in range(1, 200)]
     assert all(b >= a for a, b in zip(lengths, lengths[1:]))
 
 
@@ -57,9 +57,8 @@ def test_projected_update_clips_to_box():
 @given(st.integers(min_value=1, max_value=500))
 @settings(max_examples=60, deadline=None)
 def test_diminishing_step_is_one_over_j(j):
-    length, step = epoch_params(j)
-    assert step == 1.0 / j
-    assert length == math.ceil(math.exp(math.sqrt(j)))
+    assert update_diminishing(np.zeros(1), [1.0], [0.0], j)[0] == 1.0 / j
+    assert published_epoch_length(j) == math.ceil(math.exp(math.sqrt(j)))
 
 
 def test_constant_step_plan_published_values():

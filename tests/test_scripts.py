@@ -25,6 +25,9 @@ def load(name):
     # the spectral gap rounds to 0 at this drive
     ("chain_mixing_report", ["--graphs", "clique2", "--drives", "40"],
      ["clique2", "skipped: spectral gap"]),
+    # path3's symmetric capacity is 0.5, below its largest schedule's 2/3
+    ("rate_stability_sweep", ["--graph", "path3", "--loads", "0.9", "--epochs", "20"],
+     ["symmetric capacity 0.5000 per node", "0.90   0.4500"]),
 ])
 def test_script_main_runs(monkeypatch, capsys, name, argv, expect):
     monkeypatch.setattr(sys, "argv", [f"{name}.py", *argv])

@@ -112,7 +112,7 @@ def constant_trajectory(graph, mask, duration):
     """Hold one feasible schedule for the whole window."""
     return Trajectory(graph=graph, initial_mask=mask, duration=duration,
                       times=np.array([]), nodes=np.array([], dtype=int),
-                      starts=np.array([], dtype=bool), final_mask=mask)
+                      final_mask=mask)
 
 
 def test_drain_only_partial_and_full():
@@ -347,9 +347,8 @@ def test_integrator_memory_does_not_grow_with_events_times_nodes():
     k = np.arange(events)
     traj = Trajectory(graph=g, initial_mask=0, duration=100.0,
                       times=(k + 1) * (100.0 / (events + 1)),
-                      nodes=2 * ((k // 2) % (n // 2)), starts=k % 2 == 0,
-                      final_mask=0)
-    own = traj.times.nbytes + traj.nodes.nbytes + traj.starts.nbytes
+                      nodes=2 * ((k // 2) % (n // 2)), final_mask=0)
+    own = traj.times.nbytes + traj.nodes.nbytes
     state = QueueState.zeros(n)
     inflow = np.full(n, 0.01)
     tracemalloc.start()
