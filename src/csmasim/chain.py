@@ -21,8 +21,10 @@ either way:
   O(|I| n) per epoch, so `csmasim run` uses it only for families of at
   most TABLE_STATES schedules, where it is faster.
 
-Both draw the same (wait, pick) pairs from `_clock_draws`, stop at the
-same t >= duration or at a total rate of 0, and record each event as its
+Both draw the same (wait, pick) pairs from `_clock_draws`, which hands out
+blocks of 1 024 waits and 1 024 picks; each walk loops over a block inline
+and takes a draw only while some clock runs.  Both stop at the same
+t >= duration or at a total rate of 0, and record each event as its
 (time, node) pair: every event flips one node, so the start schedule and
 those pairs fix the path.
 
@@ -66,9 +68,9 @@ GAP_ROUNDING = 4.0
 
 
 def _clock_draws(rng: np.random.Generator):
-    """Yield (unit exponential wait, uniform pick) pairs, drawn a block at a time."""
+    """Yield blocks of 1 024 unit exponential waits and 1 024 uniform picks, as lists."""
     while True:
-        yield from zip(rng.standard_exponential(1024).tolist(), rng.random(1024).tolist())
+        yield rng.standard_exponential(1024).tolist(), rng.random(1024).tolist()
 
 
 class ClockTable(NamedTuple):
@@ -132,9 +134,9 @@ def simulate(graph: ConflictGraph, r, duration: float, *,
     r = np.asarray(r, dtype=float)
     if r.shape != (graph.n,):
         raise ValueError(f"backoff vector must have shape ({graph.n},)")
-    if np.any(np.isnan(r)) or np.any(r == math.inf):
-        raise ValueError("backoff entries must be < +inf and not NaN")
-    if np.any(r > DRIVE_LIMIT):
+    if not np.maximum.reduce(r) <= DRIVE_LIMIT:  # NaN fails it too
+        if np.any(np.isnan(r)) or np.any(r == math.inf):
+            raise ValueError("backoff entries must be < +inf and not NaN")
         raise ValueError(f"backoff entries above {DRIVE_LIMIT:g} overflow the clock rate")
     if duration < 0:
         raise ValueError("duration must be nonnegative")
@@ -172,32 +174,34 @@ def _walk_clocks(graph: ConflictGraph, r: np.ndarray, duration: float,
         return 0.0 if mask & nbr_masks[i] else start_rate[i]
 
     rate = [clock(i) for i in range(graph.n)]
+    cum = list(itertools.accumulate(rate))
+    total = cum[-1]
     t = 0.0
     ev_times: list[float] = []
     ev_nodes: list[int] = []
-
-    while True:
-        cum = list(itertools.accumulate(rate))
-        total = cum[-1]
-        if total == 0.0:
-            break  # absorbing: nothing transmitting, all clocks silent
-        wait, pick = next(draws)
-        t += wait / total
-        if t >= duration:
-            break
-        # pick * total < total, and a zero rate repeats the sum before it, so
-        # the search lands on a node whose clock is running
-        node = bisect.bisect_right(cum, pick * total)
-        if not mask >> node & 1 and mask & nbr_masks[node]:
-            raise InvariantViolation(f"node {node} started against a busy neighbor")
-        mask ^= 1 << node
-        # only the toggled node and its neighbors (all silent now) change clock
-        rate[node] = clock(node)
-        for j in nbr_lists[node]:
-            rate[j] = clock(j)
-        ev_times.append(t)
-        ev_nodes.append(node)
-    return ev_times, ev_nodes, mask
+    if total == 0.0:
+        return ev_times, ev_nodes, mask  # absorbing: nothing transmitting, all clocks silent
+    for waits, picks in draws:
+        for wait, pick in zip(waits, picks):
+            t += wait / total
+            if t >= duration:
+                return ev_times, ev_nodes, mask
+            # pick * total < total, and a zero rate repeats the sum before it,
+            # so the search lands on a node whose clock is running
+            node = bisect.bisect_right(cum, pick * total)
+            if not mask >> node & 1 and mask & nbr_masks[node]:
+                raise InvariantViolation(f"node {node} started against a busy neighbor")
+            mask ^= 1 << node
+            # only the toggled node and its neighbors (all silent now) change clock
+            rate[node] = clock(node)
+            for j in nbr_lists[node]:
+                rate[j] = clock(j)
+            ev_times.append(t)
+            ev_nodes.append(node)
+            cum = list(itertools.accumulate(rate))
+            total = cum[-1]
+            if total == 0.0:
+                return ev_times, ev_nodes, mask
 
 
 def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
@@ -208,31 +212,35 @@ def _walk_table(table: ClockTable, r: np.ndarray, duration: float,
     sums, and with them every wait and pick, are the incremental walk's bits.
     """
     cum = np.cumsum(table.clock_rates(r), axis=1)
-    sums_of = [None] * len(cum)  # rows become lists when the walk first visits them
-    jumps = table.jumps
-    row = int(np.searchsorted(table.family.masks, initial_mask))
+    clocks = [None] * len(cum)  # (sums, total, targets) per row, built on first visit
+
+    def visit(row: int):
+        sums = cum[row].tolist()
+        clocks[row] = entry = (sums, sums[-1], table.jumps[row])
+        return entry
+
+    masks = table.family.masks
+    row = int(np.searchsorted(masks, initial_mask))
+    sums, total, targets = visit(row)
     t = 0.0
     ev_times: list[float] = []
     ev_nodes: list[int] = []
-
-    while True:
-        sums = sums_of[row]
-        if sums is None:
-            sums = sums_of[row] = cum[row].tolist()
-        total = sums[-1]
-        if total == 0.0:
-            break
-        wait, pick = next(draws)
-        t += wait / total
-        if t >= duration:
-            break
-        node = bisect.bisect_right(sums, pick * total)
-        row = jumps[row][node]
-        if row < 0:
-            raise InvariantViolation(f"node {node} started against a busy neighbor")
-        ev_times.append(t)
-        ev_nodes.append(node)
-    return ev_times, ev_nodes, int(table.family.masks[row])
+    if total == 0.0:
+        return ev_times, ev_nodes, initial_mask
+    for waits, picks in draws:
+        for wait, pick in zip(waits, picks):
+            t += wait / total
+            if t >= duration:
+                return ev_times, ev_nodes, int(masks[row])
+            node = bisect.bisect_right(sums, pick * total)
+            row = targets[node]
+            if row < 0:
+                raise InvariantViolation(f"node {node} started against a busy neighbor")
+            ev_times.append(t)
+            ev_nodes.append(node)
+            sums, total, targets = clocks[row] or visit(row)
+            if total == 0.0:
+                return ev_times, ev_nodes, int(masks[row])
 
 
 # ---------------------------------------------------------------------------

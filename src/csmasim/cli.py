@@ -1,8 +1,10 @@
 """Command-line front end: run experiments, analyze graphs, list presets.
 
-Exit codes: 0 success, 2 configuration problems (bad file, bad flags, graph
-too large for exact analysis, linear utility in the dual), 3 numeric failures (overflow, non-convergence,
-violated runtime invariants); `analyze` marks chain diagnostics it cannot
+Exit codes: 0 success, 2 configuration problems (bad file, bad flags, an
+output directory that cannot be created, graph too large for exact analysis,
+linear utility in the dual), 3 numeric failures (overflow, non-convergence,
+violated runtime invariants), 141 when stdout is a pipe that was closed
+before the report was written; `analyze` marks chain diagnostics it cannot
 compute reliably as skipped.  Reports go to stdout as JSON; diagnostics and
 errors go to stderr.
 
@@ -35,6 +37,7 @@ from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
 from .gibbs import service_rates, solve_backoff
 
 OUTPUT_ENV = "CSMASIM_OUT"
+EXIT_BROKEN_PIPE = 128 + 13  # 141, the shell's code for a process killed by SIGPIPE
 SILENCED = -1e9  # finite stand-in for "never transmits" when evaluating reports
 
 
@@ -141,7 +144,10 @@ def cmd_run(args) -> int:
     # grow, so each of their configs is built when its run starts
     first = dataclasses.replace(cfg, seed=base_seed)
     out_dir = Path(args.out or os.environ.get(OUTPUT_ENV) or parsed.output or "runs")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     stem = Path(args.config).stem
     started = _utc_now()
     outputs = []
@@ -287,7 +293,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout pipe fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # Python's "Note on SIGPIPE" (signal docs): point stdout at devnull so
+        # that the flush at exit cannot fail again, and exit as if killed by it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ConfigError, ExactModeUnavailable) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -128,7 +128,9 @@ def best_response(u: UtilityFunction, beta: float, price: float) -> float:
 
 
 def best_responses(utilities, beta: float, prices) -> np.ndarray:
-    prices = np.asarray(prices, dtype=float)
+    # Python floats: a price so small that beta*weight/price overflows gives
+    # inf without a numpy warning, and best_response clamps it to 1
+    prices = np.asarray(prices, dtype=float).tolist()
     return np.array([best_response(u, beta, p) for u, p in zip(utilities, prices, strict=True)])
 
 

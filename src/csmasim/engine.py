@@ -337,7 +337,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             lam_hat = cc_rates if congestion else config.arrivals.rates
             arrivals = lam_hat * length
             offered = s_hat * length
-            served, peak = reflect(qstate, (arrivals - offered)[None, :], None, arrivals)
+            served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
         else:
             chain_rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 0)))

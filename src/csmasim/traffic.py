@@ -22,9 +22,12 @@ needs X only at breakpoints and is exact.  Departures carry the busy
 indicator; the offered service S does not, and the same pass reports it.
 
 `integrate_epoch` feeds breakpoints to `reflect` in blocks of about
-BLOCK_CELLS (breakpoint, node) cells, carrying the backlog and the busy
+BLOCK_CELLS (node, breakpoint) cells, carrying the backlog and the busy
 vector from one block to the next.  Its working memory is therefore fixed,
-instead of growing as events x nodes on long epochs or large graphs.
+instead of growing as events x nodes on long epochs or large graphs.  A
+block is node-major, one contiguous row per node, so every running sum,
+minimum and maximum walks along memory; rows are accumulated left to right,
+not totalled pairwise, so the layout leaves the bits as they were.
 """
 from __future__ import annotations
 
@@ -118,27 +121,32 @@ def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
             arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reflect net input at zero from `state.queue`, updating `state` in place.
 
-    net: (m, n) continuous arrivals minus offered service, accumulated from
+    net: (n, m) continuous arrivals minus offered service, accumulated from
     the start of the span to the left limit of each of m >= 1 breakpoints;
-    the last breakpoint ends the span.  jumps: (m, n) work landing at those
-    breakpoints, or None.  arrived: (n,) all work arriving over the span,
-    jumps included.  Returns (departures, peak backlog) per node.
+    the last breakpoint ends the span.  jumps: (n, m) work landing at those
+    breakpoints, or None.  arrived: (n,) continuous work arriving over the
+    span; the jumps' total is added to it.  Returns (departures, peak
+    backlog) per node.
     """
     q0 = state.queue
-    x = q0 + net
+    x = q0[:, None] + net
     if jumps is not None:
-        x += np.cumsum(jumps, axis=0) - jumps  # X at left limits of breakpoints
-    low = np.minimum.accumulate(x, axis=0)
+        landed = np.cumsum(jumps, axis=1)
+        # a row's running total, except on a single node, where numpy's
+        # pairwise sum has always given the total (and the output bytes)
+        arrived = arrived + (landed[:, -1] if len(jumps) > 1 else jumps.sum(axis=1))
+        x += landed - jumps                    # X at left limits of breakpoints
+    low = np.minimum.accumulate(x, axis=1)
     np.minimum(low, 0.0, out=low)
     if jumps is not None:
         x += jumps                             # X just after each breakpoint
     x -= low                                   # Q just after each breakpoint
-    queue = x[-1].copy()
+    queue = x[:, -1].copy()
     departed = q0 + arrived - queue
     state.queue = queue
     state.arrived = state.arrived + arrived
     state.departed = state.departed + departed
-    return departed, np.maximum(q0, np.maximum.reduce(x))
+    return departed, np.maximum(q0, np.maximum.reduce(x, axis=1))
 
 
 def integrate_epoch(state: QueueState, traj: Trajectory, *,
@@ -187,28 +195,29 @@ def integrate_epoch(state: QueueState, traj: Trajectory, *,
         t = times[src]
         end = float(t[-1])
         m = src.size
-        # row k < m: transmit indicator over the piece ending at breakpoint k;
-        # row m: the indicator after the block, carried into the next one.
+        # column k < m: transmit indicator over the piece ending at breakpoint k;
+        # column m: the indicator after the block, carried into the next one.
         # Each event flips its node, so a node's state is its toggle parity.
-        on = np.zeros((m + 1, n), dtype=bool)
-        on[0] = busy
+        on = np.zeros((n, m + 1), dtype=bool)
+        on[:, 0] = busy
         hit = np.flatnonzero(src < events)
-        on[hit + 1, traj.nodes[src[hit]]] = True
-        np.logical_xor.accumulate(on, axis=0, out=on)
-        busy = on[m].copy()
-        supplied = on[:m] * np.diff(t, prepend=t0)[:, None]  # offered service S since t0
-        np.cumsum(supplied, axis=0, out=supplied)
-        offered += supplied[-1]
-        net = np.multiply.outer(t - t0, rate)
-        net -= supplied
+        on[traj.nodes[src[hit]], hit + 1] = True
+        np.logical_xor.accumulate(on, axis=1, out=on)
+        busy = on[:, m].copy()
+        supplied = on[:, :m] * (t - np.concatenate(([t0], t[:-1])))  # offered service S since t0
+        np.cumsum(supplied, axis=1, out=supplied)
+        offered += supplied[:, -1]
+        if inflow is None:  # skip the all-zero product; 0.0 - S keeps its zeros +0.0
+            net = np.subtract(0.0, supplied, out=supplied)
+        else:
+            net = np.multiply.outer(rate, t - t0)
+            net -= supplied
         jumps = None
-        arrived = rate * (end - t0)
         if deposits is not None:
             dep = np.flatnonzero(src >= events)
-            jumps = np.zeros((m, n))
-            jumps[dep] = deposits[src[dep] - events]
-            arrived += jumps.sum(axis=0)
-        out, top = reflect(state, net, jumps, arrived)
+            jumps = np.zeros((n, m))
+            jumps[:, dep] = deposits[src[dep] - events].T
+        out, top = reflect(state, net, jumps, rate * (end - t0))
         departed += out
         np.maximum(peak, top, out=peak)
         t0 = end

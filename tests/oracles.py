@@ -15,22 +15,28 @@ Frank-Wolfe optimum that bisects its step a full 80 times on numpy scalars is
 the bit-for-bit reference of `congestion.solve_utility_optimum`.  The
 backtracking enumerator, one recursive call per independent set, is the
 reference of the doubling in `conflict_graph.enumerate_independent_sets`.
+The queue kernel that holds each block as (breakpoint, node) rows is the
+bit-for-bit reference of the node-major `traffic.reflect` and
+`traffic.integrate_epoch`, and the walk that takes one (wait, pick) pair
+from a generator per event is the reference of `chain._walk_table`.
 `strict_json` parses the commands' JSON the way a strict reader would.
 """
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from csmasim.chain import Trajectory
+from csmasim import traffic
+from csmasim.chain import ClockTable, Trajectory
 from csmasim.conflict_graph import (FAMILY_CAP, ConflictGraph, IndependentSetFamily,
                                     max_weight_independent_set, schedule_nodes)
 from csmasim.congestion import (UTILITY_MAX_ITER, UTILITY_TOL, UtilityFunction,
                                 UtilityOptimum, best_response, best_responses,
                                 total_utility)
-from csmasim.errors import ConvergenceFailure, ExactModeUnavailable
+from csmasim.errors import ConvergenceFailure, ExactModeUnavailable, InvariantViolation
 from csmasim.gibbs import (BackoffSolution, moments, service_rates, solve_backoff,
                            stationary_distribution)
 
@@ -125,6 +131,45 @@ def tv_distance(p, q) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return 0.5 * float(np.abs(p - q).sum())
+
+
+# -- the table walk, one draw per event --------------------------------------------
+
+def clock_draw_pairs(rng: np.random.Generator):
+    """Yield (unit exponential wait, uniform pick) pairs, drawn 1 024 of each at a time."""
+    while True:
+        yield from zip(rng.standard_exponential(1024).tolist(), rng.random(1024).tolist())
+
+
+def walk_table_per_event(table: ClockTable, r, duration: float, initial_mask: int,
+                         rng: np.random.Generator):
+    """(times, nodes, final_mask) of the direct method, calling next() per event."""
+    draws = clock_draw_pairs(rng)
+    cum = np.cumsum(table.clock_rates(np.asarray(r, dtype=float)), axis=1)
+    sums_of = [None] * len(cum)
+    jumps = table.jumps
+    row = int(np.searchsorted(table.family.masks, initial_mask))
+    t = 0.0
+    ev_times: list[float] = []
+    ev_nodes: list[int] = []
+    while True:
+        sums = sums_of[row]
+        if sums is None:
+            sums = sums_of[row] = cum[row].tolist()
+        total = sums[-1]
+        if total == 0.0:
+            break
+        wait, pick = next(draws)
+        t += wait / total
+        if t >= duration:
+            break
+        node = bisect.bisect_right(sums, pick * total)
+        row = jumps[row][node]
+        if row < 0:
+            raise InvariantViolation(f"node {node} started against a busy neighbor")
+        ev_times.append(t)
+        ev_nodes.append(node)
+    return ev_times, ev_nodes, int(table.family.masks[row])
 
 
 # -- the chain's generator, one clock at a time ----------------------------------
@@ -348,3 +393,73 @@ def potential_lower_bound(n: int, epsilon: float) -> float:
     if epsilon <= 0:
         raise ValueError("slack epsilon must be positive")
     return -16.0 * n ** 3 / epsilon ** 2
+
+
+# -- the queue kernel over (breakpoint, node) rows ----------------------------------
+
+def reflect_row_major(state, net, jumps, arrived):
+    """`traffic.reflect` with (m, n) blocks; `arrived` includes the jumps' total."""
+    q0 = state.queue
+    x = q0 + net
+    if jumps is not None:
+        x += np.cumsum(jumps, axis=0) - jumps
+    low = np.minimum.accumulate(x, axis=0)
+    np.minimum(low, 0.0, out=low)
+    if jumps is not None:
+        x += jumps
+    x -= low
+    queue = x[-1].copy()
+    departed = q0 + arrived - queue
+    state.queue = queue
+    state.arrived = state.arrived + arrived
+    state.departed = state.departed + departed
+    return departed, np.maximum(q0, np.maximum.reduce(x))
+
+
+def integrate_epoch_row_major(state, traj: Trajectory, *, deposits=None, inflow=None):
+    """`traffic.integrate_epoch` with (breakpoint, node) rows, blocked the same way."""
+    n = traj.n
+    duration = traj.duration
+    stops = np.array([duration])
+    if deposits is not None:
+        deposits = np.asarray(deposits, dtype=float)
+        stops = np.arange(1.0, int(round(duration)) + 1.0)
+    rate = np.zeros(n) if inflow is None else np.asarray(inflow, dtype=float)
+    events = traj.times.size
+    times = np.concatenate([traj.times, stops])
+    order = np.argsort(times, kind="stable")
+    busy = np.zeros(n, dtype=bool)
+    busy[list(schedule_nodes(traj.initial_mask))] = True
+    departed = np.zeros(n)
+    offered = np.zeros(n)
+    peak = state.queue.copy()
+    t0 = 0.0
+    rows = max(1, traffic.BLOCK_CELLS // n)
+    for lo in range(0, order.size, rows):
+        src = order[lo:lo + rows]
+        t = times[src]
+        end = float(t[-1])
+        m = src.size
+        on = np.zeros((m + 1, n), dtype=bool)
+        on[0] = busy
+        hit = np.flatnonzero(src < events)
+        on[hit + 1, traj.nodes[src[hit]]] = True
+        np.logical_xor.accumulate(on, axis=0, out=on)
+        busy = on[m].copy()
+        supplied = on[:m] * np.diff(t, prepend=t0)[:, None]
+        np.cumsum(supplied, axis=0, out=supplied)
+        offered += supplied[-1]
+        net = np.multiply.outer(t - t0, rate)
+        net -= supplied
+        jumps = None
+        arrived = rate * (end - t0)
+        if deposits is not None:
+            dep = np.flatnonzero(src >= events)
+            jumps = np.zeros((m, n))
+            jumps[dep] = deposits[src[dep] - events]
+            arrived += jumps.sum(axis=0)
+        out, top = reflect_row_major(state, net, jumps, arrived)
+        departed += out
+        np.maximum(peak, top, out=peak)
+        t0 = end
+    return departed, peak, offered

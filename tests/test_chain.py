@@ -29,7 +29,7 @@ from csmasim.errors import ExactModeUnavailable, InvariantViolation, NumericFail
 from csmasim.gibbs import stationary_distribution
 from hypothesis import example
 from oracles import (ctmc_generator_loop, empirical_distribution, occupancy, row_of,
-                     segments, tv_distance)
+                     segments, tv_distance, walk_table_per_event)
 
 
 @st.composite
@@ -518,6 +518,30 @@ def test_table_walk_reproduces_the_clock_walk(case):
         mask ^= 1 << node
         assert graph.is_independent(mask)
     assert mask == b.final_mask
+
+
+@pytest.mark.parametrize("graph, drive, initial_mask, duration", [
+    ("cycle5", [-math.inf, 0.4, -math.inf, 1.2, 0.0], 0b01001, 3_000.0),  # > 3 blocks
+    ("grid3x3", [0.5, -math.inf, 0.5, -math.inf, 2.0, -math.inf, 0.5, -math.inf, 0.5],
+     0b000010000, 400.0),
+    ("path3", [-math.inf, -math.inf, -math.inf], 0b101, 1e12),  # drains, then absorbs
+    ("path3", [-math.inf, -math.inf, -math.inf], 0b000, 5.0),   # absorbing from the start
+    ("clique2", [DRIVE_LIMIT, -math.inf], 0b00, 20.0),
+    ("single", [0.0], 0b1, 0.0),
+])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_table_walk_matches_the_per_event_walk_bit_for_bit(graph, drive, initial_mask,
+                                                           duration, seed):
+    g = preset(graph)
+    table = clock_table(enumerate_independent_sets(g))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    traj = simulate(g, drive, duration, initial_mask=initial_mask, rng=rng, table=table)
+    times, nodes, final_mask = walk_table_per_event(table, drive, duration, initial_mask,
+                                                    reference_rng)
+    assert traj.times.tolist() == times and traj.nodes.tolist() == nodes
+    assert traj.final_mask == final_mask
+    # the same draws were taken: the streams continue alike
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_clock_table_rows():

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -563,6 +564,59 @@ def test_run_exit_codes(tmp_path):
         "overrides": {"epsilon": 0.001, "step": 1e7, "epoch_length": 4},
     }, "overflow.json")
     assert main(["run", str(overflow), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("below_a_file", [True, False], ids=["below-a-file", "a-file"])
+def test_run_refuses_an_output_path_it_cannot_create(tmp_path, capsys, below_a_file):
+    cfg_path = write_config(tmp_path, BASE)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    out = blocker / "sub" if below_a_file else blocker
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create output directory {out}" in err
+    assert "Traceback" not in err
+    # nothing written: no run, summary or manifest anywhere
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.json"]
+    assert blocker.read_text() == "a regular file\n"
+
+
+def test_oracle_cc2_at_a_tiny_step_runs_without_warnings(tmp_path):
+    # epoch 2's prices are the step, 1e-300, where beta*weight/price overflows;
+    # the best response there is 1, and no numpy warning may reach the user
+    payload = {
+        "version": 1,
+        "graph": {"preset": "path3"},
+        "algorithm": "cc2",
+        "mode": "deterministic-oracle",
+        "horizon": 5,
+        "utilities": {"family": "log-shifted"},
+        "overrides": {"epsilon": 1e-9, "step": 1e-300, "epoch_length": 1},
+    }
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(write_config(tmp_path, payload)), "--out", str(out)]) == 0
+    records = [strict_json(line) for line in
+               (out / "exp-seed0.jsonl").read_text().splitlines()]
+    assert [rec["j"] for rec in records] == [1, 2, 3, 4, 5]
+    assert all(rec["rates"] == [1.0, 1.0, 1.0] for rec in records)
+
+
+def test_a_closed_stdout_ends_the_command_quietly():
+    # Popen returns before the child has even imported csmasim, so the pipe
+    # is closed before the report is written
+    src = str(Path(csmasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "csmasim.cli", "analyze", "cycle5",
+                             "--lambda", "0.5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 # -- csmasim analyze ------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csmasim import traffic
 from csmasim.chain import Trajectory, simulate
 from csmasim.conflict_graph import ConflictGraph, preset, schedule_nodes
 from csmasim.traffic import (
@@ -17,7 +18,7 @@ from csmasim.traffic import (
     reflect,
     sample_epoch_arrivals,
 )
-from oracles import segments
+from oracles import integrate_epoch_row_major, reflect_row_major, segments
 
 
 # -- arrival specs -------------------------------------------------------------
@@ -276,6 +277,65 @@ def test_integrator_matches_replay_across_blocks(fluid):
     check_against_replay(traj, rng.uniform(0.0, 2.0, size=100), fluid, rng)
 
 
+# -- bit for bit against the (breakpoint, node) kernel -------------------------
+
+ARRIVALS = {
+    "scaled-bernoulli": lambda n: ArrivalSpec("scaled-bernoulli", np.full(n, 0.6), peak=1.5),
+    "binomial": lambda n: ArrivalSpec("binomial", np.full(n, 0.5), peak=2.0),
+    "controlled": lambda n: ArrivalSpec("controlled", np.full(n, 0.17)),
+}
+GRAPHS = {1: ConflictGraph.from_edges(1, []), 2: preset("clique2"), 5: preset("cycle5"),
+          100: ConflictGraph.from_edges(100, [(i, (i + 1) % 100) for i in range(100)])}
+
+
+def assert_same_bits(got, expected):
+    for x, y in zip(got, expected, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("blocks", ["one", "several"])
+@pytest.mark.parametrize("n", [1, 2, 5, 100])
+@pytest.mark.parametrize("arrivals", [*ARRIVALS, "inflow", "none"])
+def test_integrator_matches_the_row_major_kernel_bit_for_bit(monkeypatch, arrivals, n,
+                                                             blocks):
+    rng = np.random.default_rng(17 * n + len(arrivals))
+    graph = GRAPHS[n]
+    length = 40
+    traj = simulate(graph, rng.uniform(-1.0, 1.5, size=n), float(length), rng=rng)
+    kwargs = {}
+    if arrivals == "inflow":
+        kwargs["inflow"] = rng.uniform(0.0, 1.0, size=n)
+    elif arrivals != "none":
+        kwargs["deposits"] = sample_epoch_arrivals(ARRIVALS[arrivals](n), length, rng)
+    breakpoints = traj.times.size + (length if "deposits" in kwargs else 1)
+    rows = breakpoints if blocks == "one" else breakpoints // 3
+    monkeypatch.setattr(traffic, "BLOCK_CELLS", rows * n)
+    assert (-(-breakpoints // rows) >= 3) == (blocks == "several")
+    q0 = np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 3.0, size=n))
+    state = QueueState(queue=q0.copy(), departed=np.ones(n), arrived=q0 + 1.0)
+    reference = QueueState(queue=q0.copy(), departed=np.ones(n), arrived=q0 + 1.0)
+    got = integrate_epoch(state, traj, **kwargs)
+    expected = integrate_epoch_row_major(reference, traj, **kwargs)
+    assert_same_bits(got, expected)
+    assert_same_bits(vars(state).values(), vars(reference).values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.3, 2.5, 40.0]),
+                          st.floats(min_value=0.0, max_value=1.0),
+                          st.floats(min_value=0.0, max_value=1.0)),
+                min_size=1, max_size=6),
+       st.floats(min_value=0.5, max_value=100.0))
+def test_single_piece_matches_the_row_major_kernel_bit_for_bit(nodes, length):
+    q0, a, s = (np.array(v) for v in zip(*nodes))
+    state = QueueState(queue=q0.copy(), departed=np.zeros(q0.size), arrived=q0.copy())
+    reference = QueueState(queue=q0.copy(), departed=np.zeros(q0.size), arrived=q0.copy())
+    got = reflect(state, ((a - s) * length)[:, None], None, a * length)
+    expected = reflect_row_major(reference, ((a - s) * length)[None, :], None, a * length)
+    assert_same_bits(got, expected)
+    assert_same_bits(vars(state).values(), vars(reference).values())
+
+
 def fluid_closed_form(q, a, s, length):
     """(queue, departures, peak) of a queue fed at rate a and offered rate s."""
     if q > 0.0:
@@ -302,7 +362,7 @@ def fluid_closed_form(q, a, s, length):
 def test_single_piece_matches_fluid_closed_form(nodes, length):
     q0, a, s = (np.array(v) for v in zip(*nodes))
     state = QueueState(queue=q0.copy(), departed=np.zeros(q0.size), arrived=q0.copy())
-    departed, peak = reflect(state, ((a - s) * length)[None, :], None, a * length)
+    departed, peak = reflect(state, ((a - s) * length)[:, None], None, a * length)
     for i in range(q0.size):
         newq, served, top = fluid_closed_form(q0[i], a[i], s[i], length)
         assert state.queue[i] == pytest.approx(newq, abs=1e-12)
