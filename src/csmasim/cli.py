@@ -1,12 +1,10 @@
 """Command-line front end: run experiments, analyze graphs, list presets.
 
-Exit codes: 0 success, 2 configuration problems (bad file, bad flags, an
-output directory that cannot be created, graph too large for exact analysis,
-linear utility in the dual), 3 numeric failures (overflow, non-convergence,
-violated runtime invariants), 141 when stdout is a pipe that was closed
-before the report was written; `analyze` marks chain diagnostics it cannot
-compute reliably as skipped.  Reports go to stdout as JSON; diagnostics and
-errors go to stderr.
+Exit codes: 0 success, 2 configuration and usage problems (README's refusal
+table states each one `run` makes), 3 numeric failures (overflow,
+non-convergence, violated runtime invariants), 141 when stdout is a pipe
+closed before the report was written.  Reports go to stdout as JSON;
+diagnostics and errors go to stderr.
 
 Output directory resolution for `run`: --out flag, then the CSMASIM_OUT
 environment variable, then the config's "output" field, then ./runs.
@@ -157,7 +155,11 @@ def cmd_run(args) -> int:
         run_path = out_dir / f"{stem}-seed{run.seed}.jsonl"
         summary_path = out_dir / f"{stem}-seed{run.seed}-summary.json"
         last = None
-        with open(run_path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(run_path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot open run file {run_path}: {exc}") from exc
+        with fh:
             for record in run_experiment(run):
                 fh.write(encode(vars(record)) + "\n")
                 last = record

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .conflict_graph import ConflictGraph, preset, read_edge_list
 from .congestion import UtilityFunction
-from .engine import ExperimentConfig
+from .engine import ExperimentConfig, _whole
 from .errors import ConfigError
 from .traffic import ArrivalSpec
 
@@ -81,8 +81,6 @@ def _parse_graph(section, base_dir: Path) -> ConflictGraph:
     if not isinstance(section, dict):
         raise ConfigError("graph must be an object")
     _reject_unknown(section, _GRAPH_KEYS, "graph")
-    forms = [k for k in ("preset", "path") if k in section] + (
-        ["n"] if "n" in section or "edges" in section else [])
     if "preset" in section:
         if set(section) != {"preset"}:
             raise ConfigError("graph.preset excludes other graph keys")
@@ -99,22 +97,18 @@ def _parse_graph(section, base_dir: Path) -> ConflictGraph:
             raise ConfigError(f"graph.path: {exc}") from exc
     if "n" in section:
         n = section["n"]
-        if not isinstance(n, int) or n < 1:
+        if not _whole(n) or n < 1:
             raise ConfigError("graph.n must be a positive integer")
         edges = section.get("edges", [])
-        if not isinstance(edges, list):
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(map(_whole, e)) for e in edges):
             raise ConfigError("graph.edges must be a list of [i, j] pairs")
-        pairs = []
-        for e in edges:
-            if (not isinstance(e, list) or len(e) != 2
-                    or not all(isinstance(v, int) for v in e)):
-                raise ConfigError("graph.edges must be a list of [i, j] pairs")
-            pairs.append((e[0], e[1]))
         try:
-            return ConflictGraph.from_edges(n, pairs)
+            return ConflictGraph.from_edges(n, edges)
         except ValueError as exc:
             raise ConfigError(f"graph: {exc}") from exc
-    raise ConfigError(f"graph needs one of: preset, path, n/edges (got {forms or 'nothing'})")
+    raise ConfigError("graph needs one of: preset, path, n/edges "
+                      f"(got {', '.join(sorted(section)) or 'nothing'})")
 
 
 def _parse_arrivals(section, n: int) -> ArrivalSpec:

@@ -62,16 +62,20 @@ DESK_TIME_LIMIT = 1e8
 ORACLE_HORIZON_LIMIT = 493_556
 
 
-def _run_exceeds(horizon: int, epoch_length: int | None, limit: float) -> bool:
-    """Whether the run's epoch lengths add up to more than `limit` time units."""
-    if epoch_length is not None:
-        return horizon * epoch_length > limit  # exact in Python ints
-    total = 0
-    for j in range(1, horizon + 1):  # on two nodes the published lengths pass 1e8 / 2 by j = 208
-        total += published_epoch_length(j)
-        if total > limit:
-            return True
-    return False
+def _run_exceeds(horizon: int, epoch_length: int | None, *limits: float) -> list[bool]:
+    """Whether the run's epoch lengths add up to more than each limit, in time units.
+
+    One pass walks the published lengths only until the sum passes the first
+    finite limit, so a later answer holds where the earlier ones are False.
+    """
+    total = horizon * (epoch_length or 0)  # exact in Python ints
+    reach = next((limit for limit in limits if limit < math.inf), None)
+    if epoch_length is None and reach is not None:
+        for j in range(1, horizon + 1):  # two nodes pass 1e8 / 2 by j = 208
+            total += published_epoch_length(j)
+            if total > reach:
+                break
+    return [total > limit for limit in limits]
 
 
 def _whole(value) -> bool:
@@ -89,16 +93,16 @@ class ExperimentConfig:
     epoch_length/step override the published schedules, which is the only
     practical choice for the constant-step rules at desk scale.
 
-    Construction checks every value and resolves what the run reads: beta
-    for congestion runs (the override, else 4n/epsilon), sched2's epoch
-    length and step (each override, else the published plan), and `family`,
-    the graph's schedule family, which is not a setting.  Past exact mode a
-    stochastic config holds the ExactModeUnavailable that refused the graph
-    there, and an oracle config, whose service rates sum over the family,
-    raises it.  The resolved values replace the None they stand for, so
-    dataclasses.replace keeps them and a seed sweep enumerates once: change
-    epsilon or the graph by building a new config (a family carried to
-    another graph is refused).
+    Construction checks the fields, resolves what the run reads (sched2's
+    epoch length and step: each override, else the published plan; beta for
+    congestion runs: the override, else 4n/epsilon), checks the bounds of the
+    whole run, and last resolves `family`, the graph's schedule family, which
+    is not a setting.  Past exact mode a stochastic config holds the
+    ExactModeUnavailable that refused the graph there, and an oracle config,
+    whose service rates sum over the family, raises it.  The resolved values
+    replace the None they stand for, so dataclasses.replace keeps them and a
+    seed sweep enumerates once: change epsilon or the graph by building a new
+    config (a family carried to another graph is refused).
     """
 
     graph: ConflictGraph
@@ -117,6 +121,7 @@ class ExperimentConfig:
         default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        n = self.graph.n
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"unknown algorithm {self.algorithm!r}; choices {ALGORITHMS}")
         if self.mode not in MODES:
@@ -132,7 +137,6 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative integer")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
-        n = self.graph.n
         if self.is_congestion:
             if self.utilities is None:
                 raise ConfigError(f"{self.algorithm} needs a utility per node")
@@ -150,7 +154,6 @@ class ExperimentConfig:
                 raise ConfigError("scheduling runs take no utilities")
             if self.beta is not None:
                 raise ConfigError("beta only applies to congestion runs")
-
         if self.algorithm in ("sched1", "cc1"):
             if self.step is not None:
                 raise ConfigError(f"{self.algorithm} steps by 1/j; step cannot be overridden")
@@ -159,30 +162,19 @@ class ExperimentConfig:
                 raise ConfigError("cc2 needs a positive step override")
             if self.epoch_length is None:
                 raise ConfigError("cc2 needs an epoch_length override at desk scale")
-        else:  # sched2
-            if self.epsilon is None:
-                raise ConfigError("sched2 needs a positive slack epsilon")
-            if self.epoch_length is None or self.step is None:
-                plan = constant_step_plan(n, self.epsilon, peak=self.arrivals.peak)
-                if self.epoch_length is None:
-                    if not plan.epoch_length <= DESK_TIME_LIMIT:  # inf once it overflows
-                        raise ConfigError(
-                            "published constant-step epoch length is out of desk range "
-                            f"({plan.epoch_length:.3g}); set an epoch_length override")
-                    object.__setattr__(self, "epoch_length", math.ceil(plan.epoch_length))
-                if self.step is None:
-                    object.__setattr__(self, "step", plan.step)
+        elif self.epsilon is None:  # sched2
+            raise ConfigError("sched2 needs a positive slack epsilon")
 
-        if self.mode == ORACLE:  # fluid epochs cost no events, but the clock must stay finite
-            if self.epoch_length is None and self.horizon > ORACLE_HORIZON_LIMIT:
-                raise ConfigError(
-                    f"an oracle run on the published epoch lengths overflows the clock past "
-                    f"horizon {ORACLE_HORIZON_LIMIT}; shorten it or set an epoch_length")
-        elif _run_exceeds(self.horizon, self.epoch_length, int(DESK_TIME_LIMIT) // n):
-            raise ConfigError(
-                f"nodes x the run's epoch lengths add up to more than {DESK_TIME_LIMIT:g} "
-                "node-time units; shorten the horizon or set a shorter epoch_length")
-
+        if self.algorithm == "sched2" and (self.epoch_length is None or self.step is None):
+            plan = constant_step_plan(n, self.epsilon, peak=self.arrivals.peak)
+            if self.epoch_length is None:
+                if not plan.epoch_length <= DESK_TIME_LIMIT:  # inf once it overflows
+                    raise ConfigError(
+                        "published constant-step epoch length is out of desk range "
+                        f"({plan.epoch_length:.3g}); set an epoch_length override")
+                object.__setattr__(self, "epoch_length", math.ceil(plan.epoch_length))
+            if self.step is None:
+                object.__setattr__(self, "step", plan.step)
         if self.is_congestion and self.beta is None:
             if self.epsilon is None:
                 raise ConfigError("congestion runs need beta "
@@ -193,24 +185,24 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-        if self.algorithm == "cc2" and self.horizon > 1 and self.step > DRIVE_LIMIT:
-            # epoch 2's prices: update_prices_constant(0, 1, s_hat, step) drains a
-            # zero price to 0 and adds step * 1, so each is the step exactly
-            raise ConfigError(
-                f"the first update moves the prices to the step {self.step!r}, past the "
-                f"limit {DRIVE_LIMIT:g} that epoch 2 enforces; lower the step")
         if self.initial_queue is not None:
             q0 = tuple(float(v) for v in self.initial_queue)
             if len(q0) != n or any(v < 0 or not math.isfinite(v) for v in q0):
                 raise ConfigError(f"initial_queue needs {n} finite nonnegative entries")
             object.__setattr__(self, "initial_queue", q0)
 
+        # an oracle run's fluid epochs cost no events, but its clock must stay finite
+        if self.mode == ORACLE and self.epoch_length is None and (
+                self.horizon > ORACLE_HORIZON_LIMIT):
+            raise ConfigError(
+                f"an oracle run on the published epoch lengths overflows the clock past "
+                f"horizon {ORACLE_HORIZON_LIMIT}; shorten it or set an epoch_length")
+        budget = math.inf if self.mode == ORACLE else int(DESK_TIME_LIMIT) // n
         # The queue ledger's largest entry is q0 plus the work arrived, and every
         # other value the queue kernel forms stays within it plus an epoch length.
         # Work arrives at most at `inflow` per time unit: 1 for congestion rates,
         # the rate itself in oracle runs and for the controlled kind (which
-        # deposits its rate each interval), else the peak of each interval's
-        # increment.
+        # deposits its rate each interval), else each interval's peak increment.
         if self.is_congestion:
             inflow = [1.0] * n
         elif self.mode == ORACLE or self.arrivals.kind == "controlled":
@@ -222,11 +214,23 @@ class ExperimentConfig:
         # clock is left to the clock's own limits (ORACLE_HORIZON_LIMIT)
         fill = min(((top - q) / c for q, c in zip(self.initial_queue or [0.0] * n, inflow)
                     if c > 0), default=math.inf)
-        if fill < top and _run_exceeds(self.horizon, self.epoch_length, fill):
+        over_budget, over_ledger = _run_exceeds(
+            self.horizon, self.epoch_length, budget, fill if fill < top else math.inf)
+        if over_budget:
+            raise ConfigError(
+                f"nodes x the run's epoch lengths add up to more than {DESK_TIME_LIMIT:g} "
+                "node-time units; shorten the horizon or set a shorter epoch_length")
+        if over_ledger:
             raise ConfigError(
                 f"the queue ledger (initial queue + arrivals) passes the float range "
                 f"after {fill:.3g} time units, within the run; lower the rates, the peak "
                 "or the initial queue, or shorten the run")
+        if self.algorithm == "cc2" and self.horizon > 1 and self.step > DRIVE_LIMIT:
+            # epoch 2's prices: update_prices_constant(0, 1, s_hat, step) drains a
+            # zero price to 0 and adds step * 1, so each is the step exactly
+            raise ConfigError(
+                f"the first update moves the prices to the step {self.step!r}, past the "
+                f"limit {DRIVE_LIMIT:g} that epoch 2 enforces; lower the step")
 
         family = self.family
         if family is None:

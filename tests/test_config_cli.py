@@ -99,7 +99,7 @@ def test_parse_graph_forms(tmp_path):
         parse_config(dict(BASE, graph={"preset": "clique2", "n": 2}))
     with pytest.raises(ConfigError):
         parse_config(dict(BASE, graph={"preset": "unknown-shape"}))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"\(got edges\)"):
         parse_config(dict(BASE, graph={"edges": [[0, 1]]}))  # edges without n
     with pytest.raises(ConfigError):
         parse_config(dict(BASE, graph={"path": "missing.txt"}), base_dir=tmp_path)
@@ -286,51 +286,77 @@ SCHED2_CYCLE5 = {
 }
 
 
-@pytest.mark.parametrize("payload, flags, detail", [
-    (dict(CC2, overrides={"beta": 5.0, "step": 0.5}), (), "needs an epoch_length"),
+# README's refusal table, the one statement of `run`'s exit-2 contract: each
+# row's id and the text stderr contains.  Every row is a case of the two tests
+# below, which take their expected text from it, and every case has a row.
+REFUSAL_ROWS = re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]+)` \|",
+                          (Path(__file__).parents[1] / "README.md").read_text(), re.MULTILINE)
+REFUSALS = dict(REFUSAL_ROWS)
+
+EXIT_2 = {  # id: (payload, flags)
+    "config-number-past-float-range": (
+        dict(CC2, overrides={"beta": math.inf, "step": 0.5, "epoch_length": 10}), ()),
+    "graph-n-boolean": (dict(BASE, graph={"n": True}), ()),
+    "graph-edge-boolean": (dict(BASE, graph={"n": 2, "edges": [[True, False]]}), ()),
+    "graph-past-node-limit": (dict(BASE, graph={"n": 10_001}), ()),
+    "graph-file-unreadable": (dict(BASE, graph={"path": "absent.txt"}), ()),
+    "utility-slope-past-float-range": (
+        dict(CC2, algorithm="cc1", graph={"preset": "path3"}, utilities=SLOPE_OVERFLOW,
+             overrides={"beta": 10.0, "epoch_length": 10}), ()),
+    "binomial-peak-past-int64": (
+        dict(BASE, graph={"preset": "cycle5"},
+             arrivals={"kind": "binomial", "rates": 0.3, "peak": 1e300}), ()),
+    "negative-seed": (SCHED2_CYCLE5, ("--seed", "-1")),
+    "epoch-length-past-limit": (dict(BASE, overrides={"epoch_length": 10**8 + 1}), ()),
+    "cc2-no-epoch-length": (dict(CC2, overrides={"beta": 5.0, "step": 0.5}), ()),
+    "sched2-plan-on-clique2": (dict(SCHED2_CYCLE5, graph={"preset": "clique2"}), ()),
     # the published epoch length is exp(125 log 25) = 5.5e174
-    (dict(SCHED2_CYCLE5, overrides={"epsilon": 0.2}), (), "out of desk range"),
-    (SCHED2_CYCLE5, ("--seed", "-1"), "seed must be a nonnegative integer"),
-    (dict(SCHED2_CYCLE5, graph={"preset": "clique2"}), (), "more than 3 nodes"),
-    (dict(BASE, mode="deterministic-oracle", arrivals={"kind": "scaled-bernoulli", "rates": 0.1},
-          graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}), (),
-     "exact mode unavailable"),
-    (dict(SCHED2_CYCLE5, horizon=2 * 10**5,
-          overrides={"epsilon": 0.2, "epoch_length": 101}), (), "more than 1e+08 node-time units"),
-    (dict(BASE, mode="deterministic-oracle", horizon=ORACLE_HORIZON_LIMIT + 1), (),
-     "overflows the clock"),
-    (dict(CC2, algorithm="cc1", graph={"preset": "path3"}, utilities=SLOPE_OVERFLOW,
-          overrides={"beta": 10.0, "epoch_length": 10}), (), "must be finite"),
-    (dict(BASE, graph={"preset": "cycle5"},
-          arrivals={"kind": "binomial", "rates": 0.3, "peak": 1e300}), (), "below 2**63"),
-    (dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
-          arrivals={"kind": "scaled-bernoulli", "rates": 800, "peak": 1000},
-          overrides={"epoch_length": 10}), (), "past the limit 700"),
-    (dict(BASE, graph={"n": 17}, mode="deterministic-oracle", horizon=3,
-          arrivals={"kind": "scaled-bernoulli", "rates": 0.3}, overrides={"epoch_length": 20}),
-     (), "family cap"),
-    (dict(SCHED2_CYCLE5, arrivals={"kind": "scaled-bernoulli", "rates": 0.25, "peak": 1e155},
-          overrides={"epsilon": 0.2, "epoch_length": 200}), (),
-     "published constant step overflows"),
-    (dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
-          arrivals={"kind": "scaled-bernoulli", "rates": 1e307, "peak": 1e308},
-          overrides={"epoch_length": 100}), (), "queue ledger"),
-    (dict(CC2, graph={"preset": "single"}, overrides={"beta": 5.0, "step": 1e5,
-                                                     "epoch_length": 10}),
-     (), "past the limit 700"),
-], ids=["cc2-no-epoch-length", "sched2-published-length", "negative-seed",
-        "sched2-plan-on-clique2", "oracle-past-exact-mode", "run-past-time-limit",
-        "oracle-published-horizon-past-float-range", "utility-slope-past-float-range",
-        "binomial-peak-past-int64", "oracle-first-update-past-drive-limit",
-        "oracle-past-family-cap", "sched2-published-step-past-float-range",
-        "oracle-queue-ledger-past-float-range", "cc2-first-update-past-drive-limit"])
-def test_config_errors_exit_2_before_any_output(tmp_path, capsys, payload, flags, detail):
+    "sched2-published-length": (dict(SCHED2_CYCLE5, overrides={"epsilon": 0.2}), ()),
+    "sched2-published-step-past-float-range": (
+        dict(SCHED2_CYCLE5, arrivals={"kind": "scaled-bernoulli", "rates": 0.25, "peak": 1e155},
+             overrides={"epsilon": 0.2, "epoch_length": 200}), ()),
+    "oracle-published-horizon-past-float-range": (
+        dict(BASE, mode="deterministic-oracle", horizon=ORACLE_HORIZON_LIMIT + 1), ()),
+    "run-past-time-limit": (
+        dict(SCHED2_CYCLE5, horizon=2 * 10**5, overrides={"epsilon": 0.2, "epoch_length": 101}),
+        ()),
+    "oracle-queue-ledger-past-float-range": (
+        dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
+             arrivals={"kind": "scaled-bernoulli", "rates": 1e307, "peak": 1e308},
+             overrides={"epoch_length": 100}), ()),
+    "cc2-first-update-past-drive-limit": (
+        dict(CC2, graph={"preset": "single"},
+             overrides={"beta": 5.0, "step": 1e5, "epoch_length": 10}), ()),
+    "oracle-past-exact-mode": (
+        dict(BASE, mode="deterministic-oracle", arrivals={"kind": "scaled-bernoulli", "rates": 0.1},
+             graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}), ()),
+    "oracle-past-family-cap": (
+        dict(BASE, graph={"n": 17}, mode="deterministic-oracle", horizon=3,
+             arrivals={"kind": "scaled-bernoulli", "rates": 0.3}, overrides={"epoch_length": 20}),
+        ()),
+    "oracle-first-update-past-drive-limit": (
+        dict(BASE, graph={"preset": "single"}, mode="deterministic-oracle", horizon=3,
+             arrivals={"kind": "scaled-bernoulli", "rates": 800, "peak": 1000},
+             overrides={"epoch_length": 10}), ()),
+}
+OUTPUT_PATHS = ("below-a-file", "a-file", "run-file-is-a-directory")
+
+
+def test_refusal_table_has_one_row_per_exit_2_case():
+    ids = [row_id for row_id, _ in REFUSAL_ROWS]
+    assert len(ids) == len(set(ids)), "a refusal id repeats in README's table"
+    assert set(ids) == set(EXIT_2) | set(OUTPUT_PATHS)
+
+
+@pytest.mark.parametrize("case", EXIT_2)
+def test_config_errors_exit_2_before_any_output(tmp_path, capsys, case):
+    payload, flags = EXIT_2[case]
     path = write_config(tmp_path, payload)
     out = tmp_path / "out"
     t0 = time.perf_counter()
     assert main(["run", str(path), "--out", str(out), *flags]) == 2
     elapsed = time.perf_counter() - t0
-    assert detail in capsys.readouterr().err
+    assert REFUSALS[case] in capsys.readouterr().err
     assert not out.exists()
     assert elapsed < BUDGET, f"the refusal took {elapsed:.1f}s"
 
@@ -370,7 +396,8 @@ def test_run_is_byte_identical_across_invocations(tmp_path):
         assert main(["run", str(cfg_path), "--out", str(out_b)]) == 0
         for name in (f"{stem}.jsonl", f"{stem}-summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        records = [strict_json(line) for line in (out_a / f"{stem}.jsonl").open()]
+        records = [strict_json(line) for line in
+                   (out_a / f"{stem}.jsonl").read_text().splitlines()]
         assert [r["j"] for r in records] == list(range(1, payload["horizon"] + 1))
         summary = strict_json((out_a / f"{stem}-summary.json").read_text())
         assert summary["certificates"]["admissible"] is True
@@ -466,7 +493,7 @@ def test_run_summary_skips_certificates_past_exact_mode(tmp_path):
         t0 = time.perf_counter()
         assert main(["run", str(path), "--out", str(out)]) == 0
         assert time.perf_counter() - t0 < BUDGET
-        for line in (out / "exp-seed3.jsonl").open():
+        for line in (out / "exp-seed3.jsonl").read_text().splitlines():
             strict_json(line)
         summary = strict_json((out / "exp-seed3-summary.json").read_text())
         assert summary["epochs"] == 2
@@ -566,19 +593,28 @@ def test_run_exit_codes(tmp_path):
     assert main(["run", str(overflow), "--out", str(tmp_path / "o")]) == 3
 
 
-@pytest.mark.parametrize("below_a_file", [True, False], ids=["below-a-file", "a-file"])
-def test_run_refuses_an_output_path_it_cannot_create(tmp_path, capsys, below_a_file):
+@pytest.mark.parametrize("case", OUTPUT_PATHS)
+def test_run_refuses_an_output_path_it_cannot_create(tmp_path, capsys, case):
     cfg_path = write_config(tmp_path, BASE)
     blocker = tmp_path / "blocker"
-    blocker.write_text("a regular file\n")
-    out = blocker / "sub" if below_a_file else blocker
+    if case == "run-file-is-a-directory":
+        out = blocker
+        unwritable = out / "exp-seed9.jsonl"
+        unwritable.mkdir(parents=True)
+    else:
+        blocker.write_text("a regular file\n")
+        out = unwritable = blocker / "sub" if case == "below-a-file" else blocker
+
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+
+    before = tree()
     assert main(["run", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"cannot create output directory {out}" in err
+    assert f"{REFUSALS[case]} {unwritable}" in err
     assert "Traceback" not in err
     # nothing written: no run, summary or manifest anywhere
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.json"]
-    assert blocker.read_text() == "a regular file\n"
+    assert tree() == before
 
 
 def test_oracle_cc2_at_a_tiny_step_runs_without_warnings(tmp_path):

@@ -133,6 +133,13 @@ def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
         make(horizon=10**18)  # the sum stops once it passes the limit
 
 
+def test_bounds_walk_no_published_length_without_a_finite_limit(monkeypatch):
+    # an oracle run has no event budget, and at rate 0.5 the ledger fills only
+    # past the largest float, so neither bound needs the run's length
+    monkeypatch.setattr(engine, "published_epoch_length", None)  # a call would fail
+    assert sched1(horizon=ORACLE_HORIZON_LIMIT, mode=ORACLE).epoch_length is None
+
+
 def test_oracle_horizon_limit_is_the_last_finite_clock():
     # the exact total of the published lengths fits in a float through the
     # limit and not one epoch further, and so does the engine's float clock
