@@ -32,9 +32,9 @@ def run_leg(graph, rates, epochs, epoch_length, seed):
     config = ExperimentConfig(
         graph=graph, algorithm="sched1", horizon=epochs,
         arrivals=ArrivalSpec(kind="scaled-bernoulli", rates=list(rates)),
-        epoch_length=epoch_length, seed=seed)
+        epoch_length=epoch_length)
     last = None
-    for last in run_experiment(config):
+    for last in run_experiment(config, seed):
         pass
     return last
 

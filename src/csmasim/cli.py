@@ -12,7 +12,6 @@ environment variable, then the config's "output" field, then ./runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime
 import json
 import math
@@ -53,6 +52,12 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _refuse_non_file(path: Path, what: str) -> None:
+    """Refuse, before the run that would write it, a path that exists as no file."""
+    if path.exists() and not path.is_file():
+        raise ConfigError(f"cannot write {what} {path}: it exists and is not a regular file")
+
+
 def _load_graph(source: str):
     if source in PRESETS:
         return preset(source)
@@ -78,9 +83,9 @@ def _parse_cli_utilities(text: str, n: int) -> tuple[UtilityFunction, ...]:
     return _parse_utilities(data, n)
 
 
-def _summarize(cfg: ExperimentConfig, last: MetricsRecord) -> dict:
+def _summarize(cfg: ExperimentConfig, seed: int, last: MetricsRecord) -> dict:
     summary = {
-        "seed": cfg.seed,
+        "seed": seed,
         "epochs": last.j,
         "elapsed": last.epoch_start + last.epoch_length,
         "final_drive": list(last.drive),
@@ -118,11 +123,11 @@ def _certificates(cfg: ExperimentConfig, last: MetricsRecord, elapsed: float) ->
     except InfeasibleRates as exc:
         return {"admissible": False, "detail": str(exc)}
     drive = np.asarray(last.drive)
-    target = np.where(np.isfinite(fit.r), fit.r, SILENCED)
     return {
         "admissible": True,
         "fitted_drive": [_json_safe(float(v)) for v in fit.r],
-        "drive_distance_to_fit": float(np.abs(drive - target).max())
+        # an unmasked fit is finite everywhere
+        "drive_distance_to_fit": float(np.abs(drive - fit.r).max())
         if not fit.masked else None,
     }
 
@@ -132,38 +137,39 @@ def cmd_run(args) -> int:
     cfg = parsed.experiment
     if args.seeds < 1:
         raise ConfigError("--seeds must be at least 1")
-    base_seed = args.seed if args.seed is not None else cfg.seed
+    base_seed = args.seed if args.seed is not None else parsed.seed
     if base_seed is None:
         if cfg.mode != ORACLE:
             raise ConfigError("no seed: pass --seed or set one in the config")
         base_seed = 0
+    if base_seed < 0:  # the config's seed was checked when it was parsed
+        raise ConfigError("seed must be a nonnegative integer")
     seeds = range(base_seed, base_seed + args.seeds)
-    # replace() checks the seed before any file is written; later seeds only
-    # grow, so each of their configs is built when its run starts
-    first = dataclasses.replace(cfg, seed=base_seed)
     out_dir = Path(args.out or os.environ.get(OUTPUT_ENV) or parsed.output or "runs")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     stem = Path(args.config).stem
+    manifest_path = out_dir / f"{stem}-manifest.json"
+    _refuse_non_file(manifest_path, "manifest")
     started = _utc_now()
     outputs = []
     encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
     for seed in seeds:
-        run = first if seed == base_seed else dataclasses.replace(cfg, seed=seed)
-        run_path = out_dir / f"{stem}-seed{run.seed}.jsonl"
-        summary_path = out_dir / f"{stem}-seed{run.seed}-summary.json"
+        run_path = out_dir / f"{stem}-seed{seed}.jsonl"
+        summary_path = out_dir / f"{stem}-seed{seed}-summary.json"
+        _refuse_non_file(summary_path, "summary")
         last = None
         try:
             fh = open(run_path, "w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot open run file {run_path}: {exc}") from exc
         with fh:
-            for record in run_experiment(run):
+            for record in run_experiment(cfg, seed):
                 fh.write(encode(vars(record)) + "\n")
                 last = record
-        _write_json(summary_path, _summarize(run, last))
+        _write_json(summary_path, _summarize(cfg, seed, last))
         outputs.append(run_path.name)
         print(f"wrote {run_path}", file=sys.stderr)
     manifest = {
@@ -175,7 +181,7 @@ def cmd_run(args) -> int:
         "started": started,
         "finished": _utc_now(),
     }
-    _write_json(out_dir / f"{stem}-manifest.json", manifest)
+    _write_json(manifest_path, manifest)
     return 0
 
 
@@ -222,6 +228,9 @@ def cmd_analyze(args) -> int:
             beta = args.beta
         elif args.epsilon is not None:
             beta = default_beta(n, args.epsilon)
+            if not beta < math.inf:  # 4n/eps overflows for a subnormal eps
+                raise ConfigError(f"beta = 4n/eps overflows at --epsilon {args.epsilon!r}; "
+                                  "pass --beta or a larger --epsilon")
         else:
             raise ConfigError("--utilities needs --beta (or --epsilon for the "
                               "4n/eps default)")

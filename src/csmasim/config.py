@@ -5,9 +5,10 @@ match exactly and unknown keys are rejected at every level, so a typo'd
 override never silently runs with defaults, and every number passes through
 `_number`, which rejects NaN, Infinity and literals past the float range.
 Value ranges and the settings a run resolves from them are checked once, by
-ExperimentConfig.  The config hash is the sha256 of the canonical
-(sorted-key, compact) encoding, making it stable under key reordering in the
-file.
+ExperimentConfig; the seed, which only picks a run's sample path and so is
+not part of it, is checked here.  The config hash is the sha256 of the
+canonical (sorted-key, compact) encoding, making it stable under key
+reordering in the file.
 """
 from __future__ import annotations
 
@@ -34,6 +35,7 @@ _OVERRIDE_KEYS = {"epoch_length", "step", "epsilon", "beta"}
 
 class ParsedConfig(NamedTuple):
     experiment: ExperimentConfig
+    seed: int | None  # picks the sample path; not part of the experiment
     output: str | None
     digest: str
 
@@ -174,6 +176,9 @@ def parse_config(data, base_dir: Path | str = ".") -> ParsedConfig:
     if "initial_queue" in data:
         initial_queue = tuple(_broadcast(data["initial_queue"], graph.n, "initial_queue"))
 
+    seed = data.get("seed")
+    if seed is not None and (not _whole(seed) or seed < 0):
+        raise ConfigError("seed must be a nonnegative integer")
     output = data.get("output")
     if output is not None and not isinstance(output, str):
         raise ConfigError("output must be a string path")
@@ -185,12 +190,12 @@ def parse_config(data, base_dir: Path | str = ".") -> ParsedConfig:
         arrivals=arrivals,
         utilities=utilities,
         mode=data.get("mode", "stochastic"),
-        seed=data.get("seed"),
         epoch_length=overrides.get("epoch_length"),
         initial_queue=initial_queue,
         **floats,
     )
-    return ParsedConfig(experiment=experiment, output=output, digest=config_hash(data))
+    return ParsedConfig(experiment=experiment, seed=seed, output=output,
+                        digest=config_hash(data))
 
 
 def load_config(path) -> ParsedConfig:

@@ -96,13 +96,12 @@ class ExperimentConfig:
     Construction checks the fields, resolves what the run reads (sched2's
     epoch length and step: each override, else the published plan; beta for
     congestion runs: the override, else 4n/epsilon), checks the bounds of the
-    whole run, and last resolves `family`, the graph's schedule family, which
+    whole run, and last enumerates `family`, the graph's schedule family, which
     is not a setting.  Past exact mode a stochastic config holds the
     ExactModeUnavailable that refused the graph there, and an oracle config,
-    whose service rates sum over the family, raises it.  The resolved values
-    replace the None they stand for, so dataclasses.replace keeps them and a
-    seed sweep enumerates once: change epsilon or the graph by building a new
-    config (a family carried to another graph is refused).
+    whose service rates sum over the family, raises it.  The seed is not part
+    of the config: it only picks the sample path, so every seed of a sweep
+    runs on one config and the family is enumerated once.
     """
 
     graph: ConflictGraph
@@ -111,14 +110,13 @@ class ExperimentConfig:
     arrivals: ArrivalSpec | None = None
     utilities: tuple[UtilityFunction, ...] | None = None
     mode: str = "stochastic"
-    seed: int | None = None
     epoch_length: int | None = None
     step: float | None = None
     epsilon: float | None = None
     beta: float | None = None
     initial_queue: tuple[float, ...] | None = None
-    family: IndependentSetFamily | ExactModeUnavailable | None = field(
-        default=None, repr=False, compare=False)
+    family: IndependentSetFamily | ExactModeUnavailable = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph.n
@@ -133,8 +131,6 @@ class ExperimentConfig:
                 or not 1 <= self.epoch_length <= DESK_TIME_LIMIT):
             raise ConfigError("epoch_length override must be a positive integer "
                               f"of at most {DESK_TIME_LIMIT:g}")
-        if self.seed is not None and (not _whole(self.seed) or self.seed < 0):
-            raise ConfigError("seed must be a nonnegative integer")
         if self.epsilon is not None and not 0 < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if self.is_congestion:
@@ -232,16 +228,10 @@ class ExperimentConfig:
                 f"the first update moves the prices to the step {self.step!r}, past the "
                 f"limit {DRIVE_LIMIT:g} that epoch 2 enforces; lower the step")
 
-        family = self.family
-        if family is None:
-            try:
-                family = enumerate_independent_sets(self.graph)
-            except ExactModeUnavailable as exc:
-                exc.graph = self.graph  # so a carried refusal is checked like a family
-                family = exc
-        elif family.graph != self.graph:
-            raise ConfigError("the schedule family belongs to another graph; "
-                              "build a new config for a new graph")
+        try:
+            family = enumerate_independent_sets(self.graph)
+        except ExactModeUnavailable as exc:
+            family = exc
         if self.mode == ORACLE and isinstance(family, ExactModeUnavailable):
             raise family
         if self.mode == ORACLE and self.algorithm == "sched1" and self.horizon > 1:
@@ -289,13 +279,13 @@ class MetricsRecord:
                 raise InvariantViolation(f"non-finite {name} in epoch {self.j}")
 
 
-def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
-    """Stream one MetricsRecord per epoch; deterministic given the config."""
+def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterator[MetricsRecord]:
+    """Stream one MetricsRecord per epoch; deterministic given the config and seed."""
     graph = config.graph
     n = graph.n
     oracle = config.mode == ORACLE
-    if not oracle and config.seed is None:
-        raise ConfigError("stochastic runs need a seed")
+    if not oracle and not (_whole(seed) and seed >= 0):  # SeedSequence's entropy
+        raise ConfigError(f"stochastic runs need a seed, a nonnegative integer; got {seed!r}")
 
     # A family small enough to gain from it samples from a clock table; a
     # larger one, or a refusal past exact mode, keeps per-node clocks.
@@ -344,9 +334,9 @@ def run_experiment(config: ExperimentConfig) -> Iterator[MetricsRecord]:
             served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
         else:
             chain_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 0)))
+                np.random.SeedSequence(entropy=seed, spawn_key=(j, 0)))
             arr_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(j, 1)))
+                np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
             traj = simulate(graph, drive, float(length), initial_mask=mask,
                             rng=chain_rng, table=table)
             mask = traj.final_mask

@@ -45,9 +45,9 @@ def _random_graph(rng, n: int) -> ConflictGraph:
     return ConflictGraph.from_edges(n, edges)
 
 
-def _last_record(config: ExperimentConfig):
+def _last_record(config: ExperimentConfig, seed=None):
     last = None
-    for last in run_experiment(config):
+    for last in run_experiment(config, seed):
         pass
     return last
 
@@ -202,7 +202,7 @@ def test_a06_diminishing_step_reaches_rate_stability():
     for seed in (1, 2, 3):
         last = _last_record(ExperimentConfig(
             graph=graph, algorithm="sched1", horizon=2000, arrivals=arrivals,
-            epoch_length=60, seed=seed))
+            epoch_length=60), seed)
         stoch_err = max(stoch_err, float(np.abs(np.asarray(last.drive) - target).max()))
         stoch_trace = max(stoch_trace, last.max_queue_ratio)
     assert stoch_err <= 0.3
@@ -211,7 +211,7 @@ def test_a06_diminishing_step_reaches_rate_stability():
     control = _last_record(ExperimentConfig(
         graph=preset("clique2"), algorithm="sched1", horizon=2000,
         arrivals=ArrivalSpec(kind="scaled-bernoulli", rates=[0.6, 0.6]),
-        epoch_length=60, seed=1))
+        epoch_length=60), 1)
     assert control.max_queue_ratio >= 0.05
     _passline("A6", time.perf_counter() - t0, 300.0,
               f"oracle err {oracle_err:.4f}, stoch err {stoch_err:.4f}, "
@@ -224,10 +224,10 @@ def test_a07_constant_step_box_and_potential():
     config = ExperimentConfig(
         graph=graph, algorithm="sched2", horizon=10_000,
         arrivals=ArrivalSpec(kind="scaled-bernoulli", rates=[0.25] * 5),
-        epsilon=0.2, epoch_length=200, seed=5)
+        epsilon=0.2, epoch_length=200)
     box = graph.n / 0.2
     peak_drive = 0.0
-    for record in run_experiment(config):
+    for record in run_experiment(config, 5):
         peak_drive = max(peak_drive, max(abs(v) for v in record.drive))
     assert peak_drive <= box  # engine also asserts this after every update
 
@@ -292,13 +292,12 @@ def test_a09_constant_price_runs_inside_hard_boxes():
     beta, alpha, length = 50.0, 0.1, 100
     config = ExperimentConfig(
         graph=preset("cycle5"), algorithm="cc2", horizon=1000,
-        utilities=(LOG1,) * 5, epsilon=0.4, step=alpha, epoch_length=length,
-        seed=11)
+        utilities=(LOG1,) * 5, epsilon=0.4, step=alpha, epoch_length=length)
     assert config.beta == beta  # 4n/eps default
     price_cap = beta * 1.0 + alpha      # slope of log(1+y) at 0 is 1
     queue_cap = length * (beta * 1.0 + 2 * alpha) / alpha
 
-    records = list(run_experiment(config))  # engine asserts the same bounds
+    records = list(run_experiment(config, 11))  # engine asserts the same bounds
     violations = 0
     for rec in records:
         if min(rec.drive) < 0.0 or max(rec.drive) > price_cap:

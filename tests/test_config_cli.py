@@ -57,8 +57,15 @@ def test_parse_happy_path():
     assert cfg.graph.n == 2
     assert cfg.algorithm == "sched1"
     assert cfg.arrivals.rates == pytest.approx([0.2, 0.2])  # scalar broadcast
+    assert parsed.seed == 9  # the run's, not the experiment's
     assert parsed.output is None
     assert parsed.digest == config_hash(BASE)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "9"])
+def test_parse_rejects_a_seed_that_is_no_nonnegative_int(seed):
+    with pytest.raises(ConfigError, match="seed must be a nonnegative integer"):
+        parse_config(dict(BASE, seed=seed))
 
 
 def test_parse_rejects_unknown_keys_everywhere():
@@ -339,7 +346,11 @@ EXIT_2 = {  # id: (payload, flags)
              arrivals={"kind": "scaled-bernoulli", "rates": 800, "peak": 1000},
              overrides={"epoch_length": 10}), ()),
 }
-OUTPUT_PATHS = ("below-a-file", "a-file", "run-file-is-a-directory")
+OUTPUT_PATHS = ("below-a-file", "a-file", "run-file-is-a-directory",
+                "summary-is-a-directory", "manifest-is-a-directory")
+DIRECTORY_IN_THE_WAY = {"run-file-is-a-directory": "exp-seed9.jsonl",
+                        "summary-is-a-directory": "exp-seed9-summary.json",
+                        "manifest-is-a-directory": "exp-manifest.json"}
 
 
 def test_refusal_table_has_one_row_per_exit_2_case():
@@ -374,7 +385,8 @@ def test_run_writes_expected_files(tmp_path):
     lines = run_file.read_text().splitlines()
     assert len(lines) == BASE["horizon"]
     # one line per record, keys sorted, as json.dumps prints it
-    records = run_experiment(load_config(cfg_path).experiment)
+    parsed = load_config(cfg_path)
+    records = run_experiment(parsed.experiment, parsed.seed)
     assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in records]
     first = json.loads(lines[0])
     assert first["j"] == 1 and len(first["drive"]) == 2
@@ -416,8 +428,8 @@ def test_run_seed_sweep_and_seed_override(tmp_path):
     assert (out / "exp-seed20.jsonl").read_bytes() != (out / "exp-seed21.jsonl").read_bytes()
 
 
-def test_run_builds_each_seed_config_when_its_run_starts(tmp_path, monkeypatch):
-    def fails(_config):
+def test_run_sweeps_seeds_without_listing_them_up_front(tmp_path, monkeypatch):
+    def fails(_config, _seed):
         raise NumericFailure("the first run fails")
 
     monkeypatch.setattr(cli, "run_experiment", fails)
@@ -597,9 +609,9 @@ def test_run_exit_codes(tmp_path):
 def test_run_refuses_an_output_path_it_cannot_create(tmp_path, capsys, case):
     cfg_path = write_config(tmp_path, BASE)
     blocker = tmp_path / "blocker"
-    if case == "run-file-is-a-directory":
+    if case in DIRECTORY_IN_THE_WAY:
         out = blocker
-        unwritable = out / "exp-seed9.jsonl"
+        unwritable = out / DIRECTORY_IN_THE_WAY[case]
         unwritable.mkdir(parents=True)
     else:
         blocker.write_text("a regular file\n")
@@ -743,6 +755,11 @@ def test_analyze_beta_defaults_from_epsilon(capsys):
     assert report["entropy_weight"] == pytest.approx(4 * 2 / 0.4)
     rc, _ = run_analyze(capsys, "clique2", "--utilities", "log-shifted")
     assert rc == 2  # neither beta nor epsilon
+    # 8/1e-320 overflows to inf, which the dual solver would reject with a traceback
+    assert main(["analyze", "clique2", "--utilities", "log-shifted", "--epsilon", "1e-320"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta = 4n/eps overflows at --epsilon 1e-320" in captured.err
 
 
 def test_analyze_large_family_skips_cut_enumeration(capsys):

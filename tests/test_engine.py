@@ -33,7 +33,6 @@ def bern(rates, peak=1.0):
 
 
 def sched1(graph="single", rates=(0.5,), **kw):
-    kw.setdefault("seed", 0)
     return ExperimentConfig(graph=preset(graph), algorithm="sched1", horizon=kw.pop("horizon", 5),
                             arrivals=bern(list(rates)), **kw)
 
@@ -76,13 +75,11 @@ def test_config_rejects_bad_knobs():
         ExperimentConfig(algorithm="sched1", step=0.1, **ok)
     with pytest.raises(ConfigError, match="epoch_length"):
         ExperimentConfig(algorithm="sched1", epoch_length=0, **ok)
-    with pytest.raises(ConfigError, match="seed"):
-        ExperimentConfig(algorithm="sched1", seed=-1, **ok)
     with pytest.raises(ConfigError, match="initial_queue"):
         ExperimentConfig(algorithm="sched1", initial_queue=(1.0,), **ok)
     with pytest.raises(ConfigError, match="beta only applies"):
         ExperimentConfig(algorithm="sched1", beta=10.0, **ok)
-    for name in ("horizon", "seed", "epoch_length"):  # True would count as 1
+    for name in ("horizon", "epoch_length"):  # True would count as 1
         with pytest.raises(ConfigError, match=name):
             ExperimentConfig(algorithm="sched1", **dict(ok, **{name: True}))
 
@@ -106,12 +103,11 @@ def test_resolved_beta_rules():
 
 def test_resolved_constant_epoch_needs_override_at_desk_scale():
     cfg = ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=5,
-                           arrivals=bern([0.1] * 5), epsilon=0.2, epoch_length=50,
-                           seed=0)
+                           arrivals=bern([0.1] * 5), epsilon=0.2, epoch_length=50)
     assert cfg.epoch_length == 50
     with pytest.raises(ConfigError, match="out of desk range"):
         ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=5,
-                         arrivals=bern([0.1] * 5), epsilon=0.2, seed=0)
+                         arrivals=bern([0.1] * 5), epsilon=0.2)
 
 
 @pytest.mark.parametrize("algorithm", ["sched1", "cc1"])
@@ -123,7 +119,7 @@ def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
     workload = (dict(arrivals=bern([0.1, 0.1])) if algorithm == "sched1"
                 else dict(utilities=(LOG1, LOG1), beta=10.0))
     make = functools.partial(ExperimentConfig, graph=preset("clique2"),
-                             algorithm=algorithm, seed=0, **workload)
+                             algorithm=algorithm, **workload)
     with pytest.raises(ConfigError, match="set a shorter epoch_length"):
         make(horizon=208)
     make(horizon=207)
@@ -171,7 +167,7 @@ def test_time_budget_bounds_nodes_times_horizon_times_length(n, length, above):
         return  # a single epoch already passes the budget; the other side covers it
     make = functools.partial(ExperimentConfig, graph=_cheap_graph(n), algorithm="sched1",
                              horizon=horizon, arrivals=bern([0.1] * n),
-                             epoch_length=length, seed=0)
+                             epoch_length=length)
     assert (n * horizon * length > DESK_TIME_LIMIT) == above
     if above:
         with pytest.raises(ConfigError, match="node-time units"):
@@ -242,7 +238,7 @@ def test_queue_ledger_stays_in_float_range(length, horizon, queued, above, mode)
     arrivals = (bern([per_unit], peak=sys.float_info.max) if mode == ORACLE
                 else bern([per_unit / 2], peak=per_unit))
     make = functools.partial(ExperimentConfig, graph=preset("single"), algorithm="sched2",
-                             horizon=horizon, mode=mode, seed=0, arrivals=arrivals,
+                             horizon=horizon, mode=mode, arrivals=arrivals,
                              epoch_length=length, epsilon=0.2, step=0.01, initial_queue=(q0,))
     if above:
         with pytest.raises(ConfigError, match="queue ledger"):
@@ -264,7 +260,7 @@ def test_sched2_published_step_never_overflows_uncaught(peak):
     # (peak + 1)^2 leaves the float range from ~1.34e154; below that the step
     # is positive or underflows to 0, and every side exits as a ConfigError
     make = functools.partial(ExperimentConfig, graph=preset("cycle5"), algorithm="sched2",
-                             horizon=3, seed=1, arrivals=bern([0.25] * 5, peak=peak),
+                             horizon=3, arrivals=bern([0.25] * 5, peak=peak),
                              epsilon=0.2, epoch_length=200)
     make(step=0.01)  # both overrides set: the published plan is not consulted
     try:
@@ -313,15 +309,15 @@ def test_cc2_first_update_past_the_drive_limit_is_refused(name, mode):
     # epoch 2 starts at prices equal to the step, so a step of DRIVE_LIMIT runs
     # and construction refuses the next float up, whose run dies entering epoch 2
     graph = preset(name)
-    make = functools.partial(ExperimentConfig, graph=graph, algorithm="cc2", mode=mode, seed=1,
+    make = functools.partial(ExperimentConfig, graph=graph, algorithm="cc2", mode=mode,
                              utilities=(LOG1,) * graph.n, beta=5.0, epoch_length=10)
-    records = list(run_experiment(make(horizon=3, step=DRIVE_LIMIT)))
+    records = list(run_experiment(make(horizon=3, step=DRIVE_LIMIT), 1))
     assert records[1].drive == (DRIVE_LIMIT,) * graph.n
     above = math.nextafter(DRIVE_LIMIT, math.inf)
     unchecked = make(horizon=1, step=above)  # one epoch never reaches epoch 2
     object.__setattr__(unchecked, "horizon", 2)  # skip construction's check
     with pytest.raises(NumericFailure, match="entering epoch 2"):
-        list(run_experiment(unchecked))
+        list(run_experiment(unchecked, 1))
     for step in (above, 1e5, 1e300):
         with pytest.raises(ConfigError, match="past the limit 700"):
             make(horizon=2, step=step)
@@ -339,26 +335,30 @@ def test_config_enumerates_the_family_once(monkeypatch):
     monkeypatch.setattr(engine, "enumerate_independent_sets", counted)
     cfg = sched1(graph="cycle5", rates=[0.2] * 5, horizon=2, epoch_length=10)
     assert cfg.family.size == 11 and cfg.family.graph == cfg.graph
-    seeded = dataclasses.replace(cfg, seed=7)
-    assert seeded.family is cfg.family
-    assert len(list(run_experiment(seeded))) == 2
+    for seed in (7, 8, 9):  # the seed picks a sample path, not a new config
+        assert len(list(run_experiment(cfg, seed))) == 2
     assert len(calls) == 1
-    with pytest.raises(ConfigError, match="belongs to another graph"):
-        dataclasses.replace(cfg, graph=preset("grid3x3"), arrivals=bern([0.2] * 9))
+
+
+def test_config_takes_neither_a_seed_nor_a_family():
+    # the seed belongs to the run, and the family is always the graph's own
+    ok = dict(graph=preset("cycle5"), algorithm="sched1", horizon=2,
+              arrivals=bern([0.2] * 5), epoch_length=10)
+    family = ExperimentConfig(**ok).family
+    for name, value in (("seed", 0), ("family", family)):
+        with pytest.raises(TypeError, match=name):
+            ExperimentConfig(**ok, **{name: value})
 
 
 def test_past_exact_mode_a_stochastic_config_holds_the_refusal():
     cycle31 = ConflictGraph.from_edges(31, [(i, (i + 1) % 31) for i in range(31)])
     cfg = ExperimentConfig(graph=cycle31, algorithm="sched1", horizon=2,
-                           arrivals=bern([0.1] * 31), epoch_length=5, seed=0)
+                           arrivals=bern([0.1] * 31), epoch_length=5)
     assert isinstance(cfg.family, ExactModeUnavailable)
     assert "exact-mode cap 30" in str(cfg.family)
-    assert dataclasses.replace(cfg, seed=1).family is cfg.family
-    assert len(list(run_experiment(cfg))) == 2  # on per-node clocks
+    assert len(list(run_experiment(cfg, 0))) == 2  # on per-node clocks
     with pytest.raises(ExactModeUnavailable, match="exact-mode cap 30"):
         dataclasses.replace(cfg, mode=ORACLE)
-    with pytest.raises(ConfigError, match="belongs to another graph"):
-        dataclasses.replace(cfg, graph=ConflictGraph.from_edges(31, []))
 
 
 RECORD = dict(j=1, epoch_start=0.0, epoch_length=1.0, drive=(0.0, 0.2),
@@ -391,9 +391,8 @@ def test_record_fields_are_python_floats(algorithm, mode):
         "cc1": dict(utilities=(LOG1,) * 5, beta=5.0),
         "cc2": dict(utilities=(LOG1,) * 5, beta=5.0, step=0.5, epoch_length=20),
     }[algorithm]
-    cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=3, mode=mode, seed=5,
-                           **workload)
-    for rec in run_experiment(cfg):
+    cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=3, mode=mode, **workload)
+    for rec in run_experiment(cfg, 5):
         for name, value in vars(rec).items():
             if name == "j":
                 assert type(value) is int
@@ -406,17 +405,17 @@ def test_record_fields_are_python_floats(algorithm, mode):
 # -- reproducibility -------------------------------------------------------------
 
 def test_stochastic_runs_are_bit_identical():
-    cfg = sched1(graph="cycle5", rates=[0.2] * 5, horizon=6, seed=11)
-    a = list(run_experiment(cfg))
-    b = list(run_experiment(cfg))
+    cfg = sched1(graph="cycle5", rates=[0.2] * 5, horizon=6)
+    a = list(run_experiment(cfg, 11))
+    b = list(run_experiment(cfg, 11))
     assert a == b
-    c = list(run_experiment(dataclasses.replace(cfg, seed=12)))
+    c = list(run_experiment(cfg, 12))
     assert c != a
 
 
 def test_time_limit_counts_every_epoch_of_a_stochastic_run():
     ok = dict(graph=preset("cycle5"), algorithm="sched2", arrivals=bern([0.1] * 5),
-              epsilon=0.2, seed=0)
+              epsilon=0.2)
     # five nodes: the budget is 2e7 time units
     ExperimentConfig(horizon=1, epoch_length=2 * 10**7, **ok)
     ExperimentConfig(horizon=2 * 10**5, epoch_length=100, **ok)
@@ -428,7 +427,7 @@ def test_time_limit_counts_every_epoch_of_a_stochastic_run():
         ExperimentConfig(horizon=10**400, epoch_length=1, **ok)  # no float overflow
     ExperimentConfig(horizon=10**400, epoch_length=1, mode="deterministic-oracle", **ok)
     cc2 = dict(graph=preset("clique2"), algorithm="cc2", utilities=(LOG1, LOG1),
-               beta=5.0, step=0.5, seed=0)
+               beta=5.0, step=0.5)
     ExperimentConfig(horizon=5 * 10**5, epoch_length=100, **cc2)
     with pytest.raises(ConfigError, match="shorten the horizon"):
         ExperimentConfig(horizon=5 * 10**5 + 1, epoch_length=100, **cc2)
@@ -449,7 +448,7 @@ def test_clock_table_runs_match_per_node_clock_runs(monkeypatch, algorithm, grap
         "sched2": dict(arrivals=bern([0.25] * g.n), epsilon=0.2, epoch_length=50),
         "cc2": dict(utilities=(LOG1,) * g.n, beta=5.0, step=0.5, epoch_length=50),
     }[algorithm]
-    cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=30, seed=4, **workload)
+    cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=30, **workload)
     tables = []
 
     def watch(*args, table, **kwargs):
@@ -458,12 +457,12 @@ def test_clock_table_runs_match_per_node_clock_runs(monkeypatch, algorithm, grap
 
     simulate = engine.simulate
     monkeypatch.setattr(engine, "simulate", watch)
-    with_table = list(run_experiment(cfg))
+    with_table = list(run_experiment(cfg, 4))
     assert tables and all(t is not None for t in tables)
 
     tables.clear()
     monkeypatch.setattr(engine, "TABLE_STATES", 0)  # every family keeps per-node clocks
-    with_clocks = list(run_experiment(cfg))
+    with_clocks = list(run_experiment(cfg, 4))
     assert tables and all(t is None for t in tables)
     assert with_table == with_clocks
 
@@ -481,7 +480,7 @@ def test_families_past_the_table_cap_keep_per_node_clocks(monkeypatch):
     for cap, uses_table in ((11, True), (10, False)):  # cycle5 has 11 schedules
         monkeypatch.setattr(engine, "TABLE_STATES", cap)
         tables.clear()
-        list(run_experiment(cfg))
+        list(run_experiment(cfg, 0))
         assert [t is not None for t in tables] == [uses_table] * 2
 
 
@@ -490,16 +489,19 @@ def test_stochastic_needs_some_seed():
                            arrivals=bern([0.5]))
     with pytest.raises(ConfigError, match="seed"):
         list(run_experiment(cfg))
-    assert len(list(run_experiment(dataclasses.replace(cfg, seed=4)))) == 2
+    for seed in (-1, True, 1.5):  # a library caller's seed is checked where it enters
+        with pytest.raises(ConfigError, match="need a seed, a nonnegative integer"):
+            list(run_experiment(cfg, seed))
+    assert len(list(run_experiment(cfg, 4))) == 2
 
 
 # -- ledger invariants ------------------------------------------------------------
 
 def test_queue_ledger_reconstructs_from_records():
-    cfg = sched1(graph="clique2", rates=[0.3, 0.25], horizon=8, seed=3)
+    cfg = sched1(graph="clique2", rates=[0.3, 0.25], horizon=8)
     arrived = np.zeros(2)
     prev_dep = np.zeros(2)
-    for rec in run_experiment(cfg):
+    for rec in run_experiment(cfg, 3):
         arrived += np.array(rec.arrival_rate_est) * rec.epoch_length
         dep = np.array(rec.departed)
         served_this_epoch = dep - prev_dep
@@ -521,15 +523,15 @@ def test_departures_above_offered_service_raise(monkeypatch):
         return offered + 1e-6, peak, offered
 
     monkeypatch.setattr(engine, "integrate_epoch", over_serving)
-    cfg = sched1(graph="clique2", rates=[0.3, 0.25], horizon=3, seed=3)
+    cfg = sched1(graph="clique2", rates=[0.3, 0.25], horizon=3)
     with pytest.raises(InvariantViolation, match="offered service"):
-        list(run_experiment(cfg))
+        list(run_experiment(cfg, 3))
 
 
 def test_zero_arrivals_leave_queues_empty():
     cfg = ExperimentConfig(graph=preset("clique2"), algorithm="sched1", horizon=5,
-                           arrivals=bern([0.0, 0.0]), seed=9)
-    for rec in run_experiment(cfg):
+                           arrivals=bern([0.0, 0.0]))
+    for rec in run_experiment(cfg, 9):
         assert rec.queue == (0.0, 0.0)
         assert rec.departed == (0.0, 0.0)
         assert rec.max_queue_ratio == 0.0
@@ -589,9 +591,9 @@ def test_oracle_congestion_tracks_requested_rates():
 def test_drive_overflow_raises_numeric_failure():
     cfg = ExperimentConfig(graph=preset("single"), algorithm="sched2", horizon=5,
                            arrivals=bern([0.4]), epsilon=0.001, step=1e7,
-                           epoch_length=4, seed=0)
+                           epoch_length=4)
     with pytest.raises(NumericFailure, match="overflow"):
-        list(run_experiment(cfg))
+        list(run_experiment(cfg, 0))
 
 
 def oracle_cycle5():
@@ -650,18 +652,18 @@ def test_queue_kernel_faults_raise(monkeypatch, fault, match):
 def test_sched2_stays_in_projection_box():
     cfg = ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=50,
                            arrivals=bern([0.25] * 5), epsilon=0.2, epoch_length=20,
-                           step=0.05, seed=21)
+                           step=0.05)
     box = 5 / 0.2
-    for rec in run_experiment(cfg):
+    for rec in run_experiment(cfg, 21):
         assert max(abs(v) for v in rec.drive) <= box + 1e-12
 
 
 def test_cc2_price_box_and_queue_coupling_hold():
     cfg = ExperimentConfig(graph=preset("clique2"), algorithm="cc2", horizon=60,
                            utilities=(LOG1, LOG1), beta=10.0, step=0.1,
-                           epoch_length=25, seed=2)
+                           epoch_length=25)
     cap = 10.0 * 1.0 + 0.1
-    recs = list(run_experiment(cfg))  # internal assertions armed every epoch
+    recs = list(run_experiment(cfg, 2))  # internal assertions armed every epoch
     assert recs[0].rates == (1.0, 1.0)
     for prev, rec in zip(recs, recs[1:]):
         assert all(-1e-12 <= p <= cap + 1e-9 for p in rec.drive)
@@ -691,9 +693,9 @@ def test_single_node_half_load_settles_near_zero_drive():
     for seed in (1, 2, 3):
         cfg = ExperimentConfig(graph=preset("single"), algorithm="sched1",
                                horizon=200, arrivals=bern([0.5]),
-                               epoch_length=60, seed=seed)
+                               epoch_length=60)
         last = None
-        for last in run_experiment(cfg):
+        for last in run_experiment(cfg, seed):
             pass
         assert abs(last.drive[0]) <= 0.1
         assert last.max_queue_ratio <= 0.05
