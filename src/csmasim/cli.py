@@ -16,6 +16,7 @@ import datetime
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -46,6 +47,20 @@ def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+def _line_encoder():
+    """`json.dumps(obj, sort_keys=True)` for a record's fields, with the C encoder
+    that `JSONEncoder.encode` builds on every call built once.  A record holds
+    numbers and tuples of floats, which cannot form a cycle, so it skips the
+    circular-reference bookkeeping."""
+    encoder = json.JSONEncoder(sort_keys=True, check_circular=False)
+    if json.encoder.c_make_encoder is None:  # an interpreter without _json
+        return encoder.encode
+    make = json.encoder.c_make_encoder(
+        None, encoder.default, json.encoder.encode_basestring_ascii, None,
+        encoder.key_separator, encoder.item_separator, True, False, True)
+    return lambda obj: "".join(make(obj, 0))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -155,21 +170,30 @@ def cmd_run(args) -> int:
     _refuse_non_file(manifest_path, "manifest")
     started = _utc_now()
     outputs = []
-    encode = json.JSONEncoder(sort_keys=True).encode  # json.dumps builds one per call
+    encode = _line_encoder()
+    # An oracle run does not depend on the seed: it runs once, and every
+    # later seed gets a copy of its run file and its summary.
+    first_run = summary = None
     for seed in seeds:
         run_path = out_dir / f"{stem}-seed{seed}.jsonl"
         summary_path = out_dir / f"{stem}-seed{seed}-summary.json"
         _refuse_non_file(summary_path, "summary")
-        last = None
         try:
             fh = open(run_path, "w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot open run file {run_path}: {exc}") from exc
         with fh:
-            for record in run_experiment(cfg, seed):
-                fh.write(encode(vars(record)) + "\n")
-                last = record
-        _write_json(summary_path, _summarize(cfg, seed, last))
+            if first_run is None:
+                last = None
+                for record in run_experiment(cfg, seed):
+                    fh.write(encode(vars(record)) + "\n")
+                    last = record
+                summary = _summarize(cfg, seed, last)
+                first_run = run_path if cfg.mode == ORACLE else None
+            else:
+                with open(first_run, encoding="utf-8") as src:
+                    shutil.copyfileobj(src, fh)
+        _write_json(summary_path, dict(summary, seed=seed))
         outputs.append(run_path.name)
         print(f"wrote {run_path}", file=sys.stderr)
     manifest = {

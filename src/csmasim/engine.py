@@ -22,6 +22,7 @@ queues are empty are faithful, and the offered/actual gap is recorded.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from .congestion import (UtilityFunction, best_responses, default_beta,
                          update_prices_constant, update_prices_diminishing)
 from .errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                      NumericFailure)
-from .gibbs import service_rates
+from .gibbs import _gibbs_law, service_rates
 from .scheduling import (constant_step_plan, published_epoch_length,
                          update_diminishing, update_projected)
 from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
@@ -270,6 +271,11 @@ class MetricsRecord:
     avg_rate_utility: float | None = None   # utility at the time-averaged rate
 
     def __post_init__(self):
+        if all(map(math.isfinite, itertools.chain(
+                self.drive, self.arrival_rate_est, self.offered_service_est,
+                self.actual_service_rate, self.queue, self.departed, self.peak_queue,
+                (self.epoch_start, self.epoch_length, self.max_queue_ratio)))):
+            return  # one pass; on a failure the loops below name the field
         for name in ("drive", "arrival_rate_est", "offered_service_est",
                      "actual_service_rate", "queue", "departed", "peak_queue"):
             if not all(map(math.isfinite, getattr(self, name))):
@@ -290,6 +296,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
     # A family small enough to gain from it samples from a clock table; a
     # larger one, or a refusal past exact mode, keeps per-node clocks.
     family = config.family
+    matrix = family.matrix if oracle else None  # an oracle config's family is enumerated
     table = None
     if not oracle and isinstance(family, IndependentSetFamily) and family.size <= TABLE_STATES:
         table = clock_table(family)
@@ -315,9 +322,9 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
     now = 0.0
     weighted_rates = np.zeros(n)
 
-    # The epoch path reduces through ufuncs and ndarray methods, not np.all,
-    # np.any or ndarray.max: on a few nodes their Python wrappers cost more
-    # than the arithmetic.
+    # The epoch path reduces through ufuncs (np.maximum.reduce,
+    # np.logical_or.reduce), not np.all, np.any or the ndarray methods: on a
+    # few nodes their Python wrappers cost more than the arithmetic.
     for j in range(1, config.horizon + 1):
         top = np.maximum.reduce(np.abs(drive))
         if not top <= DRIVE_LIMIT:  # NaN fails it too
@@ -327,7 +334,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
         length = fixed_length if fixed_length is not None else published_epoch_length(j)
 
         if oracle:
-            s_hat = service_rates(family, drive)
+            # the drive is the engine's own (n,) float array, bounded just above
+            s_hat = _gibbs_law(matrix, drive)[0] @ matrix
             lam_hat = cc_rates if congestion else config.arrivals.rates
             arrivals = lam_hat * length
             offered = s_hat * length
@@ -347,7 +355,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
             else:
                 deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
                 inflow = None
-                arrivals = deposits.sum(axis=0)
+                arrivals = np.add.reduce(deposits, axis=0)
             served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits,
                                                     inflow=inflow)
             lam_hat = arrivals / length
@@ -376,7 +384,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
             new_drive = update_projected(drive, lam_hat, s_hat, config.epsilon,
                                          step, n)
             box = n / config.epsilon
-            if (np.abs(new_drive) > box).any():
+            if np.logical_or.reduce(np.abs(new_drive) > box):
                 raise InvariantViolation(f"projection box violated at epoch {j}")
             new_rates = None
         elif config.algorithm == "cc1":
@@ -384,17 +392,18 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
             new_rates = best_responses(config.utilities, beta, new_drive)
         else:  # cc2
             new_drive = update_prices_constant(drive, cc_rates, s_hat, step)
-            if (new_drive < -1e-12).any() or (new_drive > price_box + 1e-9).any():
+            if (np.logical_or.reduce(new_drive < -1e-12)
+                    or np.logical_or.reduce(new_drive > price_box + 1e-9)):
                 raise InvariantViolation(
                     f"price box [0, {price_box:.6g}] violated at epoch {j}: "
                     f"max price {new_drive.max():.6g}")
             if couple:
                 slack = 1e-6 * (1.0 + queue_cap)
                 coupling = (length / step) * new_drive
-                if (qstate.queue > coupling + slack).any():
+                if np.logical_or.reduce(qstate.queue > coupling + slack):
                     raise InvariantViolation(
                         f"queue/price coupling violated at epoch {j}")
-                if (peak > queue_cap + slack).any():
+                if np.logical_or.reduce(peak > queue_cap + slack):
                     raise InvariantViolation(
                         f"queue cap {queue_cap:.6g} violated at epoch {j}")
             new_rates = best_responses(config.utilities, beta, new_drive)

@@ -43,9 +43,18 @@ def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (family.n,):
         raise ValueError(f"backoff vector must have shape ({family.n},)")
-    if not np.isfinite(r).all():
+    if not np.logical_and.reduce(np.isfinite(r)):
         raise ValueError("backoff vector must be finite here; mask zero-rate nodes upstream")
     return r
+
+
+def _gibbs_law(matrix: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
+    """The law's probabilities and log Z at an (n,) float r known to be finite
+    (through `_check_backoff`, or the engine's bound on its own drive)."""
+    energy = matrix @ r
+    peak = float(np.maximum.reduce(energy))  # the max-shift keeps |r| up to ~700 safe
+    logz = peak + math.log(float(np.add.reduce(np.exp(energy - peak))))
+    return np.exp(energy - logz), logz
 
 
 class GibbsDistribution(NamedTuple):
@@ -54,18 +63,14 @@ class GibbsDistribution(NamedTuple):
 
 
 def stationary_distribution(family: IndependentSetFamily, r) -> GibbsDistribution:
-    r = _check_backoff(family, r)
-    energy = family.matrix @ r
-    peak = float(np.maximum.reduce(energy))  # the max-shift keeps |r| up to ~700 safe
-    logz = peak + math.log(float(np.add.reduce(np.exp(energy - peak))))
-    probs = np.exp(energy - logz)
+    probs, logz = _gibbs_law(family.matrix, _check_backoff(family, r))
     probs.setflags(write=False)
     return GibbsDistribution(probs=probs, log_partition=logz)
 
 
 def service_rates(family: IndependentSetFamily, r) -> np.ndarray:
     """Stationary per-node service rates s(r): the transmit marginals."""
-    return stationary_distribution(family, r).probs @ family.matrix
+    return _gibbs_law(family.matrix, _check_backoff(family, r))[0] @ family.matrix
 
 
 def moments(family: IndependentSetFamily, r) -> tuple[float, np.ndarray, np.ndarray]:

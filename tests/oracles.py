@@ -20,6 +20,9 @@ bit-for-bit reference of the node-major `traffic.reflect` and
 `traffic.integrate_epoch`, and the walk that takes one (wait, pick) pair
 from a generator per event is the reference of `chain._walk_table`.
 `strict_json` parses the commands' JSON the way a strict reader would.
+`service_rates_spelled_out` writes the Gibbs law's marginals out in the
+numpy operations `gibbs` has always used; it is the bit-for-bit reference of
+the unchecked law that an oracle epoch calls.
 """
 
 import bisect
@@ -190,6 +193,16 @@ def ctmc_generator_loop(family: IndependentSetFamily, r) -> np.ndarray:
                 gen[row, row_of(family, mask | bit)] = start_rate[i]
         gen[row, row] = -gen[row].sum()
     return gen
+
+
+# -- the law ----------------------------------------------------------------------
+
+def service_rates_spelled_out(matrix: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Energy, max-shift, log Z, probabilities, marginals, in that order."""
+    energy = matrix @ r
+    peak = float(np.maximum.reduce(energy))
+    logz = peak + math.log(float(np.add.reduce(np.exp(energy - peak))))
+    return np.exp(energy - logz) @ matrix
 
 
 # -- the fit objective and the congestion dual -----------------------------------

@@ -27,7 +27,7 @@ from csmasim.congestion import utility_gap_certificate
 from csmasim.engine import ORACLE_HORIZON_LIMIT, run_experiment
 from csmasim import engine, gibbs, simplex
 from csmasim.errors import ConfigError, ConvergenceFailure, NumericFailure
-from oracles import clique2_log_gap, strict_json
+from oracles import clique2_log_gap, service_rates_spelled_out, strict_json
 
 
 BASE = {
@@ -426,6 +426,62 @@ def test_run_seed_sweep_and_seed_override(tmp_path):
     assert meta["seeds"] == [20, 21, 22]
     # different seeds produce different trajectories
     assert (out / "exp-seed20.jsonl").read_bytes() != (out / "exp-seed21.jsonl").read_bytes()
+
+
+ORACLE_RUNS = {
+    "sched1": {"arrivals": {"kind": "scaled-bernoulli", "rates": 0.2},
+               "overrides": {"epoch_length": 10}},
+    "sched2": {"arrivals": {"kind": "scaled-bernoulli", "rates": 0.2},
+               "overrides": {"epsilon": 0.2, "step": 0.1, "epoch_length": 10}},
+    "cc1": {"utilities": {"family": "log-shifted"}, "overrides": {"beta": 5.0}},
+    "cc2": {"utilities": {"family": "log-shifted"},
+            "overrides": {"beta": 5.0, "step": 0.5, "epoch_length": 10}},
+}
+
+
+def oracle_payload(algorithm, graph="cycle5", horizon=20):
+    return dict({"version": 1, "graph": {"preset": graph}, "algorithm": algorithm,
+                 "mode": "deterministic-oracle", "horizon": horizon},
+                **ORACLE_RUNS[algorithm])
+
+
+@pytest.mark.parametrize("graph", ["clique2", "cycle5"])
+@pytest.mark.parametrize("algorithm", ["sched1", "sched2", "cc1", "cc2"])
+def test_oracle_service_rates_and_lines_are_bit_for_bit(tmp_path, algorithm, graph):
+    # the engine's oracle epochs skip service_rates' checks; their rates and
+    # the lines the CLI writes must not move by a bit
+    path = write_config(tmp_path, oracle_payload(algorithm, graph))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "exp-seed0.jsonl").read_text().splitlines()
+    cfg = load_config(path).experiment
+    records = list(run_experiment(cfg))
+    assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in records]
+    matrix = cfg.family.matrix
+    for rec in records:
+        drive = np.array(rec.drive)
+        assert tuple(gibbs.service_rates(cfg.family, drive).tolist()) == rec.offered_service_est
+        assert tuple(service_rates_spelled_out(matrix, drive).tolist()) == rec.offered_service_est
+
+
+def test_oracle_seed_sweep_runs_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(config, seed):
+        calls.append(seed)
+        return run_experiment(config, seed)
+
+    monkeypatch.setattr(cli, "run_experiment", counted)
+    path = write_config(tmp_path, oracle_payload("sched1", horizon=5))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--seed", "4", "--seeds", "3"]) == 0
+    assert calls == [4]
+    runs = [(out / f"exp-seed{s}.jsonl").read_bytes() for s in (4, 5, 6)]
+    assert runs[0] == runs[1] == runs[2] and len(runs[0].splitlines()) == 5
+    summaries = [json.loads((out / f"exp-seed{s}-summary.json").read_text()) for s in (4, 5, 6)]
+    assert [s.pop("seed") for s in summaries] == [4, 5, 6]
+    assert summaries[0] == summaries[1] == summaries[2]
+    assert json.loads((out / "exp-manifest.json").read_text())["outputs"] == [
+        "exp-seed4.jsonl", "exp-seed5.jsonl", "exp-seed6.jsonl"]
 
 
 def test_run_sweeps_seeds_without_listing_them_up_front(tmp_path, monkeypatch):
