@@ -68,9 +68,13 @@ GAP_ROUNDING = 4.0
 
 
 def _clock_draws(rng: np.random.Generator):
-    """Yield blocks of 1 024 unit exponential waits and 1 024 uniform picks, as lists."""
+    """Yield blocks of 1 024 unit exponential waits and 1 024 uniform picks.
+
+    Each block is a memoryview of the float64 array, whose items are Python
+    floats made as a walk reaches them, not all 1 024 up front.
+    """
     while True:
-        yield rng.standard_exponential(1024).tolist(), rng.random(1024).tolist()
+        yield memoryview(rng.standard_exponential(1024)), memoryview(rng.random(1024))
 
 
 class ClockTable(NamedTuple):

@@ -200,11 +200,15 @@ def solve_dual_optimum(family: IndependentSetFamily, utilities, beta: float) -> 
         value = log_z + sum(beta * u.value(y) - p * y
                             for u, y, p in zip(utilities, rates, prices, strict=True))
         grad = served - rates
-        ridge = float(np.abs(grad).max())
-        # -y'(p) = -1 / (beta U''(y)) where the best response is interior
-        curvature = [-1.0 / (beta * u.second_derivative(y)) if 0.0 < y < 1.0 else ridge
-                     for u, y in zip(utilities, rates, strict=True)]
-        return float(value), grad, covariance + np.diag(curvature)
+
+        def hessian():
+            ridge = float(np.abs(grad).max())
+            # -y'(p) = -1 / (beta U''(y)) where the best response is interior
+            curvature = [-1.0 / (beta * u.second_derivative(y)) if 0.0 < y < 1.0 else ridge
+                         for u, y in zip(utilities, rates, strict=True)]
+            return covariance() + np.diag(curvature)
+
+        return float(value), grad, hessian
 
     start = np.array([beta * u.derivative(1.0) for u in utilities])
     prices, value, residual, steps = newton_minimize(evaluate, start, 0.0, tol=DUAL_TOL)

@@ -2,10 +2,16 @@
 
 Per epoch: freeze the drive vector, run the medium (or its exact expectation
 in deterministic-oracle mode), pass the queues through the reflection kernel
-(which measures offered service in the same pass), apply the selected update
-rule to the arrival and offered-service rates, and emit one metrics record.
-The schedule state carries across epoch boundaries; changing the drive vector
-never resets the medium.
+(which measures offered service in the same pass), and apply the selected
+update rule, with its own checks, to the arrival and offered-service rates.
+The queue ledger checks and the metrics records then run once per block of
+BLOCK_EPOCHS epochs, on (epochs, nodes) arrays: a block of 256 oracle epochs,
+whose time would otherwise go to numpy's per-call overhead on a few nodes,
+and a block of one stochastic epoch, so stochastic records stream as each
+epoch ends.  A fault at epoch j still publishes records 1..j-1 first and
+raises what an epoch-by-epoch loop raises: the guard before the law, an
+epoch's ledger check before its update check.  The schedule state carries
+across epoch boundaries; changing the drive vector never resets the medium.
 
 Randomness discipline: every epoch derives two fresh generators from the run
 seed via SeedSequence(entropy=seed, spawn_key=(epoch, stream)) with stream 0
@@ -61,6 +67,10 @@ DESK_TIME_LIMIT = 1e8
 # exactly in Python ints.  The engine's clock adds the lengths in floats, and
 # at H + 1 it becomes inf; exp(sqrt(j)) itself overflows from j = 503 792.
 ORACLE_HORIZON_LIMIT = 493_556
+# Epochs whose ledgers are checked and whose records are built together, by
+# mode: an oracle epoch costs ~50 us, half of it numpy call overhead on (n,)
+# arrays, while a stochastic epoch costs ~1 ms and streams its record.
+BLOCK_EPOCHS = {ORACLE: 256, "stochastic": 1}
 
 
 def _run_exceeds(horizon: int, epoch_length: int | None, *limits: float) -> list[bool]:
@@ -286,7 +296,8 @@ class MetricsRecord:
 
 
 def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterator[MetricsRecord]:
-    """Stream one MetricsRecord per epoch; deterministic given the config and seed."""
+    """Stream one MetricsRecord per epoch, published a block at a time
+    (BLOCK_EPOCHS); deterministic given the config and seed."""
     graph = config.graph
     n = graph.n
     oracle = config.mode == ORACLE
@@ -321,117 +332,160 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
     mask = 0
     now = 0.0
     weighted_rates = np.zeros(n)
+    block_epochs = BLOCK_EPOCHS[config.mode]
+    epochs: list[tuple] = []   # the block's (n,) arrays per epoch, as _publish reads them
+    updates: list[tuple] = []  # the same epochs' (rates, avg_rates, avg_utility)
 
     # The epoch path reduces through ufuncs (np.maximum.reduce,
     # np.logical_or.reduce), not np.all, np.any or the ndarray methods: on a
     # few nodes their Python wrappers cost more than the arithmetic.
     for j in range(1, config.horizon + 1):
-        top = np.maximum.reduce(np.abs(drive))
-        if not top <= DRIVE_LIMIT:  # NaN fails it too
-            raise NumericFailure(f"drive vector overflow entering epoch {j}: "
-                                 f"max |drive| = {top:.3g}")
-        # a run without a fixed length follows the published 1/j schedule
-        length = fixed_length if fixed_length is not None else published_epoch_length(j)
+        fault = None
+        try:
+            top = np.maximum.reduce(np.abs(drive))
+            if not top <= DRIVE_LIMIT:  # NaN fails it too
+                raise NumericFailure(f"drive vector overflow entering epoch {j}: "
+                                     f"max |drive| = {top:.3g}")
+            # a run without a fixed length follows the published 1/j schedule
+            length = fixed_length if fixed_length is not None else published_epoch_length(j)
 
-        if oracle:
-            # the drive is the engine's own (n,) float array, bounded just above
-            s_hat = _gibbs_law(matrix, drive)[0] @ matrix
-            lam_hat = cc_rates if congestion else config.arrivals.rates
-            arrivals = lam_hat * length
-            offered = s_hat * length
-            served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
-        else:
-            chain_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(j, 0)))
-            arr_rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
-            traj = simulate(graph, drive, float(length), initial_mask=mask,
-                            rng=chain_rng, table=table)
-            mask = traj.final_mask
-            if congestion:
-                deposits = None
-                inflow = cc_rates
-                arrivals = cc_rates * length
+            if oracle:
+                # the drive is the engine's own (n,) float array, bounded just above
+                s_hat = _gibbs_law(matrix, drive)[0] @ matrix
+                lam_hat = cc_rates if congestion else config.arrivals.rates
+                arrivals = lam_hat * length
+                offered = s_hat * length
+                served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
             else:
-                deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
-                inflow = None
-                arrivals = np.add.reduce(deposits, axis=0)
-            served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits,
-                                                    inflow=inflow)
-            lam_hat = arrivals / length
-            s_hat = offered / length
-        actual = served / length
+                chain_rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(j, 0)))
+                arr_rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
+                traj = simulate(graph, drive, float(length), initial_mask=mask,
+                                rng=chain_rng, table=table)
+                mask = traj.final_mask
+                if congestion:
+                    deposits = None
+                    inflow = cc_rates
+                    arrivals = cc_rates * length
+                else:
+                    deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
+                    inflow = None
+                    arrivals = np.add.reduce(deposits, axis=0)
+                served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits,
+                                                        inflow=inflow)
+                lam_hat = arrivals / length
+                s_hat = offered / length
 
-        now += length
-        tol = CONSERVATION_TOL * (1.0 + float(np.maximum.reduce(qstate.arrived)))
-        err = qstate.conservation_error()
-        if err > tol:
-            raise InvariantViolation(f"queue conservation off by {err:.3e} at epoch {j}")
-        # Departures are q0 + A - Q, so the ledger above balances by
-        # construction; this bound is what catches a faulty queue kernel.  The
-        # slack covers rounding in q0 + A (at most the cumulative arrivals)
-        # and in the offered service (at most the epoch length).
-        slack = tol + CONSERVATION_TOL * length
-        if (np.minimum.reduce(served) < -slack
-                or np.maximum.reduce(served - offered) > slack):
-            raise InvariantViolation(
-                f"departures outside [0, offered service] at epoch {j}")
+            now += length
+            # every array here is a fresh one, so the block keeps them by reference
+            epochs.append((j, now, length, drive, lam_hat, s_hat, served, offered, peak,
+                           qstate.queue, qstate.departed, qstate.arrived))
 
-        if config.algorithm == "sched1":
-            new_drive = update_diminishing(drive, lam_hat, s_hat, j)
-            new_rates = None
-        elif config.algorithm == "sched2":
-            new_drive = update_projected(drive, lam_hat, s_hat, config.epsilon,
-                                         step, n)
-            box = n / config.epsilon
-            if np.logical_or.reduce(np.abs(new_drive) > box):
-                raise InvariantViolation(f"projection box violated at epoch {j}")
-            new_rates = None
-        elif config.algorithm == "cc1":
-            new_drive = update_prices_diminishing(drive, cc_rates, s_hat, j)
-            new_rates = best_responses(config.utilities, beta, new_drive)
-        else:  # cc2
-            new_drive = update_prices_constant(drive, cc_rates, s_hat, step)
-            if (np.logical_or.reduce(new_drive < -1e-12)
-                    or np.logical_or.reduce(new_drive > price_box + 1e-9)):
-                raise InvariantViolation(
-                    f"price box [0, {price_box:.6g}] violated at epoch {j}: "
-                    f"max price {new_drive.max():.6g}")
-            if couple:
-                slack = 1e-6 * (1.0 + queue_cap)
-                coupling = (length / step) * new_drive
-                if np.logical_or.reduce(qstate.queue > coupling + slack):
+            if config.algorithm == "sched1":
+                new_drive = update_diminishing(drive, lam_hat, s_hat, j)
+                new_rates = None
+            elif config.algorithm == "sched2":
+                new_drive = update_projected(drive, lam_hat, s_hat, config.epsilon,
+                                             step, n)
+                box = n / config.epsilon
+                if np.logical_or.reduce(np.abs(new_drive) > box):
+                    raise InvariantViolation(f"projection box violated at epoch {j}")
+                new_rates = None
+            elif config.algorithm == "cc1":
+                new_drive = update_prices_diminishing(drive, cc_rates, s_hat, j)
+                new_rates = best_responses(config.utilities, beta, new_drive)
+            else:  # cc2
+                new_drive = update_prices_constant(drive, cc_rates, s_hat, step)
+                if (np.logical_or.reduce(new_drive < -1e-12)
+                        or np.logical_or.reduce(new_drive > price_box + 1e-9)):
                     raise InvariantViolation(
-                        f"queue/price coupling violated at epoch {j}")
-                if np.logical_or.reduce(peak > queue_cap + slack):
-                    raise InvariantViolation(
-                        f"queue cap {queue_cap:.6g} violated at epoch {j}")
-            new_rates = best_responses(config.utilities, beta, new_drive)
+                        f"price box [0, {price_box:.6g}] violated at epoch {j}: "
+                        f"max price {new_drive.max():.6g}")
+                if couple:
+                    slack = 1e-6 * (1.0 + queue_cap)
+                    coupling = (length / step) * new_drive
+                    if np.logical_or.reduce(qstate.queue > coupling + slack):
+                        raise InvariantViolation(
+                            f"queue/price coupling violated at epoch {j}")
+                    if np.logical_or.reduce(peak > queue_cap + slack):
+                        raise InvariantViolation(
+                            f"queue cap {queue_cap:.6g} violated at epoch {j}")
+                new_rates = best_responses(config.utilities, beta, new_drive)
 
-        if congestion:
-            weighted_rates = weighted_rates + length * cc_rates
-            avg_rates = weighted_rates / now
-            avg_utility = total_utility(config.utilities, avg_rates)
-        else:
-            avg_rates = None
-            avg_utility = None
-
-        yield MetricsRecord(
-            j=j,
-            epoch_start=now - length,
-            epoch_length=float(length),
-            drive=tuple(drive.tolist()),  # float64 arrays, so Python floats
-            arrival_rate_est=tuple(lam_hat.tolist()),
-            offered_service_est=tuple(s_hat.tolist()),
-            actual_service_rate=tuple(actual.tolist()),
-            queue=tuple(qstate.queue.tolist()),
-            departed=tuple(qstate.departed.tolist()),
-            peak_queue=tuple(peak.tolist()),
-            max_queue_ratio=float(np.maximum.reduce(qstate.queue)) / now,
-            rates=None if cc_rates is None else tuple(cc_rates.tolist()),
-            avg_rates=None if avg_rates is None else tuple(avg_rates.tolist()),
-            avg_rate_utility=avg_utility,
-        )
+            if congestion:
+                weighted_rates = weighted_rates + length * cc_rates
+                avg_rates = weighted_rates / now
+                updates.append((cc_rates, avg_rates,
+                                total_utility(config.utilities, avg_rates)))
+            else:
+                updates.append((None, None, None))
+        except Exception as exc:  # the block's earlier epochs are published first
+            fault = exc
+        if fault is not None or len(epochs) == block_epochs or j == config.horizon:
+            yield from _publish(epochs, updates)
+            epochs, updates = [], []
+        if fault is not None:
+            raise fault
         drive = new_drive
         if congestion:
             cc_rates = new_rates
+
+
+def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecord]:
+    """Check a block's queue ledgers, then yield the records of its updated epochs.
+
+    Records come out in order, and those before the first epoch whose ledger
+    fails come out before it raises, as one epoch at a time would have it: an
+    epoch's ledger is checked before its update, its update before its record.
+    """
+    if not epochs:
+        return
+    (js, nows, lengths, drive, lam_hat, s_hat, served, offered, peak,
+     queue, departed, arrived) = zip(*epochs)
+    length = np.array(lengths, dtype=float)  # every length is a float's value
+    served, queue, departed, arrived = map(np.array, (served, queue, departed, arrived))
+    tol = CONSERVATION_TOL * (1.0 + np.maximum.reduce(arrived, axis=1))
+    err = np.maximum.reduce(np.abs(arrived - departed - queue), axis=1)
+    # Departures are q0 + A - Q, so the ledger balances by construction; the
+    # departure bound is what catches a faulty queue kernel.  Its slack covers
+    # rounding in q0 + A (at most the cumulative arrivals) and in the offered
+    # service (at most the epoch length).
+    slack = tol + CONSERVATION_TOL * length
+    unbalanced = err > tol
+    failed = np.flatnonzero(
+        unbalanced | (np.minimum.reduce(served, axis=1) < -slack)
+        | (np.maximum.reduce(served - np.array(offered), axis=1) > slack))
+    # the first failing epoch is at most the one whose update failed
+    count = int(failed[0]) if failed.size else len(updates)
+
+    # float64 arrays, so Python floats; a row's own tolist beats stacking
+    # the rows of a column that the checks above do not read
+    actual = (served / length[:, None]).tolist()
+    ratio = (np.maximum.reduce(queue, axis=1) / np.array(nows)).tolist()
+    queue, departed = queue.tolist(), departed.tolist()
+    drive, lam_hat, s_hat, peak = ([row.tolist() for row in column]
+                                   for column in (drive, lam_hat, s_hat, peak))
+    rates, avg_rates, avg_utility = zip(*updates) if updates else ((), (), ())
+    for k in range(count):
+        yield MetricsRecord(
+            j=js[k],
+            epoch_start=nows[k] - lengths[k],
+            epoch_length=float(lengths[k]),
+            drive=tuple(drive[k]),
+            arrival_rate_est=tuple(lam_hat[k]),
+            offered_service_est=tuple(s_hat[k]),
+            actual_service_rate=tuple(actual[k]),
+            queue=tuple(queue[k]),
+            departed=tuple(departed[k]),
+            peak_queue=tuple(peak[k]),
+            max_queue_ratio=ratio[k],
+            rates=None if rates[k] is None else tuple(rates[k].tolist()),
+            avg_rates=None if avg_rates[k] is None else tuple(avg_rates[k].tolist()),
+            avg_rate_utility=avg_utility[k],
+        )
+    if failed.size:
+        if unbalanced[count]:
+            raise InvariantViolation(
+                f"queue conservation off by {float(err[count]):.3e} at epoch {js[count]}")
+        raise InvariantViolation(f"departures outside [0, offered service] at epoch {js[count]}")

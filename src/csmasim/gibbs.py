@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,24 +73,27 @@ def service_rates(family: IndependentSetFamily, r) -> np.ndarray:
     return _gibbs_law(family.matrix, _check_backoff(family, r))[0] @ family.matrix
 
 
-def moments(family: IndependentSetFamily, r) -> tuple[float, np.ndarray, np.ndarray]:
+def moments(family: IndependentSetFamily, r) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
     """log Z(r), the transmit marginals s(r) and their covariance, from one law.
 
     These are the value, gradient and Hessian of log Z, so one pass serves a
-    Newton step of the fit and of the congestion dual.
+    Newton step of the fit and of the congestion dual.  The covariance, the
+    costly part, comes as a function that computes it when called.
     """
     dist = stationary_distribution(family, r)
     m = family.matrix
     s = dist.probs @ m
-    return dist.log_partition, s, m.T @ (m * dist.probs[:, None]) - np.outer(s, s)
+    return dist.log_partition, s, lambda: m.T @ (m * dist.probs[:, None]) - np.outer(s, s)
 
 
 def newton_minimize(evaluate, x, lower, *, tol: float):
     """Minimize a smooth convex f over x >= lower by projected Newton.
 
-    `evaluate(x)` returns f(x), its gradient and a positive definite Hessian
-    model.  Coordinates within the residual of their bound whose gradient
-    pushes outwards take a gradient step, the rest a Newton step, and the
+    `evaluate(x)` returns f(x), its gradient and a function that builds a
+    positive definite Hessian model, which is called only at the points the
+    search accepts and steps from.  Coordinates within the residual of their
+    bound whose gradient pushes outwards take a gradient step, the rest a
+    Newton step, and the
     step backtracks along the projected arc max(x + t d, lower) until f falls
     by 1e-4 times the predicted decrease (Bertsekas, SIAM J. Control Optim.
     20(2), 1982); with lower = -inf this is damped Newton.  Returns (x, f(x),
@@ -108,7 +111,7 @@ def newton_minimize(evaluate, x, lower, *, tol: float):
         pinned = (grad > 0) & (room <= residual)
         free = ~pinned
         direction = -grad
-        direction[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
+        direction[free] = np.linalg.solve(hess()[np.ix_(free, free)], -grad[free])
         slope = float(grad[free] @ direction[free])
 
         def arc(t):  # the point at step t and the decrease it must achieve

@@ -113,9 +113,6 @@ class QueueState:
     def zeros(cls, n: int) -> "QueueState":
         return cls(queue=np.zeros(n), departed=np.zeros(n), arrived=np.zeros(n))
 
-    def conservation_error(self) -> float:
-        return float(np.maximum.reduce(np.abs(self.arrived - self.departed - self.queue)))
-
 
 def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
             arrived: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,11 @@ from a generator per event is the reference of `chain._walk_table`.
 `strict_json` parses the commands' JSON the way a strict reader would.
 `service_rates_spelled_out` writes the Gibbs law's marginals out in the
 numpy operations `gibbs` has always used; it is the bit-for-bit reference of
-the unchecked law that an oracle epoch calls.
+the unchecked law that an oracle epoch calls.  The oracle loop that checks
+(through the ledger's `conservation_error`), updates and records one epoch
+before starting the next is the bit-for-bit reference, records and faults
+alike, of `engine.run_experiment`, which checks and publishes oracle epochs
+in blocks.
 """
 
 import bisect
@@ -32,16 +36,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from csmasim import traffic
+from csmasim import engine, traffic
 from csmasim.chain import ClockTable, Trajectory
 from csmasim.conflict_graph import (FAMILY_CAP, ConflictGraph, IndependentSetFamily,
                                     max_weight_independent_set, schedule_nodes)
 from csmasim.congestion import (UTILITY_MAX_ITER, UTILITY_TOL, UtilityFunction,
                                 UtilityOptimum, best_response, best_responses,
-                                total_utility)
-from csmasim.errors import ConvergenceFailure, ExactModeUnavailable, InvariantViolation
+                                initial_slope_bound, price_box_bound, total_utility)
+from csmasim.engine import CONSERVATION_TOL, MetricsRecord
+from csmasim.errors import (ConvergenceFailure, ExactModeUnavailable, InvariantViolation,
+                            NumericFailure)
 from csmasim.gibbs import (BackoffSolution, moments, service_rates, solve_backoff,
                            stationary_distribution)
+from csmasim.scheduling import published_epoch_length
 
 
 def strict_json(text: str):
@@ -219,7 +226,7 @@ def log_likelihood_gradient(family: IndependentSetFamily, r, rates) -> np.ndarra
 
 def log_likelihood_hessian(family: IndependentSetFamily, r) -> np.ndarray:
     """Negated covariance of the schedule indicator vector; symmetric, negative definite."""
-    return -moments(family, r)[2]
+    return -moments(family, r)[2]()
 
 
 def best_response_value(u: UtilityFunction, beta: float, price: float) -> float:
@@ -476,3 +483,97 @@ def integrate_epoch_row_major(state, traj: Trajectory, *, deposits=None, inflow=
         np.maximum(peak, top, out=peak)
         t0 = end
     return departed, peak, offered
+
+
+# -- the oracle run, one epoch at a time ---------------------------------------------
+
+def conservation_error(state: traffic.QueueState) -> float:
+    """The ledger's largest miss, max_i |arrived_i - departed_i - queue_i|."""
+    return float(np.max(np.abs(state.arrived - state.departed - state.queue)))
+
+
+def oracle_run_per_epoch(config):
+    """Yield an oracle run's records as the epoch-by-epoch loop did: each
+    epoch's ledger checks, update checks and record before the next epoch.
+
+    The queue kernel and the update rules are read from `engine` at each
+    call, so a test that patches one there faults both loops alike.
+    """
+    n = config.graph.n
+    matrix = config.family.matrix
+    congestion = config.is_congestion
+    beta, step, fixed_length = config.beta, config.step, config.epoch_length
+    drive = np.zeros(n)
+    cc_rates = np.ones(n) if congestion else None
+    qstate = traffic.QueueState.zeros(n)
+    if config.initial_queue is not None:
+        q0 = np.asarray(config.initial_queue, dtype=float)
+        qstate.queue = q0.copy()
+        qstate.arrived = q0.copy()
+    if config.algorithm == "cc2":
+        price_box = price_box_bound(config.utilities, beta, step)
+        queue_cap = fixed_length * (beta * initial_slope_bound(config.utilities)
+                                    + 2.0 * step) / step
+        couple = config.initial_queue is None or max(config.initial_queue) == 0.0
+    now = 0.0
+    weighted_rates = np.zeros(n)
+    for j in range(1, config.horizon + 1):
+        top = np.max(np.abs(drive))
+        if not top <= engine.DRIVE_LIMIT:
+            raise NumericFailure(f"drive vector overflow entering epoch {j}: "
+                                 f"max |drive| = {top:.3g}")
+        length = fixed_length if fixed_length is not None else published_epoch_length(j)
+        s_hat = service_rates_spelled_out(matrix, drive)
+        lam_hat = cc_rates if congestion else config.arrivals.rates
+        arrivals = lam_hat * length
+        offered = s_hat * length
+        served, peak = engine.reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
+        actual = served / length
+        now += length
+        tol = CONSERVATION_TOL * (1.0 + float(np.max(qstate.arrived)))
+        err = conservation_error(qstate)
+        if err > tol:
+            raise InvariantViolation(f"queue conservation off by {err:.3e} at epoch {j}")
+        slack = tol + CONSERVATION_TOL * length
+        if np.min(served) < -slack or np.max(served - offered) > slack:
+            raise InvariantViolation(f"departures outside [0, offered service] at epoch {j}")
+
+        if config.algorithm == "sched1":
+            new_drive = engine.update_diminishing(drive, lam_hat, s_hat, j)
+        elif config.algorithm == "sched2":
+            new_drive = engine.update_projected(drive, lam_hat, s_hat, config.epsilon, step, n)
+            if np.any(np.abs(new_drive) > n / config.epsilon):
+                raise InvariantViolation(f"projection box violated at epoch {j}")
+        elif config.algorithm == "cc1":
+            new_drive = engine.update_prices_diminishing(drive, cc_rates, s_hat, j)
+        else:
+            new_drive = engine.update_prices_constant(drive, cc_rates, s_hat, step)
+            if np.any(new_drive < -1e-12) or np.any(new_drive > price_box + 1e-9):
+                raise InvariantViolation(
+                    f"price box [0, {price_box:.6g}] violated at epoch {j}: "
+                    f"max price {new_drive.max():.6g}")
+            if couple:
+                slack = 1e-6 * (1.0 + queue_cap)
+                if np.any(qstate.queue > (length / step) * new_drive + slack):
+                    raise InvariantViolation(f"queue/price coupling violated at epoch {j}")
+                if np.any(peak > queue_cap + slack):
+                    raise InvariantViolation(f"queue cap {queue_cap:.6g} violated at epoch {j}")
+        new_rates = best_responses(config.utilities, beta, new_drive) if congestion else None
+
+        avg_rates = avg_utility = None
+        if congestion:
+            weighted_rates = weighted_rates + length * cc_rates
+            avg_rates = weighted_rates / now
+            avg_utility = total_utility(config.utilities, avg_rates)
+        yield MetricsRecord(
+            j=j, epoch_start=now - length, epoch_length=float(length),
+            drive=tuple(drive.tolist()), arrival_rate_est=tuple(lam_hat.tolist()),
+            offered_service_est=tuple(s_hat.tolist()),
+            actual_service_rate=tuple(actual.tolist()), queue=tuple(qstate.queue.tolist()),
+            departed=tuple(qstate.departed.tolist()), peak_queue=tuple(peak.tolist()),
+            max_queue_ratio=float(np.max(qstate.queue)) / now,
+            rates=None if cc_rates is None else tuple(cc_rates.tolist()),
+            avg_rates=None if avg_rates is None else tuple(avg_rates.tolist()),
+            avg_rate_utility=avg_utility)
+        drive = new_drive
+        cc_rates = new_rates

@@ -4,7 +4,9 @@ invariants, oracle/recursion equivalence, and the run diagnostics."""
 import dataclasses
 import functools
 import itertools
+import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,18 +14,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from csmasim.congestion import UtilityFunction, best_responses
-from csmasim import engine
+from csmasim import cli, engine
 from csmasim.chain import DRIVE_LIMIT
-from csmasim.config import parse_config
+from csmasim.config import load_config, parse_config
 from csmasim.conflict_graph import (EXACT_MODE_CAP, MAX_NODES, ConflictGraph,
                                     enumerate_independent_sets, preset)
-from csmasim.engine import (DESK_TIME_LIMIT, ORACLE, ORACLE_HORIZON_LIMIT, ExperimentConfig,
-                            MetricsRecord, run_experiment)
+from csmasim.engine import (CONSERVATION_TOL, DESK_TIME_LIMIT, ORACLE, ORACLE_HORIZON_LIMIT,
+                            ExperimentConfig, MetricsRecord, run_experiment)
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
 from csmasim.gibbs import service_rates
 from csmasim.scheduling import published_epoch_length, update_diminishing
 from csmasim.traffic import ArrivalSpec
+
+from oracles import oracle_run_per_epoch
 
 LOG1 = UtilityFunction("log-shifted")
 
@@ -596,27 +600,96 @@ def test_drive_overflow_raises_numeric_failure():
         list(run_experiment(cfg, 0))
 
 
-def oracle_cycle5():
-    return ExperimentConfig(graph=preset("cycle5"), algorithm="sched1", horizon=3,
+def oracle_cycle5(horizon=3):
+    return ExperimentConfig(graph=preset("cycle5"), algorithm="sched1", horizon=horizon,
                             arrivals=bern([0.2] * 5), mode="deterministic-oracle",
                             epoch_length=10)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, DRIVE_LIMIT + 1.0,
-                                 -DRIVE_LIMIT - 1.0],
-                         ids=["nan", "inf", "-inf", "above", "below"])
-def test_drive_guard_stops_the_next_epoch(monkeypatch, bad):
-    def faulty(r, lam_hat, s_hat, j):
-        out = update_diminishing(r, lam_hat, s_hat, j)
+# Oracle records are checked and published a block at a time.  A fault must
+# look the same wherever it falls: at the first epoch, on both sides of the
+# first block's end, or inside block 3.
+BLOCK = engine.BLOCK_EPOCHS[ORACLE]
+FAULT_EPOCHS = (1, BLOCK, BLOCK + 1, 2 * BLOCK + BLOCK // 2)
+
+
+def at_fault_epochs(cases, epochs=FAULT_EPOCHS):
+    """(case..., epoch) params; the first epoch keeps each case's bare id."""
+    return [pytest.param(*case, epoch, id=ident if epoch == epochs[0] else f"{ident}-at-{epoch}")
+            for ident, case in cases for epoch in epochs]
+
+
+def until_fault(records):
+    """The records a run yields before it raises, and what it raises."""
+    seen = []
+    with pytest.raises(Exception) as info:
+        for rec in records:
+            seen.append(rec)
+    return seen, info.value
+
+
+def assert_same_records(got, want):
+    """Every field equal (np.array_equal) and with the same repr (sign of zero)."""
+    assert [rec.j for rec in got] == [rec.j for rec in want]
+    for mine, theirs in zip(got, want):
+        for name, value in vars(theirs).items():
+            assert (getattr(mine, name) is None) == (value is None), (mine.j, name)
+            if value is not None:
+                assert np.array_equal(getattr(mine, name), value), (mine.j, name)
+        assert repr(mine) == repr(theirs)
+
+
+def fault_matches_the_per_epoch_loop(config, epoch, error, match, *faults):
+    """Both loops raise `error` at `epoch` after the same epoch - 1 records.
+
+    Each of `faults` arms a fault afresh before each loop runs.
+    """
+    for arm in faults:
+        arm()
+    got, raised = until_fault(run_experiment(config))
+    for arm in faults:
+        arm()
+    want, expected = until_fault(oracle_run_per_epoch(config))
+    assert type(raised) is type(expected) is error
+    assert str(raised) == str(expected)
+    assert re.search(match, str(raised)) and f"epoch {epoch}" in str(raised)
+    assert len(got) == epoch - 1
+    assert_same_records(got, want)
+
+
+def on_call(monkeypatch, name, number, fault):
+    """A function that patches engine.<name> so that its `number`-th call from
+    then on (counting from 1) passes its output through `fault`."""
+    real = getattr(engine, name)
+
+    def arm():
+        calls = itertools.count(1)
+
+        def wrapped(*args):
+            out = real(*args)
+            return fault(out, *args) if next(calls) == number else out
+        monkeypatch.setattr(engine, name, wrapped)
+    return arm
+
+
+def poisoned(bad):
+    def fault(out, *_):
         out[-1] = bad
         return out
+    return fault
 
-    monkeypatch.setattr(engine, "update_diminishing", faulty)
-    records = []
-    with pytest.raises(NumericFailure, match="drive vector overflow entering epoch 2"):
-        for rec in run_experiment(oracle_cycle5()):
-            records.append(rec)
-    assert len(records) == 1
+
+@pytest.mark.parametrize("bad, entering", at_fault_epochs(
+    [(ident, (bad,)) for ident, bad in (
+        ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+        ("above", DRIVE_LIMIT + 1.0), ("below", -DRIVE_LIMIT - 1.0))],
+    epochs=(2,) + FAULT_EPOCHS[1:]))
+def test_drive_guard_stops_the_next_epoch(monkeypatch, bad, entering):
+    # the update ending epoch `entering` - 1 leaves a drive the guard refuses
+    fault_matches_the_per_epoch_loop(
+        oracle_cycle5(horizon=3 * BLOCK), entering, NumericFailure,
+        "drive vector overflow entering",
+        on_call(monkeypatch, "update_diminishing", entering - 1, poisoned(bad)))
 
 
 def test_drive_guard_admits_the_limit_itself(monkeypatch):
@@ -627,26 +700,138 @@ def test_drive_guard_admits_the_limit_itself(monkeypatch):
     assert [rec.drive[0] for rec in run_experiment(oracle_cycle5())] == [0.0, DRIVE_LIMIT, DRIVE_LIMIT]
 
 
-@pytest.mark.parametrize("fault, match", [
-    ("lost", "queue conservation off"),          # departures the queue never lost
-    ("negative", "departures outside"),          # a balanced ledger, negative service
-], ids=["ledger", "negative-departures"])
-def test_queue_kernel_faults_raise(monkeypatch, fault, match):
-    real = engine.reflect
+def lost(out, state, *_):
+    state.departed = state.departed + 1e-3  # departures the queue never lost
+    return out
 
-    def faulty(state, net, jumps, arrived):
-        served, peak = real(state, net, jumps, arrived)
-        if fault == "lost":
-            state.departed = state.departed + 1e-3
-            return served, peak
-        shift = served + 1.0  # the ledger still balances, departures go negative
-        state.queue = state.queue + shift
-        state.departed = state.departed - shift
-        return served - shift, peak
 
-    monkeypatch.setattr(engine, "reflect", faulty)
-    with pytest.raises(InvariantViolation, match=f"{match}.* at epoch 1"):
-        list(run_experiment(oracle_cycle5()))
+def negative(out, state, *_):
+    served, peak = out
+    shift = served + 1.0  # the ledger still balances, departures go negative
+    state.queue = state.queue + shift
+    state.departed = state.departed - shift
+    return served - shift, peak
+
+
+@pytest.mark.parametrize("fault, match, epoch", at_fault_epochs([
+    ("ledger", (lost, "queue conservation off")),
+    ("negative-departures", (negative, "departures outside")),
+]))
+def test_queue_kernel_faults_raise(monkeypatch, fault, match, epoch):
+    fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
+                                     InvariantViolation, match,
+                                     on_call(monkeypatch, "reflect", epoch, fault))
+
+
+def oracle_sched2(horizon):
+    return ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=horizon,
+                            arrivals=bern([0.2] * 5), mode="deterministic-oracle",
+                            epsilon=0.2, step=0.1, epoch_length=10)
+
+
+def oracle_cc2(horizon):
+    return ExperimentConfig(graph=preset("cycle5"), algorithm="cc2", horizon=horizon,
+                            utilities=(LOG1,) * 5, beta=5.0, step=0.5, epoch_length=10,
+                            mode="deterministic-oracle")
+
+
+@pytest.mark.parametrize("rule, config, match, epoch", at_fault_epochs([
+    ("sched2-box", ("update_projected", oracle_sched2, "projection box violated")),
+    ("cc2-price-box", ("update_prices_constant", oracle_cc2, r"price box \[0, ")),
+]))
+def test_update_check_faults_match_the_per_epoch_loop(monkeypatch, rule, config, match, epoch):
+    fault_matches_the_per_epoch_loop(config(3 * BLOCK), epoch, InvariantViolation, match,
+                                     on_call(monkeypatch, rule, epoch, poisoned(1e6)))
+
+
+@pytest.mark.parametrize("epoch", FAULT_EPOCHS)
+def test_a_ledger_fault_takes_precedence_over_its_epochs_update_fault(monkeypatch, epoch):
+    fault_matches_the_per_epoch_loop(oracle_sched2(3 * BLOCK), epoch, InvariantViolation,
+                                     "queue conservation off",
+                                     on_call(monkeypatch, "reflect", epoch, lost),
+                                     on_call(monkeypatch, "update_projected", epoch,
+                                             poisoned(1e6)))
+
+
+def test_each_epoch_has_its_own_departure_slack(monkeypatch):
+    # On the published lengths, epoch 300's departure slack (tol + 1e-9 L_300)
+    # is ~0.024 wider than that of epoch 257, which opens its block.  Departures
+    # above offered service by an amount between the two must pass.
+    last, first = 300, BLOCK + 1
+    margin = CONSERVATION_TOL * (published_epoch_length(first) + published_epoch_length(last)) / 2
+
+    def over(out, state, net, jumps, arrived):
+        served, peak = out
+        offered = arrived - net[:, 0]
+        excess = offered + CONSERVATION_TOL * (1.0 + max(state.arrived)) + margin - served
+        state.queue = state.queue - excess  # the ledger still balances
+        state.departed = state.departed + excess
+        return served + excess, peak
+
+    cfg = ExperimentConfig(graph=preset("cycle5"), algorithm="sched1", horizon=last,
+                           arrivals=bern([0.2] * 5), mode=ORACLE)
+    arm = on_call(monkeypatch, "reflect", last, over)
+    arm()
+    got = list(run_experiment(cfg))
+    arm()
+    assert_same_records(got, list(oracle_run_per_epoch(cfg)))
+    assert len(got) == last
+
+
+def test_an_oracle_run_that_fails_keeps_the_lines_before_its_fault(tmp_path, monkeypatch):
+    entering = BLOCK + 1
+    payload = {"version": 1, "graph": {"preset": "cycle5"}, "algorithm": "sched1",
+               "mode": "deterministic-oracle", "horizon": 3 * BLOCK,
+               "arrivals": {"kind": "scaled-bernoulli", "rates": 0.2},
+               "overrides": {"epoch_length": 10}}
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(payload))
+    arm = on_call(monkeypatch, "update_diminishing", entering - 1, poisoned(math.nan))
+    arm()
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+    lines = (tmp_path / "out" / "exp-seed0.jsonl").read_text().splitlines()
+    arm()
+    want, _ = until_fault(oracle_run_per_epoch(load_config(path).experiment))
+    assert len(lines) == len(want) == entering - 1
+    assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in want]
+
+
+def oracle_run(algorithm, graph, queued):
+    n = preset(graph).n
+    if algorithm in ("sched1", "sched2"):
+        kw = dict(arrivals=bern([0.27] * n))
+    else:  # cc2 starts empty unless queued, which arms the price/queue coupling check
+        kw = dict(utilities=(LOG1,) * n, beta=5.0)
+    if algorithm in ("sched2", "cc2"):
+        kw.update(step=0.1 if algorithm == "sched2" else 0.5)
+    if algorithm != "cc1":  # cc1 keeps the published lengths
+        kw.update(epoch_length=10)
+    return ExperimentConfig(graph=preset(graph), algorithm=algorithm, mode=ORACLE,
+                            horizon=2 * BLOCK + BLOCK // 2 + 3,
+                            epsilon=0.2 if algorithm == "sched2" else None,
+                            initial_queue=(3.0,) * n if queued else None, **kw)
+
+
+@pytest.mark.parametrize("queued", [False, True], ids=["empty", "queued"])
+@pytest.mark.parametrize("graph", ["clique2", "cycle5"])
+@pytest.mark.parametrize("algorithm", ["sched1", "sched2", "cc1", "cc2"])
+def test_oracle_runs_match_the_per_epoch_loop(algorithm, graph, queued):
+    cfg = oracle_run(algorithm, graph, queued)
+    assert_same_records(list(run_experiment(cfg)), list(oracle_run_per_epoch(cfg)))
+
+
+def test_stochastic_records_stream_as_each_epoch_ends(monkeypatch):
+    walks = []
+    real = engine.simulate
+
+    def counted(*args, **kw):
+        walks.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(engine, "simulate", counted)
+    records = run_experiment(sched1(horizon=5), 3)
+    next(records)
+    assert len(walks) == 1
 
 
 def test_sched2_stays_in_projection_box():
