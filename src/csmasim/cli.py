@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 2 configuration and usage problems (README's refusal
 table states each one `run` makes), 3 numeric failures (overflow,
-non-convergence, violated runtime invariants), 141 when stdout is a pipe
-closed before the report was written.  Reports go to stdout as JSON;
-diagnostics and errors go to stderr.
+non-convergence, violated runtime invariants), 130 on an interrupt (SIGINT,
+Ctrl-C), 141 when stdout is a pipe closed before the report was written.
+Reports go to stdout as JSON; diagnostics and errors go to stderr.
 
 Output directory resolution for `run`: --out flag, then the CSMASIM_OUT
 environment variable, then the config's "output" field, then ./runs.
@@ -35,6 +35,7 @@ from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
 from .gibbs import service_rates, solve_backoff
 
 OUTPUT_ENV = "CSMASIM_OUT"
+EXIT_INTERRUPTED = 128 + 2  # 130, the shell's code for a process killed by SIGINT
 EXIT_BROKEN_PIPE = 128 + 13  # 141, the shell's code for a process killed by SIGPIPE
 SILENCED = -1e9  # finite stand-in for "never transmits" when evaluating reports
 
@@ -186,7 +187,7 @@ def cmd_run(args) -> int:
             if first_run is None:
                 last = None
                 for record in run_experiment(cfg, seed):
-                    fh.write(encode(vars(record)) + "\n")
+                    fh.write(encode(record._asdict()) + "\n")
                     last = record
                 summary = _summarize(cfg, seed, last)
                 first_run = run_path if cfg.mode == ORACLE else None
@@ -331,6 +332,10 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout pipe fails here, inside the try
         return code
+    except KeyboardInterrupt:
+        # the run file's `with` block has closed it, so its lines stay whole
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except BrokenPipeError:
         # Python's "Note on SIGPIPE" (signal docs): point stdout at devnull so
         # that the flush at exit cannot fail again, and exit as if killed by it

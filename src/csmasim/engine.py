@@ -4,13 +4,14 @@ Per epoch: freeze the drive vector, run the medium (or its exact expectation
 in deterministic-oracle mode), pass the queues through the reflection kernel
 (which measures offered service in the same pass), and apply the selected
 update rule, with its own checks, to the arrival and offered-service rates.
-The queue ledger checks and the metrics records then run once per block of
-BLOCK_EPOCHS epochs, on (epochs, nodes) arrays: a block of 256 oracle epochs,
-whose time would otherwise go to numpy's per-call overhead on a few nodes,
-and a block of one stochastic epoch, so stochastic records stream as each
-epoch ends.  A fault at epoch j still publishes records 1..j-1 first and
-raises what an epoch-by-epoch loop raises: the guard before the law, an
-epoch's ledger check before its update check.  The schedule state carries
+The queue ledger checks and the metrics records, whose fields must be
+finite, then run once per block of BLOCK_EPOCHS epochs, on (epochs, nodes)
+arrays: a block of 256 oracle epochs, whose time would otherwise go to
+numpy's per-call overhead on a few nodes, and a block of one stochastic
+epoch, so stochastic records stream as each epoch ends.  A fault at epoch j
+still publishes records 1..j-1 first and raises what an epoch-by-epoch loop
+raises: the guard before the law, an epoch's ledger check before its update
+check, its update check before its record's.  The schedule state carries
 across epoch boundaries; changing the drive vector never resets the medium.
 
 Randomness discipline: every epoch derives two fresh generators from the run
@@ -28,11 +29,10 @@ queues are empty are faithful, and the offered/actual gap is recorded.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -261,9 +261,9 @@ class ExperimentConfig:
         return self.algorithm in ("cc1", "cc2")
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One epoch of telemetry; vector fields are per-node tuples."""
+class MetricsRecord(NamedTuple):
+    """One epoch of telemetry; vector fields are per-node tuples.  `_publish`
+    checks that the fields from epoch_start to max_queue_ratio are finite."""
 
     j: int
     epoch_start: float
@@ -280,19 +280,9 @@ class MetricsRecord:
     avg_rates: tuple[float, ...] | None = None  # time-averaged requested rates
     avg_rate_utility: float | None = None   # utility at the time-averaged rate
 
-    def __post_init__(self):
-        if all(map(math.isfinite, itertools.chain(
-                self.drive, self.arrival_rate_est, self.offered_service_est,
-                self.actual_service_rate, self.queue, self.departed, self.peak_queue,
-                (self.epoch_start, self.epoch_length, self.max_queue_ratio)))):
-            return  # one pass; on a failure the loops below name the field
-        for name in ("drive", "arrival_rate_est", "offered_service_est",
-                     "actual_service_rate", "queue", "departed", "peak_queue"):
-            if not all(map(math.isfinite, getattr(self, name))):
-                raise InvariantViolation(f"non-finite {name} in epoch {self.j}")
-        for name in ("epoch_start", "epoch_length", "max_queue_ratio"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvariantViolation(f"non-finite {name} in epoch {self.j}")
+
+# the fields a non-finite record can name, in the order it names the first
+CHECKED_FIELDS = (*MetricsRecord._fields[3:10], "epoch_start", "epoch_length", "max_queue_ratio")
 
 
 def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterator[MetricsRecord]:
@@ -433,18 +423,22 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
 
 
 def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecord]:
-    """Check a block's queue ledgers, then yield the records of its updated epochs.
+    """Check a block's queue ledgers and records, then yield its updated epochs' records.
 
-    Records come out in order, and those before the first epoch whose ledger
-    fails come out before it raises, as one epoch at a time would have it: an
-    epoch's ledger is checked before its update, its update before its record.
+    Records come out in order, and those before the first failing epoch come
+    out before it raises, as one epoch at a time would have it: an epoch's
+    ledger is checked before its update, its update before its record's fields.
     """
     if not epochs:
         return
     (js, nows, lengths, drive, lam_hat, s_hat, served, offered, peak,
      queue, departed, arrived) = zip(*epochs)
     length = np.array(lengths, dtype=float)  # every length is a float's value
-    served, queue, departed, arrived = map(np.array, (served, queue, departed, arrived))
+    # the record's per-node fields (CHECKED_FIELDS[:7]), with departures in
+    # place of actual_service_rate until the ledger checks have read them
+    vectors = np.array((drive, lam_hat, s_hat, served, queue, departed, peak))
+    served, queue, departed = vectors[3], vectors[4], vectors[5]
+    arrived = np.array(arrived)
     tol = CONSERVATION_TOL * (1.0 + np.maximum.reduce(arrived, axis=1))
     err = np.maximum.reduce(np.abs(arrived - departed - queue), axis=1)
     # Departures are q0 + A - Q, so the ledger balances by construction; the
@@ -459,31 +453,27 @@ def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecor
     # the first failing epoch is at most the one whose update failed
     count = int(failed[0]) if failed.size else len(updates)
 
-    # float64 arrays, so Python floats; a row's own tolist beats stacking
-    # the rows of a column that the checks above do not read
-    actual = (served / length[:, None]).tolist()
+    served /= length[:, None]  # now actual_service_rate
+    # the per-node fields are checked for the whole block at once, the three
+    # scalar fields (Python floats) as each record is built
+    finite = np.logical_and.reduce(np.isfinite(vectors), axis=(0, 2)).tolist()
+    # float64 arrays, so Python floats
     ratio = (np.maximum.reduce(queue, axis=1) / np.array(nows)).tolist()
-    queue, departed = queue.tolist(), departed.tolist()
-    drive, lam_hat, s_hat, peak = ([row.tolist() for row in column]
-                                   for column in (drive, lam_hat, s_hat, peak))
-    rates, avg_rates, avg_utility = zip(*updates) if updates else ((), (), ())
+    drive, lam_hat, s_hat, actual, queue, departed, peak = vectors.tolist()
     for k in range(count):
+        start, epoch_length = nows[k] - lengths[k], float(lengths[k])
+        if not (finite[k] and math.isfinite(start) and math.isfinite(epoch_length)
+                and math.isfinite(ratio[k])):
+            name = next(name for name, values in zip(
+                CHECKED_FIELDS, (*vectors[:, k], start, epoch_length, ratio[k]))
+                if not np.isfinite(values).all())
+            raise InvariantViolation(f"non-finite {name} in epoch {js[k]}")
+        rates, avg_rates, avg_utility = updates[k]
         yield MetricsRecord(
-            j=js[k],
-            epoch_start=nows[k] - lengths[k],
-            epoch_length=float(lengths[k]),
-            drive=tuple(drive[k]),
-            arrival_rate_est=tuple(lam_hat[k]),
-            offered_service_est=tuple(s_hat[k]),
-            actual_service_rate=tuple(actual[k]),
-            queue=tuple(queue[k]),
-            departed=tuple(departed[k]),
-            peak_queue=tuple(peak[k]),
-            max_queue_ratio=ratio[k],
-            rates=None if rates[k] is None else tuple(rates[k].tolist()),
-            avg_rates=None if avg_rates[k] is None else tuple(avg_rates[k].tolist()),
-            avg_rate_utility=avg_utility[k],
-        )
+            js[k], start, epoch_length, tuple(drive[k]), tuple(lam_hat[k]), tuple(s_hat[k]),
+            tuple(actual[k]), tuple(queue[k]), tuple(departed[k]), tuple(peak[k]), ratio[k],
+            None if rates is None else tuple(rates.tolist()),
+            None if avg_rates is None else tuple(avg_rates.tolist()), avg_utility)
     if failed.size:
         if unbalanced[count]:
             raise InvariantViolation(

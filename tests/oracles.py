@@ -23,10 +23,10 @@ from a generator per event is the reference of `chain._walk_table`.
 `service_rates_spelled_out` writes the Gibbs law's marginals out in the
 numpy operations `gibbs` has always used; it is the bit-for-bit reference of
 the unchecked law that an oracle epoch calls.  The oracle loop that checks
-(through the ledger's `conservation_error`), updates and records one epoch
-before starting the next is the bit-for-bit reference, records and faults
-alike, of `engine.run_experiment`, which checks and publishes oracle epochs
-in blocks.
+(through the ledger's `conservation_error`), updates, records and checks the
+record's fields are finite one epoch before starting the next is the
+bit-for-bit reference, records and faults alike, of `engine.run_experiment`,
+which checks and publishes oracle epochs in blocks.
 """
 
 import bisect
@@ -565,7 +565,7 @@ def oracle_run_per_epoch(config):
             weighted_rates = weighted_rates + length * cc_rates
             avg_rates = weighted_rates / now
             avg_utility = total_utility(config.utilities, avg_rates)
-        yield MetricsRecord(
+        record = MetricsRecord(
             j=j, epoch_start=now - length, epoch_length=float(length),
             drive=tuple(drive.tolist()), arrival_rate_est=tuple(lam_hat.tolist()),
             offered_service_est=tuple(s_hat.tolist()),
@@ -575,5 +575,13 @@ def oracle_run_per_epoch(config):
             rates=None if cc_rates is None else tuple(cc_rates.tolist()),
             avg_rates=None if avg_rates is None else tuple(avg_rates.tolist()),
             avg_rate_utility=avg_utility)
+        # the engine checks these per block; here each record checks its own,
+        # in the order a failure names them
+        for name in ("drive", "arrival_rate_est", "offered_service_est",
+                     "actual_service_rate", "queue", "departed", "peak_queue",
+                     "epoch_start", "epoch_length", "max_queue_ratio"):
+            if not np.all(np.isfinite(getattr(record, name))):
+                raise InvariantViolation(f"non-finite {name} in epoch {j}")
+        yield record
         drive = new_drive
         cc_rates = new_rates

@@ -24,7 +24,7 @@ from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.congestion import utility_gap_certificate
-from csmasim.engine import ORACLE_HORIZON_LIMIT, run_experiment
+from csmasim.engine import ORACLE_HORIZON_LIMIT, MetricsRecord, run_experiment
 from csmasim import engine, gibbs, simplex
 from csmasim.errors import ConfigError, ConvergenceFailure, NumericFailure
 from oracles import clique2_log_gap, service_rates_spelled_out, strict_json
@@ -293,11 +293,11 @@ SCHED2_CYCLE5 = {
 }
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text()
 # README's refusal table, the one statement of `run`'s exit-2 contract: each
 # row's id and the text stderr contains.  Every row is a case of the two tests
 # below, which take their expected text from it, and every case has a row.
-REFUSAL_ROWS = re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]+)` \|",
-                          (Path(__file__).parents[1] / "README.md").read_text(), re.MULTILINE)
+REFUSAL_ROWS = re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]+)` \|", README, re.MULTILINE)
 REFUSALS = dict(REFUSAL_ROWS)
 
 EXIT_2 = {  # id: (payload, flags)
@@ -372,6 +372,12 @@ def test_config_errors_exit_2_before_any_output(tmp_path, capsys, case):
     assert elapsed < BUDGET, f"the refusal took {elapsed:.1f}s"
 
 
+def test_readme_lists_the_jsonl_keys_in_record_order():
+    # README's Outputs section states the JSONL schema, one key a line
+    outputs = README.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^- `([a-z_]+)`:", outputs, re.MULTILINE) == list(MetricsRecord._fields)
+
+
 # -- csmasim run -------------------------------------------------------------------
 
 def test_run_writes_expected_files(tmp_path):
@@ -387,7 +393,7 @@ def test_run_writes_expected_files(tmp_path):
     # one line per record, keys sorted, as json.dumps prints it
     parsed = load_config(cfg_path)
     records = run_experiment(parsed.experiment, parsed.seed)
-    assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in records]
+    assert lines == [json.dumps(rec._asdict(), sort_keys=True) for rec in records]
     first = json.loads(lines[0])
     assert first["j"] == 1 and len(first["drive"]) == 2
     meta = json.loads(manifest.read_text())
@@ -455,7 +461,7 @@ def test_oracle_service_rates_and_lines_are_bit_for_bit(tmp_path, algorithm, gra
     lines = (tmp_path / "out" / "exp-seed0.jsonl").read_text().splitlines()
     cfg = load_config(path).experiment
     records = list(run_experiment(cfg))
-    assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in records]
+    assert lines == [json.dumps(rec._asdict(), sort_keys=True) for rec in records]
     matrix = cfg.family.matrix
     for rec in records:
         drive = np.array(rec.drive)
@@ -721,6 +727,29 @@ def test_a_closed_stdout_ends_the_command_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_an_interrupt_ends_the_run_quietly_and_keeps_whole_lines(tmp_path, capsys, monkeypatch):
+    real = cli.run_experiment
+
+    def interrupted(config, seed):
+        records = real(config, seed)
+        yield next(records)
+        yield next(records)
+        raise KeyboardInterrupt  # what SIGINT raises in the middle of a run
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    out = tmp_path / "out"
+    try:
+        code = main(["run", str(write_config(tmp_path, BASE)), "--out", str(out)])
+    except KeyboardInterrupt:
+        pytest.fail("the interrupt escaped main")
+    assert code == cli.EXIT_INTERRUPTED == 130
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.splitlines() == ["interrupted"]
+    text = (out / "exp-seed9.jsonl").read_text()
+    assert text.endswith("\n")
+    assert [strict_json(line)["j"] for line in text.splitlines()] == [1, 2]
 
 
 # -- csmasim analyze ------------------------------------------------------------------

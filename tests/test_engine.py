@@ -365,25 +365,6 @@ def test_past_exact_mode_a_stochastic_config_holds_the_refusal():
         dataclasses.replace(cfg, mode=ORACLE)
 
 
-RECORD = dict(j=1, epoch_start=0.0, epoch_length=1.0, drive=(0.0, 0.2),
-              arrival_rate_est=(0.1, 0.1), offered_service_est=(0.5, 0.4),
-              actual_service_rate=(0.1, 0.1), queue=(0.0, 0.0), departed=(0.1, 0.1),
-              peak_queue=(0.0, 0.0), max_queue_ratio=0.0)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-@pytest.mark.parametrize("name", ["epoch_start", "epoch_length", "drive", "arrival_rate_est",
-                                  "offered_service_est", "actual_service_rate", "queue",
-                                  "departed", "peak_queue", "max_queue_ratio"])
-def test_metrics_record_rejects_non_finite(name, bad):
-    payload = vars(MetricsRecord(**RECORD))
-    assert payload["j"] == 1 and payload["rates"] is None
-    # the last entry, so a check that reads only the first misses it
-    value = bad if isinstance(RECORD[name], float) else RECORD[name][:-1] + (bad,)
-    with pytest.raises(InvariantViolation, match=f"non-finite {name} in epoch 1"):
-        MetricsRecord(**dict(RECORD, **{name: value}))
-
-
 @pytest.mark.parametrize("mode", ["stochastic", "deterministic-oracle"])
 @pytest.mark.parametrize("algorithm", ["sched1", "sched2", "cc1", "cc2"])
 def test_record_fields_are_python_floats(algorithm, mode):
@@ -397,7 +378,7 @@ def test_record_fields_are_python_floats(algorithm, mode):
     }[algorithm]
     cfg = ExperimentConfig(graph=g, algorithm=algorithm, horizon=3, mode=mode, **workload)
     for rec in run_experiment(cfg, 5):
-        for name, value in vars(rec).items():
+        for name, value in rec._asdict().items():
             if name == "j":
                 assert type(value) is int
             elif isinstance(value, tuple):
@@ -632,7 +613,7 @@ def assert_same_records(got, want):
     """Every field equal (np.array_equal) and with the same repr (sign of zero)."""
     assert [rec.j for rec in got] == [rec.j for rec in want]
     for mine, theirs in zip(got, want):
-        for name, value in vars(theirs).items():
+        for name, value in theirs._asdict().items():
             assert (getattr(mine, name) is None) == (value is None), (mine.j, name)
             if value is not None:
                 assert np.array_equal(getattr(mine, name), value), (mine.j, name)
@@ -679,6 +660,102 @@ def poisoned(bad):
     return fault
 
 
+# engine._publish reads a block as one tuple per epoch, in this order
+BLOCK_FIELDS = ("j", "now", "length", "drive", "lam_hat", "s_hat", "served", "offered",
+                "peak", "queue", "departed", "arrived")
+
+
+def synthetic_block(epochs, first_j, n=3):
+    """A block of `epochs` epochs that passes every check, as `_publish` reads it."""
+    rng = np.random.default_rng(first_j)
+    rows, departed, now = [], np.zeros(n), 0.0
+    for j in range(first_j, first_j + epochs):
+        now += 10.0
+        s_hat = rng.uniform(0.2, 0.4, n)
+        offered = 10.0 * s_hat
+        served = rng.uniform(0.0, 1.0, n) * offered
+        departed = departed + served
+        queue = rng.uniform(0.0, 5.0, n)
+        rows.append(dict(j=j, now=now, length=10, drive=rng.uniform(-2.0, 2.0, n),
+                         lam_hat=rng.uniform(0.1, 0.3, n), s_hat=s_hat, served=served,
+                         offered=offered, peak=queue + 1.0, queue=queue, departed=departed,
+                         arrived=departed + queue))
+    return rows
+
+
+def publish(rows):
+    epochs = [tuple(row[name] for name in BLOCK_FIELDS) for row in rows]
+    return engine._publish(epochs, [(None, None, None)] * len(rows))
+
+
+def poison_entry(row, name, bad):
+    row[name] = row[name].copy()
+    row[name][-1] = bad  # the last entry, so a check that reads only the first misses it
+
+
+def poison_ratio(row, bad):
+    # max_i queue_i / now at now = 0: inf, -inf or (0 / 0) NaN
+    row["now"] = 0.0
+    row["queue"] = np.full_like(row["queue"], {math.inf: 1.0, -math.inf: -1.0}.get(bad, 0.0))
+    row["departed"] = row["arrived"] - row["queue"]
+
+
+# Where each record field is poisoned: its own input, or the one it is
+# computed from (actual_service_rate = served / length, epoch_start = now -
+# length, max_queue_ratio = max queue / now).
+POISON = {
+    "drive": lambda row, bad: poison_entry(row, "drive", bad),
+    "arrival_rate_est": lambda row, bad: poison_entry(row, "lam_hat", bad),
+    "offered_service_est": lambda row, bad: poison_entry(row, "s_hat", bad),
+    "actual_service_rate": lambda row, bad: poison_entry(row, "served", bad),
+    "queue": lambda row, bad: poison_entry(row, "queue", bad),
+    "departed": lambda row, bad: poison_entry(row, "departed", bad),
+    "peak_queue": lambda row, bad: poison_entry(row, "peak", bad),
+    "epoch_start": lambda row, bad: row.update(now=bad),
+    "epoch_length": lambda row, bad: row.update(length=bad),
+    "max_queue_ratio": poison_ratio,
+}
+DEPARTURES = "departures outside [0, offered service] at epoch {j}"
+UNBALANCED = "queue conservation off by inf at epoch {j}"
+# Where a check that comes first sees the value: the ledger sees infinite
+# departures, queues and cumulative departures (a NaN passes its comparisons),
+# and a non-finite length makes actual_service_rate or epoch_start, which come
+# before it, non-finite too, or fails the departure bound's slack.  So
+# epoch_length's own check never names a failure.
+CAUGHT_FIRST = {
+    ("actual_service_rate", math.inf): DEPARTURES,
+    ("actual_service_rate", -math.inf): DEPARTURES,
+    ("queue", math.inf): UNBALANCED,
+    ("queue", -math.inf): UNBALANCED,
+    ("departed", math.inf): UNBALANCED,
+    ("departed", -math.inf): UNBALANCED,
+    ("epoch_length", math.nan): "non-finite actual_service_rate in epoch {j}",
+    ("epoch_length", math.inf): "non-finite epoch_start in epoch {j}",
+    ("epoch_length", -math.inf): DEPARTURES,
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["epoch_start", "epoch_length", "drive", "arrival_rate_est",
+                                  "offered_service_est", "actual_service_rate", "queue",
+                                  "departed", "peak_queue", "max_queue_ratio"])
+def test_metrics_record_rejects_non_finite(name, bad):
+    # a one-epoch block, and a full oracle block poisoned at its first, an
+    # inner and its last epoch
+    for epochs, k in ((1, 0), (BLOCK, 0), (BLOCK, 100), (BLOCK, BLOCK - 1)):
+        rows = synthetic_block(epochs, first_j=1 + BLOCK)
+        clean = list(publish(rows))
+        assert len(clean) == epochs
+        POISON[name](rows[k], bad)
+        quiet = "ignore" if name == "max_queue_ratio" else "warn"  # its 1 / 0 and 0 / 0
+        with np.errstate(divide=quiet, invalid=quiet):
+            seen, raised = until_fault(publish(rows))
+        assert type(raised) is InvariantViolation
+        message = CAUGHT_FIRST.get((name, bad), f"non-finite {name} in epoch {{j}}")
+        assert str(raised) == message.format(j=1 + BLOCK + k)
+        assert seen == clean[:k]
+
+
 @pytest.mark.parametrize("bad, entering", at_fault_epochs(
     [(ident, (bad,)) for ident, bad in (
         ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
@@ -713,10 +790,47 @@ def negative(out, state, *_):
     return served - shift, peak
 
 
+def left_in_state(name, bad):
+    """A reflect fault that leaves `bad` in the last entry of the state's `name`."""
+    def fault(out, state, *_):
+        values = getattr(state, name).copy()
+        values[-1] = bad
+        setattr(state, name, values)
+        return out
+    return fault
+
+
+def left_in_output(position, bad):
+    """A reflect fault that puts `bad` in the last entry of its served (0) or peak (1)."""
+    def fault(out, *_):
+        out[position][-1] = bad
+        return out
+    return fault
+
+
+def both(*faults):
+    def fault(out, *args):
+        for each in faults:
+            out = each(out, *args)
+        return out
+    return fault
+
+
+# faults only the record's check sees: a NaN passes the ledger's comparisons,
+# and the ledger does not read the peak
+NON_FINITE_FIELDS = [
+    ("queue-nan", (left_in_state("queue", math.nan), "non-finite queue")),
+    ("departed-nan", (left_in_state("departed", math.nan), "non-finite departed")),
+    ("served-nan", (left_in_output(0, math.nan), "non-finite actual_service_rate")),
+    ("peak-inf", (left_in_output(1, math.inf), "non-finite peak_queue")),
+    ("peak--inf", (left_in_output(1, -math.inf), "non-finite peak_queue")),
+]
+
+
 @pytest.mark.parametrize("fault, match, epoch", at_fault_epochs([
     ("ledger", (lost, "queue conservation off")),
     ("negative-departures", (negative, "departures outside")),
-]))
+] + NON_FINITE_FIELDS))
 def test_queue_kernel_faults_raise(monkeypatch, fault, match, epoch):
     fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
                                      InvariantViolation, match,
@@ -751,6 +865,28 @@ def test_a_ledger_fault_takes_precedence_over_its_epochs_update_fault(monkeypatc
                                      on_call(monkeypatch, "reflect", epoch, lost),
                                      on_call(monkeypatch, "update_projected", epoch,
                                              poisoned(1e6)))
+
+
+# a NaN queue or cumulative departure makes the conservation error NaN, which
+# passes, so the ledger can fail beside the other fields only
+@pytest.mark.parametrize("fault, match, epoch", at_fault_epochs(NON_FINITE_FIELDS[2:]))
+def test_a_ledger_fault_takes_precedence_over_its_epochs_non_finite_record(
+        monkeypatch, fault, match, epoch):
+    fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
+                                     InvariantViolation, "queue conservation off",
+                                     on_call(monkeypatch, "reflect", epoch, both(fault, lost)))
+
+
+@pytest.mark.parametrize("fault, match, epoch", at_fault_epochs(NON_FINITE_FIELDS))
+def test_a_non_finite_record_takes_precedence_over_a_later_guard_fault(
+        monkeypatch, fault, match, epoch):
+    # the update ending epoch `epoch` leaves a drive that the guard refuses
+    # entering the next epoch, in the same block unless `epoch` ends one
+    fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
+                                     InvariantViolation, match,
+                                     on_call(monkeypatch, "reflect", epoch, fault),
+                                     on_call(monkeypatch, "update_diminishing", epoch,
+                                             poisoned(math.nan)))
 
 
 def test_each_epoch_has_its_own_departure_slack(monkeypatch):
@@ -793,7 +929,7 @@ def test_an_oracle_run_that_fails_keeps_the_lines_before_its_fault(tmp_path, mon
     arm()
     want, _ = until_fault(oracle_run_per_epoch(load_config(path).experiment))
     assert len(lines) == len(want) == entering - 1
-    assert lines == [json.dumps(vars(rec), sort_keys=True) for rec in want]
+    assert lines == [json.dumps(rec._asdict(), sort_keys=True) for rec in want]
 
 
 def oracle_run(algorithm, graph, queued):
