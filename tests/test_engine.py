@@ -808,14 +808,6 @@ def left_in_output(position, bad):
     return fault
 
 
-def both(*faults):
-    def fault(out, *args):
-        for each in faults:
-            out = each(out, *args)
-        return out
-    return fault
-
-
 # faults only the record's check sees: a NaN passes the ledger's comparisons,
 # and the ledger does not read the peak
 NON_FINITE_FIELDS = [
@@ -874,7 +866,8 @@ def test_a_ledger_fault_takes_precedence_over_its_epochs_non_finite_record(
         monkeypatch, fault, match, epoch):
     fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
                                      InvariantViolation, "queue conservation off",
-                                     on_call(monkeypatch, "reflect", epoch, both(fault, lost)))
+                                     on_call(monkeypatch, "reflect", epoch,
+                                             lambda out, *args: lost(fault(out, *args), *args)))
 
 
 @pytest.mark.parametrize("fault, match, epoch", at_fault_epochs(NON_FINITE_FIELDS))
