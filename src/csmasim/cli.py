@@ -50,20 +50,6 @@ def _json_safe(value):
     return value
 
 
-def _line_encoder():
-    """`json.dumps(obj, sort_keys=True)` for a record's fields, with the C encoder
-    that `JSONEncoder.encode` builds on every call built once.  A record holds
-    numbers and tuples of floats, which cannot form a cycle, so it skips the
-    circular-reference bookkeeping."""
-    encoder = json.JSONEncoder(sort_keys=True, check_circular=False)
-    if json.encoder.c_make_encoder is None:  # an interpreter without _json
-        return encoder.encode
-    make = json.encoder.c_make_encoder(
-        None, encoder.default, json.encoder.encode_basestring_ascii, None,
-        encoder.key_separator, encoder.item_separator, True, False, True)
-    return lambda obj: "".join(make(obj, 0))
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -171,7 +157,9 @@ def cmd_run(args) -> int:
     _refuse_non_file(manifest_path, "manifest")
     started = _utc_now()
     outputs = []
-    encode = _line_encoder()
+    # `json.dumps(record, sort_keys=True)`; a record's numbers and tuples of
+    # floats cannot form a cycle, so the encoder skips that bookkeeping
+    encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
     # An oracle run does not depend on the seed: it runs once, and every
     # later seed gets a copy of its run file and its summary.
     first_run = summary = None

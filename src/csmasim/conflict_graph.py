@@ -9,7 +9,6 @@ solver.
 """
 from __future__ import annotations
 
-import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -318,18 +317,3 @@ def is_strictly_admissible(family: IndependentSetFamily, rates) -> Admissibility
                              f"to {float(nu.sum())!r}, residual {residual:.3g}")
     nu.setflags(write=False)
     return AdmissibilityCertificate(True, slack, nu)
-
-
-def backoff_norm_bound(family: IndependentSetFamily, rates,
-                       certificate: AdmissibilityCertificate) -> float:
-    """A-priori sup-norm bound on the fitted backoff vector for `rates`.
-
-    log(#schedules) / min(slack, min positive rate); infinite when the
-    certificate carries no positive slack.
-    """
-    rates = np.asarray(rates, dtype=float)
-    if not certificate.admissible or certificate.slack <= 0:
-        return math.inf
-    positive = rates[rates > 0]
-    floor = min(certificate.slack, float(positive.min())) if positive.size else certificate.slack
-    return math.log(family.size) / floor

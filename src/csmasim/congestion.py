@@ -3,9 +3,10 @@
 Nodes maintain nonnegative prices.  Each epoch a node picks the rate in
 [0, 1] maximizing beta*U(y) - price*y, then nudges its price by the gap
 between the rate it asked for and the service it saw.  The diminishing-step
-variant uses steps 1/j and a positive-part projection; the constant-step
-variant keeps prices in a box [0, beta*V + alpha] where V bounds the utility
-slopes at zero.
+variant is the scheduler's 1/j step (`scheduling.update_diminishing`) with a
+positive-part projection, which the engine applies; the constant-step variant
+(`update_prices_constant`) keeps prices in a box [0, beta*V + alpha] where V
+(`initial_slope_bound`) bounds the utility slopes at zero.
 
 Certification side: the offline program maximizes sum U_i(lambda_i) plus
 (1/beta) times the schedule entropy over the capacity polytope.  Its dual in
@@ -139,15 +140,6 @@ def total_utility(utilities, rates) -> float:
     return float(sum(u.value(y) for u, y in zip(utilities, rates, strict=True)))
 
 
-def update_prices_diminishing(prices, rates, s_hat, j: int) -> np.ndarray:
-    """[price + (rate - observed service)/j]_+ componentwise."""
-    if j < 1:
-        raise ValueError("epoch index starts at 1")
-    prices = np.asarray(prices, dtype=float)
-    stepped = prices + (np.asarray(rates, float) - np.asarray(s_hat, float)) / j
-    return np.maximum(stepped, 0.0)
-
-
 def update_prices_constant(prices, rates, s_hat, alpha: float) -> np.ndarray:
     """[price - alpha*observed]_+ + alpha*rate componentwise.
 
@@ -159,11 +151,6 @@ def update_prices_constant(prices, rates, s_hat, alpha: float) -> np.ndarray:
     prices = np.asarray(prices, dtype=float)
     drained = np.maximum(prices - alpha * np.asarray(s_hat, float), 0.0)
     return drained + alpha * np.asarray(rates, float)
-
-
-def price_box_bound(utilities, beta: float, alpha: float) -> float:
-    """beta*V + alpha, the invariant ceiling for constant-step prices."""
-    return beta * initial_slope_bound(utilities) + alpha
 
 
 class DualSolution(NamedTuple):

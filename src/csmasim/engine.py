@@ -40,8 +40,7 @@ from .chain import DRIVE_LIMIT, TABLE_STATES, clock_table, simulate
 from .conflict_graph import (ConflictGraph, IndependentSetFamily,
                              enumerate_independent_sets)
 from .congestion import (UtilityFunction, best_responses, default_beta,
-                         initial_slope_bound, price_box_bound, total_utility,
-                         update_prices_constant, update_prices_diminishing)
+                         initial_slope_bound, total_utility, update_prices_constant)
 from .errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                      NumericFailure)
 from .gibbs import _gibbs_law, service_rates
@@ -67,6 +66,14 @@ DESK_TIME_LIMIT = 1e8
 # exactly in Python ints.  The engine's clock adds the lengths in floats, and
 # at H + 1 it becomes inf; exp(sqrt(j)) itself overflows from j = 503 792.
 ORACLE_HORIZON_LIMIT = 493_556
+# The most epochs of any oracle run.  On a 2-vCPU host an oracle epoch of
+# `csmasim run`, its JSONL line included, costs 19-43 us on one to five nodes
+# (sched1 on single, sched1 and cc2 on cycle5) and writes 350-1 200 bytes, and
+# on the largest family (65 536 schedules, 16 edgeless nodes) costs 0.42 ms and
+# writes 1 600 bytes.  A run at the limit takes 20-45 s and writes 0.35-1.2 GB
+# on a few nodes, or ~7 minutes and 1.6 GB on that family, the range of a
+# stochastic run at DESK_TIME_LIMIT.
+ORACLE_EPOCH_LIMIT = 10**6
 # Epochs whose ledgers are checked and whose records are built together, by
 # mode: an oracle epoch costs ~50 us, half of it numpy call overhead on (n,)
 # arrays, while a stochastic epoch costs ~1 ms and streams its record.
@@ -204,6 +211,9 @@ class ExperimentConfig:
             raise ConfigError(
                 f"an oracle run on the published epoch lengths overflows the clock past "
                 f"horizon {ORACLE_HORIZON_LIMIT}; shorten it or set an epoch_length")
+        if self.mode == ORACLE and self.horizon > ORACLE_EPOCH_LIMIT:
+            raise ConfigError(f"an oracle run takes at most {ORACLE_EPOCH_LIMIT} epochs; "
+                              "shorten the horizon")
         budget = math.inf if self.mode == ORACLE else int(DESK_TIME_LIMIT) // n
         # The queue ledger's largest entry is q0 plus the work arrived, and every
         # other value the queue kernel forms stays within it plus an epoch length.
@@ -314,7 +324,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
 
     if config.algorithm == "cc2":
         slope_cap = initial_slope_bound(config.utilities)
-        price_box = price_box_bound(config.utilities, beta, step)
+        price_box = beta * slope_cap + step  # the ceiling update_prices_constant keeps
         queue_cap = fixed_length * (beta * slope_cap + 2.0 * step) / step
         # the price/queue coupling is an induction from an empty start
         couple = config.initial_queue is None or max(config.initial_queue) == 0.0
@@ -349,8 +359,6 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
             else:
                 chain_rng = np.random.default_rng(
                     np.random.SeedSequence(entropy=seed, spawn_key=(j, 0)))
-                arr_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
                 traj = simulate(graph, drive, float(length), initial_mask=mask,
                                 rng=chain_rng, table=table)
                 mask = traj.final_mask
@@ -359,6 +367,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
                     inflow = cc_rates
                     arrivals = cc_rates * length
                 else:
+                    arr_rng = np.random.default_rng(
+                        np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
                     deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
                     inflow = None
                     arrivals = np.add.reduce(deposits, axis=0)
@@ -374,17 +384,14 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
 
             if config.algorithm == "sched1":
                 new_drive = update_diminishing(drive, lam_hat, s_hat, j)
-                new_rates = None
             elif config.algorithm == "sched2":
                 new_drive = update_projected(drive, lam_hat, s_hat, config.epsilon,
                                              step, n)
                 box = n / config.epsilon
                 if np.logical_or.reduce(np.abs(new_drive) > box):
                     raise InvariantViolation(f"projection box violated at epoch {j}")
-                new_rates = None
-            elif config.algorithm == "cc1":
-                new_drive = update_prices_diminishing(drive, cc_rates, s_hat, j)
-                new_rates = best_responses(config.utilities, beta, new_drive)
+            elif config.algorithm == "cc1":  # sched1's step on prices, projected onto >= 0
+                new_drive = np.maximum(update_diminishing(drive, cc_rates, s_hat, j), 0.0)
             else:  # cc2
                 new_drive = update_prices_constant(drive, cc_rates, s_hat, step)
                 if (np.logical_or.reduce(new_drive < -1e-12)
@@ -401,7 +408,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
                     if np.logical_or.reduce(peak > queue_cap + slack):
                         raise InvariantViolation(
                             f"queue cap {queue_cap:.6g} violated at epoch {j}")
-                new_rates = best_responses(config.utilities, beta, new_drive)
+            new_rates = best_responses(config.utilities, beta, new_drive) if congestion else None
 
             if congestion:
                 weighted_rates = weighted_rates + length * cc_rates
@@ -417,9 +424,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
             epochs, updates = [], []
         if fault is not None:
             raise fault
-        drive = new_drive
-        if congestion:
-            cc_rates = new_rates
+        drive, cc_rates = new_drive, new_rates
 
 
 def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecord]:
@@ -444,12 +449,13 @@ def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecor
     # Departures are q0 + A - Q, so the ledger balances by construction; the
     # departure bound is what catches a faulty queue kernel.  Its slack covers
     # rounding in q0 + A (at most the cumulative arrivals) and in the offered
-    # service (at most the epoch length).
+    # service (at most the epoch length).  Each test is written to pass only
+    # on a number, so a NaN in the queue, the departures or the length fails it.
     slack = tol + CONSERVATION_TOL * length
-    unbalanced = err > tol
+    unbalanced = ~(err <= tol)
     failed = np.flatnonzero(
-        unbalanced | (np.minimum.reduce(served, axis=1) < -slack)
-        | (np.maximum.reduce(served - np.array(offered), axis=1) > slack))
+        unbalanced | ~(np.minimum.reduce(served, axis=1) >= -slack)
+        | ~(np.maximum.reduce(served - np.array(offered), axis=1) <= slack))
     # the first failing epoch is at most the one whose update failed
     count = int(failed[0]) if failed.size else len(updates)
 

@@ -28,7 +28,6 @@ import numpy as np
 from .conflict_graph import (
     AdmissibilityCertificate,
     IndependentSetFamily,
-    backoff_norm_bound,
     enumerate_independent_sets,
     induced_subgraph,
     is_strictly_admissible,
@@ -185,7 +184,8 @@ def solve_backoff(family: IndependentSetFamily, rates,
     if not cert.admissible:
         raise InfeasibleRates(
             f"rates are not strictly admissible (LP slack {cert.slack:.3g} <= 0)")
-    bound = backoff_norm_bound(sub_family, sub_rates, cert)
+    # a priori sup-norm bound on the fit: log(#schedules) / min(slack, least rate)
+    bound = math.log(sub_family.size) / min(cert.slack, float(sub_rates.min()))
 
     def evaluate(r):
         if float(np.abs(r).max()) > 2.0 * bound:

@@ -42,7 +42,7 @@ from csmasim.conflict_graph import (FAMILY_CAP, ConflictGraph, IndependentSetFam
                                     max_weight_independent_set, schedule_nodes)
 from csmasim.congestion import (UTILITY_MAX_ITER, UTILITY_TOL, UtilityFunction,
                                 UtilityOptimum, best_response, best_responses,
-                                initial_slope_bound, price_box_bound, total_utility)
+                                initial_slope_bound, total_utility)
 from csmasim.engine import CONSERVATION_TOL, MetricsRecord
 from csmasim.errors import (ConvergenceFailure, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
@@ -511,9 +511,9 @@ def oracle_run_per_epoch(config):
         qstate.queue = q0.copy()
         qstate.arrived = q0.copy()
     if config.algorithm == "cc2":
-        price_box = price_box_bound(config.utilities, beta, step)
-        queue_cap = fixed_length * (beta * initial_slope_bound(config.utilities)
-                                    + 2.0 * step) / step
+        slope_cap = initial_slope_bound(config.utilities)
+        price_box = beta * slope_cap + step
+        queue_cap = fixed_length * (beta * slope_cap + 2.0 * step) / step
         couple = config.initial_queue is None or max(config.initial_queue) == 0.0
     now = 0.0
     weighted_rates = np.zeros(n)
@@ -532,10 +532,10 @@ def oracle_run_per_epoch(config):
         now += length
         tol = CONSERVATION_TOL * (1.0 + float(np.max(qstate.arrived)))
         err = conservation_error(qstate)
-        if err > tol:
+        if not err <= tol:  # NaN fails it
             raise InvariantViolation(f"queue conservation off by {err:.3e} at epoch {j}")
         slack = tol + CONSERVATION_TOL * length
-        if np.min(served) < -slack or np.max(served - offered) > slack:
+        if not (np.min(served) >= -slack and np.max(served - offered) <= slack):
             raise InvariantViolation(f"departures outside [0, offered service] at epoch {j}")
 
         if config.algorithm == "sched1":
@@ -545,7 +545,7 @@ def oracle_run_per_epoch(config):
             if np.any(np.abs(new_drive) > n / config.epsilon):
                 raise InvariantViolation(f"projection box violated at epoch {j}")
         elif config.algorithm == "cc1":
-            new_drive = engine.update_prices_diminishing(drive, cc_rates, s_hat, j)
+            new_drive = np.maximum(engine.update_diminishing(drive, cc_rates, s_hat, j), 0.0)
         else:
             new_drive = engine.update_prices_constant(drive, cc_rates, s_hat, step)
             if np.any(new_drive < -1e-12) or np.any(new_drive > price_box + 1e-9):

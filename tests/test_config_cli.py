@@ -324,6 +324,9 @@ EXIT_2 = {  # id: (payload, flags)
              overrides={"epsilon": 0.2, "epoch_length": 200}), ()),
     "oracle-published-horizon-past-float-range": (
         dict(BASE, mode="deterministic-oracle", horizon=ORACLE_HORIZON_LIMIT + 1), ()),
+    "oracle-horizon-past-epoch-limit": (
+        dict(BASE, mode="deterministic-oracle", horizon=10**12, overrides={"epoch_length": 1}),
+        ()),
     "run-past-time-limit": (
         dict(SCHED2_CYCLE5, horizon=2 * 10**5, overrides={"epsilon": 0.2, "epoch_length": 101}),
         ()),
@@ -370,6 +373,42 @@ def test_config_errors_exit_2_before_any_output(tmp_path, capsys, case):
     assert REFUSALS[case] in capsys.readouterr().err
     assert not out.exists()
     assert elapsed < BUDGET, f"the refusal took {elapsed:.1f}s"
+
+
+# id: (config or None for `analyze`, flags, stderr text); refusals of the
+# config's shape and of the command line, which the table above leaves out
+SCHEMA_REFUSALS = {
+    "graph-not-an-object": (dict(BASE, graph=["clique2"]), (), "graph must be an object"),
+    "graph-path-with-other-keys": (dict(BASE, graph={"path": "pair.txt", "n": 2}), (),
+                                   "graph.path excludes other graph keys"),
+    "arrivals-not-an-object": (dict(BASE, arrivals=0.2), (), "arrivals must be an object"),
+    "arrival-rates-missing": (dict(BASE, arrivals={"kind": "scaled-bernoulli"}), (),
+                              "arrivals.rates is required"),
+    "utility-not-an-object": (dict(CC2, utilities=["log-shifted"] * 2), (),
+                              "utilities[0] must be an object"),
+    "utilities-neither-object-nor-list": (dict(CC2, utilities="log-shifted"), (),
+                                          "utilities must be an object (broadcast) or a list"),
+    "overrides-not-an-object": (dict(BASE, overrides=[]), (), "overrides must be an object"),
+    "output-not-a-string": (dict(BASE, output=3), (), "output must be a string path"),
+    "no-seeds": (BASE, ("--seeds", "0"), "--seeds must be at least 1"),
+    "stochastic-without-a-seed": ({k: v for k, v in BASE.items() if k != "seed"}, (),
+                                  "no seed: pass --seed or set one in the config"),
+    "analyze-utilities-not-json": (None, ("analyze", "clique2", "--utilities", "{log",
+                                          "--beta", "10"), "--utilities must be a family name"),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_REFUSALS)
+def test_schema_refusals_exit_2_before_any_output(tmp_path, capsys, case):
+    payload, flags, text = SCHEMA_REFUSALS[case]
+    out = tmp_path / "out"
+    argv = list(flags) if payload is None else [
+        "run", str(write_config(tmp_path, payload)), "--out", str(out), *flags]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert text in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_readme_lists_the_jsonl_keys_in_record_order():

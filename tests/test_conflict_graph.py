@@ -19,7 +19,6 @@ from csmasim.conflict_graph import (
     MAX_NODES,
     ConflictGraph,
     PRESETS,
-    backoff_norm_bound,
     enumerate_independent_sets,
     induced_subgraph,
     is_strictly_admissible,
@@ -29,7 +28,8 @@ from csmasim.conflict_graph import (
     read_edge_list,
     schedule_nodes,
 )
-from csmasim.errors import ExactModeUnavailable, NumericFailure
+from csmasim.errors import ExactModeUnavailable, InfeasibleRates, NumericFailure
+from csmasim.gibbs import solve_backoff
 from oracles import enumerate_independent_sets_recursive, row_of, strict_json
 
 
@@ -482,14 +482,15 @@ def test_slack_past_a_top_rate_of_1_at_any_scale(rates, slack):
 
 
 def test_norm_bound_formula():
+    # the fit's a priori bound, log(#schedules) / min(slack, least rate)
     fam = enumerate_independent_sets(preset("single"))
-    cert = is_strictly_admissible(fam, [0.5])
-    bound = backoff_norm_bound(fam, [0.5], cert)
-    assert bound == pytest.approx(math.log(2) / 0.5, abs=1e-12)
+    assert solve_backoff(fam, [0.5]).norm_bound == pytest.approx(math.log(2) / 0.5, abs=1e-12)
     # min positive rate below the slack takes over
     fam2 = enumerate_independent_sets(preset("clique2"))
-    cert2 = is_strictly_admissible(fam2, [0.05, 1 / 3])
-    bound2 = backoff_norm_bound(fam2, [0.05, 1 / 3], cert2)
+    bound2 = solve_backoff(fam2, [0.05, 1 / 3]).norm_bound
     assert bound2 == pytest.approx(math.log(3) / 0.05, abs=1e-9)
-    infeasible = is_strictly_admissible(fam2, [0.6, 0.6])
-    assert backoff_norm_bound(fam2, [0.6, 0.6], infeasible) == math.inf
+    # a masked node leaves the single node's two schedules and slack 0.7
+    masked = solve_backoff(fam2, [0.3, 0.0]).norm_bound
+    assert masked == pytest.approx(math.log(2) / 0.3, abs=1e-12)
+    with pytest.raises(InfeasibleRates):
+        solve_backoff(fam2, [0.6, 0.6])

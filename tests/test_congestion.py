@@ -17,15 +17,15 @@ from csmasim.congestion import (
     best_responses,
     default_beta,
     initial_slope_bound,
-    price_box_bound,
     solve_dual_optimum,
     solve_utility_optimum,
     total_utility,
     update_prices_constant,
-    update_prices_diminishing,
     utility_gap_certificate,
 )
+from csmasim.engine import ExperimentConfig, run_experiment
 from csmasim.gibbs import service_rates
+from csmasim.scheduling import update_diminishing
 from oracles import (best_response_value, clique2_log_gap, dual_gradient, dual_value,
                      utility_optimum_full_bisection)
 
@@ -183,10 +183,21 @@ def test_best_responses_zip_is_strict():
 # -- price recursions -----------------------------------------------------------------
 
 def test_diminishing_price_update_clamps_at_zero():
-    out = update_prices_diminishing([0.1, 5.0], [0.2, 0.1], [0.9, 0.3], 2)
-    assert out == pytest.approx([0.0, 4.9], abs=1e-15)
-    with pytest.raises(ValueError):
-        update_prices_diminishing([0.0], [0.1], [0.1], 0)
+    # cc1's price step is sched1's drive step, [price + (rate - service)/j]_+;
+    # at shift 10 a node asks for nothing once its price passes 0.005, so the
+    # service drains the price below 0 and the projection clamps it
+    utility = UtilityFunction("log-shifted", shift=10.0)
+    config = ExperimentConfig(graph=preset("single"), algorithm="cc1", horizon=30,
+                              utilities=(utility,), beta=0.05, epoch_length=10,
+                              mode="deterministic-oracle")
+    records = list(run_experiment(config))
+    clamped = 0
+    for rec, after in zip(records, records[1:]):
+        stepped = (np.array(rec.drive)
+                   + (np.array(rec.rates) - np.array(rec.offered_service_est)) / rec.j)
+        assert after.drive == tuple(np.maximum(stepped, 0.0).tolist())
+        clamped += int(stepped[0] < 0.0)
+    assert clamped == 5
 
 
 def test_constant_price_update_formula():
@@ -202,17 +213,13 @@ def test_constant_price_update_formula():
 def test_constant_price_box_is_invariant(s_hat, alpha):
     utilities = (LOG1, LOG1)
     beta = 12.0
-    box = price_box_bound(utilities, beta, alpha)
+    box = beta * initial_slope_bound(utilities) + alpha
     rng = np.random.default_rng(int(alpha * 1e6))
     prices = rng.uniform(0.0, box, size=2)
     rates = best_responses(utilities, beta, prices)
     out = update_prices_constant(prices, rates, s_hat, alpha)
     assert np.all(out >= 0.0)
     assert np.all(out <= box + 1e-12)
-
-
-def test_price_box_bound_value():
-    assert price_box_bound((LOG1, LOG1), 50.0, 0.1) == pytest.approx(50.1)
 
 
 # -- dual problem -----------------------------------------------------------------------
@@ -421,7 +428,7 @@ def test_diminishing_recursion_contracts_from_a_warm_start(clique2):
     for j in range(1, 2001):
         lam = best_responses(utilities, 10.0, r)
         s = service_rates(clique2, r)
-        r = update_prices_diminishing(r, lam, s, j)
+        r = np.maximum(update_diminishing(r, lam, s, j), 0.0)
         new_err = float(np.abs(r - dual.prices).max())
         assert new_err <= err + 1e-15
         err = new_err

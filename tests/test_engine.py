@@ -19,8 +19,9 @@ from csmasim.chain import DRIVE_LIMIT
 from csmasim.config import load_config, parse_config
 from csmasim.conflict_graph import (EXACT_MODE_CAP, MAX_NODES, ConflictGraph,
                                     enumerate_independent_sets, preset)
-from csmasim.engine import (CONSERVATION_TOL, DESK_TIME_LIMIT, ORACLE, ORACLE_HORIZON_LIMIT,
-                            ExperimentConfig, MetricsRecord, run_experiment)
+from csmasim.engine import (CONSERVATION_TOL, DESK_TIME_LIMIT, ORACLE, ORACLE_EPOCH_LIMIT,
+                            ORACLE_HORIZON_LIMIT, ExperimentConfig, MetricsRecord,
+                            run_experiment)
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
 from csmasim.gibbs import service_rates
@@ -211,10 +212,15 @@ def test_node_cap(n):
 
 @settings(max_examples=40, deadline=None)
 @given(horizon=st.one_of(st.integers(-2, 2).map(lambda d: ORACLE_HORIZON_LIMIT + d),
+                         st.integers(-2, 2).map(lambda d: ORACLE_EPOCH_LIMIT + d),
                          st.integers(1, 10**400)),
        algorithm=st.sampled_from(["sched1", "cc1"]))
 @example(horizon=2000, algorithm="sched1")  # A06
+@example(horizon=5000, algorithm="sched1")  # the benchmark's oracle workload
 @example(horizon=10_000, algorithm="cc1")  # A08
+@example(horizon=ORACLE_EPOCH_LIMIT, algorithm="cc1")
+@example(horizon=ORACLE_EPOCH_LIMIT + 1, algorithm="sched1")
+@example(horizon=10**400, algorithm="cc1")
 def test_oracle_horizon_cap(horizon, algorithm):
     workload = (dict(arrivals=bern([0.5])) if algorithm == "sched1"
                 else dict(utilities=(LOG1,), beta=10.0))
@@ -223,9 +229,14 @@ def test_oracle_horizon_cap(horizon, algorithm):
     if horizon > ORACLE_HORIZON_LIMIT:
         with pytest.raises(ConfigError, match="overflows the clock"):
             make()
-        make(epoch_length=100)  # fixed lengths do not grow
     else:
         make()
+    # fixed lengths do not grow, and stop only at the epoch limit
+    if horizon > ORACLE_EPOCH_LIMIT:
+        with pytest.raises(ConfigError, match=f"at most {ORACLE_EPOCH_LIMIT} epochs"):
+            make(epoch_length=100)
+    else:
+        make(epoch_length=100)
 
 
 @settings(max_examples=60, deadline=None)
@@ -410,7 +421,8 @@ def test_time_limit_counts_every_epoch_of_a_stochastic_run():
         ExperimentConfig(horizon=2 * 10**5 + 1, epoch_length=100, **ok)
     with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
         ExperimentConfig(horizon=10**400, epoch_length=1, **ok)  # no float overflow
-    ExperimentConfig(horizon=10**400, epoch_length=1, mode="deterministic-oracle", **ok)
+    # an oracle run has no event budget, only an epoch limit
+    ExperimentConfig(horizon=ORACLE_EPOCH_LIMIT, epoch_length=1, mode=ORACLE, **ok)
     cc2 = dict(graph=preset("clique2"), algorithm="cc2", utilities=(LOG1, LOG1),
                beta=5.0, step=0.5)
     ExperimentConfig(horizon=5 * 10**5, epoch_length=100, **cc2)
@@ -716,20 +728,16 @@ POISON = {
     "max_queue_ratio": poison_ratio,
 }
 DEPARTURES = "departures outside [0, offered service] at epoch {j}"
-UNBALANCED = "queue conservation off by inf at epoch {j}"
-# Where a check that comes first sees the value: the ledger sees infinite
-# departures, queues and cumulative departures (a NaN passes its comparisons),
-# and a non-finite length makes actual_service_rate or epoch_start, which come
-# before it, non-finite too, or fails the departure bound's slack.  So
-# epoch_length's own check never names a failure.
+UNBALANCED = "queue conservation off by {err} at epoch {{j}}"
+# Where a check that comes first sees the value: the ledger sees non-finite
+# departures, queues and cumulative departures, and a non-finite length makes
+# epoch_start, which comes before it, non-finite too, or fails the departure
+# bound's slack.  So epoch_length's own check never names a failure.
 CAUGHT_FIRST = {
-    ("actual_service_rate", math.inf): DEPARTURES,
-    ("actual_service_rate", -math.inf): DEPARTURES,
-    ("queue", math.inf): UNBALANCED,
-    ("queue", -math.inf): UNBALANCED,
-    ("departed", math.inf): UNBALANCED,
-    ("departed", -math.inf): UNBALANCED,
-    ("epoch_length", math.nan): "non-finite actual_service_rate in epoch {j}",
+    **{("actual_service_rate", bad): DEPARTURES for bad in (math.nan, math.inf, -math.inf)},
+    **{(name, bad): UNBALANCED.format(err=abs(bad))
+       for name in ("queue", "departed") for bad in (math.nan, math.inf, -math.inf)},
+    ("epoch_length", math.nan): DEPARTURES,
     ("epoch_length", math.inf): "non-finite epoch_start in epoch {j}",
     ("epoch_length", -math.inf): DEPARTURES,
 }
@@ -808,12 +816,13 @@ def left_in_output(position, bad):
     return fault
 
 
-# faults only the record's check sees: a NaN passes the ledger's comparisons,
-# and the ledger does not read the peak
+# non-finite kernel outputs: the ledger fails a NaN in the queue, the
+# cumulative departures or the departures, and only the record's check reads
+# the peak
 NON_FINITE_FIELDS = [
-    ("queue-nan", (left_in_state("queue", math.nan), "non-finite queue")),
-    ("departed-nan", (left_in_state("departed", math.nan), "non-finite departed")),
-    ("served-nan", (left_in_output(0, math.nan), "non-finite actual_service_rate")),
+    ("queue-nan", (left_in_state("queue", math.nan), "queue conservation off by nan")),
+    ("departed-nan", (left_in_state("departed", math.nan), "queue conservation off by nan")),
+    ("served-nan", (left_in_output(0, math.nan), "departures outside")),
     ("peak-inf", (left_in_output(1, math.inf), "non-finite peak_queue")),
     ("peak--inf", (left_in_output(1, -math.inf), "non-finite peak_queue")),
 ]
@@ -841,13 +850,21 @@ def oracle_cc2(horizon):
                             mode="deterministic-oracle")
 
 
-@pytest.mark.parametrize("rule, config, match, epoch", at_fault_epochs([
-    ("sched2-box", ("update_projected", oracle_sched2, "projection box violated")),
-    ("cc2-price-box", ("update_prices_constant", oracle_cc2, r"price box \[0, ")),
+# cc2's queues stay positive, so a zero price breaks the queue/price coupling
+@pytest.mark.parametrize("rule, fault, config, match, epoch", at_fault_epochs([
+    ("sched2-box", ("update_projected", poisoned(1e6), oracle_sched2,
+                    "projection box violated")),
+    ("cc2-price-box", ("update_prices_constant", poisoned(1e6), oracle_cc2,
+                       r"price box \[0, ")),
+    ("cc2-coupling", ("update_prices_constant", poisoned(0.0), oracle_cc2,
+                      "queue/price coupling violated")),
+    ("cc2-queue-cap", ("reflect", left_in_output(1, 1e6), oracle_cc2,
+                       r"queue cap 120 violated")),
 ]))
-def test_update_check_faults_match_the_per_epoch_loop(monkeypatch, rule, config, match, epoch):
+def test_update_check_faults_match_the_per_epoch_loop(monkeypatch, rule, fault, config, match,
+                                                      epoch):
     fault_matches_the_per_epoch_loop(config(3 * BLOCK), epoch, InvariantViolation, match,
-                                     on_call(monkeypatch, rule, epoch, poisoned(1e6)))
+                                     on_call(monkeypatch, rule, epoch, fault))
 
 
 @pytest.mark.parametrize("epoch", FAULT_EPOCHS)
@@ -859,9 +876,7 @@ def test_a_ledger_fault_takes_precedence_over_its_epochs_update_fault(monkeypatc
                                              poisoned(1e6)))
 
 
-# a NaN queue or cumulative departure makes the conservation error NaN, which
-# passes, so the ledger can fail beside the other fields only
-@pytest.mark.parametrize("fault, match, epoch", at_fault_epochs(NON_FINITE_FIELDS[2:]))
+@pytest.mark.parametrize("fault, match, epoch", at_fault_epochs(NON_FINITE_FIELDS))
 def test_a_ledger_fault_takes_precedence_over_its_epochs_non_finite_record(
         monkeypatch, fault, match, epoch):
     fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,

@@ -1,6 +1,7 @@
 """Smoke runs of the sweep scripts: each main() in-process on tiny inputs."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -35,3 +36,27 @@ def test_script_main_runs(monkeypatch, capsys, name, argv, expect):
     out = capsys.readouterr().out
     for text in expect:
         assert text in out
+
+
+def test_output_digests_runs_a_subset(monkeypatch, capsys):
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)  # the script pins them; restored after
+    module = load("output_digests")
+    commands = dict(module.COMMANDS)
+    subset = ["oracle-cc2-clique2-queued", "controlled-sched1-single",
+              "analyze-grid4x4-lambda-0.9cap", "analyze-cycle5-masked"]
+    monkeypatch.setattr(module, "COMMANDS", [(name, commands[name]) for name in subset])
+    assert module.main() == 0
+    first = capsys.readouterr().out
+    assert module.main() == 0
+    assert capsys.readouterr().out == first  # manifests hash without their timestamps
+    lines = [line.split("  ") for line in first.splitlines()]
+    assert all(re.fullmatch("[0-9a-f]{64}", sha) for sha, _ in lines)
+    assert [name for _, name in lines] == [
+        "oracle-cc2-clique2-queued-manifest.json",
+        "oracle-cc2-clique2-queued-seed0-summary.json",
+        "oracle-cc2-clique2-queued-seed0.jsonl",
+        "controlled-sched1-single-manifest.json",
+        "controlled-sched1-single-seed1-summary.json",
+        "controlled-sched1-single-seed1.jsonl",
+        "analyze-grid4x4-lambda-0.9cap", "analyze-cycle5-masked"]
