@@ -61,39 +61,27 @@ CONSERVATION_TOL = 1e-9
 # on a 2-vCPU host, so a run at the limit takes 0.5-8 minutes there.  The same
 # number caps one epoch's length, in time units, in every mode.
 DESK_TIME_LIMIT = 1e8
-# The longest oracle run on the published lengths ceil(exp(sqrt(j))): the
-# largest H with sum_{j <= H} ceil(exp(sqrt(j))) <= sys.float_info.max, summed
-# exactly in Python ints.  The engine's clock adds the lengths in floats, and
-# at H + 1 it becomes inf; exp(sqrt(j)) itself overflows from j = 503 792.
-ORACLE_HORIZON_LIMIT = 493_556
-# The most epochs of any oracle run.  On a 2-vCPU host an oracle epoch of
-# `csmasim run`, its JSONL line included, costs 19-43 us on one to five nodes
-# (sched1 on single, sched1 and cc2 on cycle5) and writes 350-1 200 bytes, and
-# on the largest family (65 536 schedules, 16 edgeless nodes) costs 0.42 ms and
-# writes 1 600 bytes.  A run at the limit takes 20-45 s and writes 0.35-1.2 GB
-# on a few nodes, or ~7 minutes and 1.6 GB on that family, the range of a
-# stochastic run at DESK_TIME_LIMIT.
-ORACLE_EPOCH_LIMIT = 10**6
+# The most epochs of any run: the largest H with sum_{j <= H} ceil(exp(sqrt(j)))
+# <= sys.float_info.max, summed exactly in Python ints, so the engine's float
+# clock stays finite on the published lengths (at H + 1 it becomes inf).  On a
+# 2-vCPU host at one BLAS thread, an epoch of `csmasim run` at epoch_length 1,
+# its JSONL line included, costs ~25 us and ~0.7 KB for oracle sched1 on cycle5
+# (~13 s and ~340 MB at the limit), 90-100 us and ~0.4 KB for stochastic sched1
+# on single (~50 s, ~190 MB), and 0.7-0.75 ms and 16 KB for stochastic cc2 on a
+# 100-node cycle (~6 minutes, ~8 GB).
+EPOCH_LIMIT = 493_556
 # Epochs whose ledgers are checked and whose records are built together, by
-# mode: an oracle epoch costs ~50 us, half of it numpy call overhead on (n,)
-# arrays, while a stochastic epoch costs ~1 ms and streams its record.
+# mode: numpy's per-call overhead on a few nodes outweighs an oracle epoch's
+# arithmetic, so a block shares it, while a stochastic epoch's chain costs far
+# more than that overhead and its record streams.
 BLOCK_EPOCHS = {ORACLE: 256, "stochastic": 1}
 
 
-def _run_exceeds(horizon: int, epoch_length: int | None, *limits: float) -> list[bool]:
-    """Whether the run's epoch lengths add up to more than each limit, in time units.
-
-    One pass walks the published lengths only until the sum passes the first
-    finite limit, so a later answer holds where the earlier ones are False.
-    """
-    total = horizon * (epoch_length or 0)  # exact in Python ints
-    reach = next((limit for limit in limits if limit < math.inf), None)
-    if epoch_length is None and reach is not None:
-        for j in range(1, horizon + 1):  # two nodes pass 1e8 / 2 by j = 208
-            total += published_epoch_length(j)
-            if total > reach:
-                break
-    return [total > limit for limit in limits]
+def _run_length(horizon: int, epoch_length: int | None) -> int:
+    """The sum of the run's epoch lengths, in time units, exact in Python ints."""
+    if epoch_length is not None:
+        return horizon * epoch_length
+    return sum(map(published_epoch_length, range(1, horizon + 1)))
 
 
 def _whole(value) -> bool:
@@ -205,15 +193,8 @@ class ExperimentConfig:
                 raise ConfigError(f"initial_queue needs {n} finite nonnegative entries")
             object.__setattr__(self, "initial_queue", q0)
 
-        # an oracle run's fluid epochs cost no events, but its clock must stay finite
-        if self.mode == ORACLE and self.epoch_length is None and (
-                self.horizon > ORACLE_HORIZON_LIMIT):
-            raise ConfigError(
-                f"an oracle run on the published epoch lengths overflows the clock past "
-                f"horizon {ORACLE_HORIZON_LIMIT}; shorten it or set an epoch_length")
-        if self.mode == ORACLE and self.horizon > ORACLE_EPOCH_LIMIT:
-            raise ConfigError(f"an oracle run takes at most {ORACLE_EPOCH_LIMIT} epochs; "
-                              "shorten the horizon")
+        if self.horizon > EPOCH_LIMIT:
+            raise ConfigError(f"a run takes at most {EPOCH_LIMIT} epochs; shorten the horizon")
         budget = math.inf if self.mode == ORACLE else int(DESK_TIME_LIMIT) // n
         # The queue ledger's largest entry is q0 plus the work arrived, and every
         # other value the queue kernel forms stays within it plus an epoch length.
@@ -227,17 +208,16 @@ class ExperimentConfig:
         else:
             inflow = [self.arrivals.peak] * n
         top = sys.float_info.max
-        # time until an entry passes the float range; an entry that outlasts the
-        # clock is left to the clock's own limits (ORACLE_HORIZON_LIMIT)
+        # time until an entry passes the float range
         fill = min(((top - q) / c for q, c in zip(self.initial_queue or [0.0] * n, inflow)
                     if c > 0), default=math.inf)
-        over_budget, over_ledger = _run_exceeds(
-            self.horizon, self.epoch_length, budget, fill if fill < top else math.inf)
-        if over_budget:
+        # within EPOCH_LIMIT at most the largest float, so never past a fill of `top`
+        run_length = _run_length(self.horizon, self.epoch_length)
+        if run_length > budget:
             raise ConfigError(
                 f"nodes x the run's epoch lengths add up to more than {DESK_TIME_LIMIT:g} "
                 "node-time units; shorten the horizon or set a shorter epoch_length")
-        if over_ledger:
+        if run_length > fill:
             raise ConfigError(
                 f"the queue ledger (initial queue + arrivals) passes the float range "
                 f"after {fill:.3g} time units, within the run; lower the rates, the peak "
@@ -340,7 +320,6 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
     # np.logical_or.reduce), not np.all, np.any or the ndarray methods: on a
     # few nodes their Python wrappers cost more than the arithmetic.
     for j in range(1, config.horizon + 1):
-        fault = None
         try:
             top = np.maximum.reduce(np.abs(drive))
             if not top <= DRIVE_LIMIT:  # NaN fails it too
@@ -417,13 +396,12 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
                                 total_utility(config.utilities, avg_rates)))
             else:
                 updates.append((None, None, None))
-        except Exception as exc:  # the block's earlier epochs are published first
-            fault = exc
-        if fault is not None or len(epochs) == block_epochs or j == config.horizon:
+        except Exception:  # the block's earlier epochs are published first
+            yield from _publish(epochs, updates)
+            raise
+        if len(epochs) == block_epochs or j == config.horizon:
             yield from _publish(epochs, updates)
             epochs, updates = [], []
-        if fault is not None:
-            raise fault
         drive, cc_rates = new_drive, new_rates
 
 

@@ -564,6 +564,14 @@ def test_table_walk_refuses_an_infeasible_jump():
                  rng=np.random.default_rng(0), table=broken)
 
 
+def test_clock_walk_refuses_a_start_against_a_busy_neighbor():
+    # one-sided masks: node 1 sees node 0 but node 0 sees no one, so node 0's
+    # start leaves node 1's clock running, and node 1 then starts against it
+    g = ConflictGraph(n=2, edges=((0, 1),), neighbor_masks=(0, 1))
+    with pytest.raises(InvariantViolation, match="node 1 started against a busy neighbor"):
+        simulate(g, np.zeros(2), 100.0, rng=np.random.default_rng(0))
+
+
 def test_simulate_rejects_a_table_of_another_graph():
     table = clock_table(enumerate_independent_sets(preset("clique2")))
     with pytest.raises(ValueError, match="another graph"):

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -24,7 +25,7 @@ from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
 from csmasim.congestion import utility_gap_certificate
-from csmasim.engine import ORACLE_HORIZON_LIMIT, MetricsRecord, run_experiment
+from csmasim.engine import MetricsRecord, run_experiment
 from csmasim import engine, gibbs, simplex
 from csmasim.errors import ConfigError, ConvergenceFailure, NumericFailure
 from oracles import clique2_log_gap, service_rates_spelled_out, strict_json
@@ -322,10 +323,9 @@ EXIT_2 = {  # id: (payload, flags)
     "sched2-published-step-past-float-range": (
         dict(SCHED2_CYCLE5, arrivals={"kind": "scaled-bernoulli", "rates": 0.25, "peak": 1e155},
              overrides={"epsilon": 0.2, "epoch_length": 200}), ()),
-    "oracle-published-horizon-past-float-range": (
-        dict(BASE, mode="deterministic-oracle", horizon=ORACLE_HORIZON_LIMIT + 1), ()),
-    "oracle-horizon-past-epoch-limit": (
-        dict(BASE, mode="deterministic-oracle", horizon=10**12, overrides={"epoch_length": 1}),
+    # within the node-time budget, 10^8 epochs that would run for hours
+    "horizon-past-epoch-limit": (
+        dict(BASE, graph={"preset": "single"}, horizon=10**8, overrides={"epoch_length": 1}),
         ()),
     "run-past-time-limit": (
         dict(SCHED2_CYCLE5, horizon=2 * 10**5, overrides={"epsilon": 0.2, "epoch_length": 101}),
@@ -362,17 +362,42 @@ def test_refusal_table_has_one_row_per_exit_2_case():
     assert set(ids) == set(EXIT_2) | set(OUTPUT_PATHS)
 
 
+class Overran(Exception):
+    """The refusal watchdog's alarm; `cli.main` lets it through."""
+
+
+def assert_refused(tmp_path, capsys, payload, flags, text):
+    """`run` on `payload` (or, if None, the command line `flags`) exits 2 within
+    BUDGET with `text` on stderr, nothing on stdout and no output directory.
+
+    A watchdog ends a refusal that stops refusing, and starts its run, at
+    BUDGET instead of letting it run on.
+    """
+    out = tmp_path / "out"
+    argv = list(flags) if payload is None else [
+        "run", str(write_config(tmp_path, payload)), "--out", str(out), *flags]
+
+    def overran(signum, frame):
+        raise Overran(f"no refusal within {BUDGET:g} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET)
+    try:
+        code = main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert text in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", EXIT_2)
 def test_config_errors_exit_2_before_any_output(tmp_path, capsys, case):
     payload, flags = EXIT_2[case]
-    path = write_config(tmp_path, payload)
-    out = tmp_path / "out"
-    t0 = time.perf_counter()
-    assert main(["run", str(path), "--out", str(out), *flags]) == 2
-    elapsed = time.perf_counter() - t0
-    assert REFUSALS[case] in capsys.readouterr().err
-    assert not out.exists()
-    assert elapsed < BUDGET, f"the refusal took {elapsed:.1f}s"
+    assert_refused(tmp_path, capsys, payload, flags, REFUSALS[case])
 
 
 # id: (config or None for `analyze`, flags, stderr text); refusals of the
@@ -390,6 +415,8 @@ SCHEMA_REFUSALS = {
                                           "utilities must be an object (broadcast) or a list"),
     "overrides-not-an-object": (dict(BASE, overrides=[]), (), "overrides must be an object"),
     "output-not-a-string": (dict(BASE, output=3), (), "output must be a string path"),
+    "epsilon-not-positive": (dict(SCHED2_CYCLE5, overrides={"epsilon": 0, "epoch_length": 20}),
+                             (), "epsilon must be positive and finite, got 0"),
     "no-seeds": (BASE, ("--seeds", "0"), "--seeds must be at least 1"),
     "stochastic-without-a-seed": ({k: v for k, v in BASE.items() if k != "seed"}, (),
                                   "no seed: pass --seed or set one in the config"),
@@ -400,15 +427,7 @@ SCHEMA_REFUSALS = {
 
 @pytest.mark.parametrize("case", SCHEMA_REFUSALS)
 def test_schema_refusals_exit_2_before_any_output(tmp_path, capsys, case):
-    payload, flags, text = SCHEMA_REFUSALS[case]
-    out = tmp_path / "out"
-    argv = list(flags) if payload is None else [
-        "run", str(write_config(tmp_path, payload)), "--out", str(out), *flags]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert text in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    assert_refused(tmp_path, capsys, *SCHEMA_REFUSALS[case])
 
 
 def test_readme_lists_the_jsonl_keys_in_record_order():

@@ -340,6 +340,16 @@ def test_admissibility_dual_check_fires_on_both_verdicts(monkeypatch, rate):
     assert main(["analyze", "cycle5", "--lambda", str(rate)]) == 3
 
 
+def test_admissibility_lp_refuses_a_repeated_schedule(monkeypatch):
+    # pricing that keeps offering the empty schedule, the master's first
+    # column, at a positive reduced cost would add it again forever
+    fam = enumerate_independent_sets(preset("cycle5"))
+    monkeypatch.setattr(conflict_graph, "max_weight_independent_set",
+                        lambda family, weights: (0, 1e9))
+    with pytest.raises(NumericFailure, match="pricing repeated a master schedule"):
+        is_strictly_admissible(fam, np.full(5, 0.3))
+
+
 @st.composite
 def rates_for(draw, fam):
     """Asymmetric, on-hull (slack exactly 0) or scaled rates; scaling past 1 leaves the region."""

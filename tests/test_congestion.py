@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csmasim import congestion
 from csmasim.conflict_graph import PRESETS, enumerate_independent_sets, preset
 from csmasim.congestion import (
     UtilityFunction,
@@ -24,6 +25,7 @@ from csmasim.congestion import (
     utility_gap_certificate,
 )
 from csmasim.engine import ExperimentConfig, run_experiment
+from csmasim.errors import ConvergenceFailure
 from csmasim.gibbs import service_rates
 from csmasim.scheduling import update_diminishing
 from oracles import (best_response_value, clique2_log_gap, dual_gradient, dual_value,
@@ -312,6 +314,12 @@ def test_utility_optimum_single(single):
     assert opt.rates == pytest.approx([1.0], abs=1e-9)
     assert opt.value == pytest.approx(math.log(2.0), abs=1e-9)
     assert opt.gap <= 1e-8
+
+
+def test_utility_optimum_stops_at_its_iteration_cap(monkeypatch, clique2):
+    monkeypatch.setattr(congestion, "UTILITY_MAX_ITER", 1)  # one vertex is no optimum here
+    with pytest.raises(ConvergenceFailure, match="rate optimization hit the iteration cap"):
+        solve_utility_optimum(clique2, (LOG1, LOG1))
 
 
 def test_utility_optimum_clique2_splits_evenly(clique2):

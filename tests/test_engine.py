@@ -19,9 +19,8 @@ from csmasim.chain import DRIVE_LIMIT
 from csmasim.config import load_config, parse_config
 from csmasim.conflict_graph import (EXACT_MODE_CAP, MAX_NODES, ConflictGraph,
                                     enumerate_independent_sets, preset)
-from csmasim.engine import (CONSERVATION_TOL, DESK_TIME_LIMIT, ORACLE, ORACLE_EPOCH_LIMIT,
-                            ORACLE_HORIZON_LIMIT, ExperimentConfig, MetricsRecord,
-                            run_experiment)
+from csmasim.engine import (CONSERVATION_TOL, DESK_TIME_LIMIT, EPOCH_LIMIT, MODES, ORACLE,
+                            ExperimentConfig, MetricsRecord, run_experiment)
 from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                             NumericFailure)
 from csmasim.gibbs import service_rates
@@ -115,6 +114,14 @@ def test_resolved_constant_epoch_needs_override_at_desk_scale():
                          arrivals=bern([0.1] * 5), epsilon=0.2)
 
 
+def test_sched2_takes_the_published_plan_where_it_fits():
+    # cycle5 at eps 2: exp((25 / 2) log(5 / 2)) = 94 243.2 rounds up, and the
+    # step is eps^2 / (72 n^2 (peak + 1)^2) = 4 / 7 200
+    cfg = ExperimentConfig(graph=preset("cycle5"), algorithm="sched2", horizon=5,
+                           arrivals=bern([0.1] * 5), epsilon=2.0)
+    assert (cfg.epoch_length, cfg.step) == (94_244, 1 / 1800)
+
+
 @pytest.mark.parametrize("algorithm", ["sched1", "cc1"])
 def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
     # on two nodes, epochs 1..207 of ceil(exp(sqrt(j))) add up to 9.67e7 node-time
@@ -131,25 +138,23 @@ def test_published_diminishing_schedule_is_capped_at_construction(algorithm):
     make(horizon=340, epoch_length=60)
     make(horizon=340, mode="deterministic-oracle")  # fluid epochs cost no events
     with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
-        make(horizon=10**18)  # the sum stops once it passes the limit
+        make(horizon=EPOCH_LIMIT)
+    with pytest.raises(ConfigError, match=f"at most {EPOCH_LIMIT} epochs"):
+        make(horizon=EPOCH_LIMIT + 1)
+    # the oracle's lengths at the limit add up to at most the largest float, so
+    # they stay within a ledger that fills at it (cc1's inflow is 1 per time unit)
+    make(horizon=EPOCH_LIMIT, mode="deterministic-oracle")
 
 
-def test_bounds_walk_no_published_length_without_a_finite_limit(monkeypatch):
-    # an oracle run has no event budget, and at rate 0.5 the ledger fills only
-    # past the largest float, so neither bound needs the run's length
-    monkeypatch.setattr(engine, "published_epoch_length", None)  # a call would fail
-    assert sched1(horizon=ORACLE_HORIZON_LIMIT, mode=ORACLE).epoch_length is None
-
-
-def test_oracle_horizon_limit_is_the_last_finite_clock():
+def test_epoch_limit_is_the_last_finite_clock():
     # the exact total of the published lengths fits in a float through the
     # limit and not one epoch further, and so does the engine's float clock
     total, clock = 0, 0.0
-    for j in range(1, ORACLE_HORIZON_LIMIT + 1):
+    for j in range(1, EPOCH_LIMIT + 1):
         length = published_epoch_length(j)
         total += length
         clock += length
-    following = published_epoch_length(ORACLE_HORIZON_LIMIT + 1)
+    following = published_epoch_length(EPOCH_LIMIT + 1)
     assert total <= sys.float_info.max < total + following
     assert math.isfinite(clock) and clock + following == math.inf
 
@@ -166,6 +171,9 @@ def _cheap_graph(n):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, MAX_NODES), length=st.integers(1, 10**5), above=st.booleans())
+@example(n=1, length=1, above=False)  # 1e8 epochs: the epoch limit refuses them first
+@example(n=1, length=203, above=True)  # 492 611 epochs, the budget's largest horizon + 1
+@example(n=1, length=203, above=False)
 def test_time_budget_bounds_nodes_times_horizon_times_length(n, length, above):
     horizon = int(DESK_TIME_LIMIT) // (n * length) + above
     if horizon < 1:
@@ -174,7 +182,10 @@ def test_time_budget_bounds_nodes_times_horizon_times_length(n, length, above):
                              horizon=horizon, arrivals=bern([0.1] * n),
                              epoch_length=length)
     assert (n * horizon * length > DESK_TIME_LIMIT) == above
-    if above:
+    if horizon > EPOCH_LIMIT:
+        with pytest.raises(ConfigError, match=f"at most {EPOCH_LIMIT} epochs"):
+            make()
+    elif above:
         with pytest.raises(ConfigError, match="node-time units"):
             make()
     else:
@@ -211,32 +222,32 @@ def test_node_cap(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(horizon=st.one_of(st.integers(-2, 2).map(lambda d: ORACLE_HORIZON_LIMIT + d),
-                         st.integers(-2, 2).map(lambda d: ORACLE_EPOCH_LIMIT + d),
+@given(horizon=st.one_of(st.integers(-2, 2).map(lambda d: EPOCH_LIMIT + d),
                          st.integers(1, 10**400)),
-       algorithm=st.sampled_from(["sched1", "cc1"]))
-@example(horizon=2000, algorithm="sched1")  # A06
-@example(horizon=5000, algorithm="sched1")  # the benchmark's oracle workload
-@example(horizon=10_000, algorithm="cc1")  # A08
-@example(horizon=ORACLE_EPOCH_LIMIT, algorithm="cc1")
-@example(horizon=ORACLE_EPOCH_LIMIT + 1, algorithm="sched1")
-@example(horizon=10**400, algorithm="cc1")
-def test_oracle_horizon_cap(horizon, algorithm):
+       algorithm=st.sampled_from(["sched1", "cc1"]), mode=st.sampled_from(MODES))
+@example(horizon=2000, algorithm="sched1", mode=ORACLE)  # A06
+@example(horizon=5000, algorithm="sched1", mode=ORACLE)  # the benchmark's oracle workload
+@example(horizon=10_000, algorithm="cc1", mode=ORACLE)  # A08
+@example(horizon=10_000, algorithm="sched1", mode="stochastic")
+@example(horizon=EPOCH_LIMIT, algorithm="cc1", mode=ORACLE)
+@example(horizon=EPOCH_LIMIT, algorithm="sched1", mode="stochastic")
+@example(horizon=EPOCH_LIMIT + 1, algorithm="sched1", mode=ORACLE)
+@example(horizon=EPOCH_LIMIT + 1, algorithm="cc1", mode="stochastic")
+@example(horizon=10**400, algorithm="cc1", mode="stochastic")
+def test_epoch_limit_in_every_mode(horizon, algorithm, mode):
     workload = (dict(arrivals=bern([0.5])) if algorithm == "sched1"
                 else dict(utilities=(LOG1,), beta=10.0))
     make = functools.partial(ExperimentConfig, graph=preset("single"), algorithm=algorithm,
-                             horizon=horizon, mode=ORACLE, **workload)
-    if horizon > ORACLE_HORIZON_LIMIT:
-        with pytest.raises(ConfigError, match="overflows the clock"):
-            make()
-    else:
+                             horizon=horizon, mode=mode, **workload)
+    if horizon > EPOCH_LIMIT:  # on the published lengths and on fixed ones alike
+        for length in (None, 1):
+            with pytest.raises(ConfigError, match=f"at most {EPOCH_LIMIT} epochs"):
+                make(epoch_length=length)
+        return
+    # one node at length 100 stays within the node-time budget through the limit
+    make(epoch_length=100)
+    if mode == ORACLE:  # fluid epochs cost no events, so the published lengths run
         make()
-    # fixed lengths do not grow, and stop only at the epoch limit
-    if horizon > ORACLE_EPOCH_LIMIT:
-        with pytest.raises(ConfigError, match=f"at most {ORACLE_EPOCH_LIMIT} epochs"):
-            make(epoch_length=100)
-    else:
-        make(epoch_length=100)
 
 
 @settings(max_examples=60, deadline=None)
@@ -420,14 +431,16 @@ def test_time_limit_counts_every_epoch_of_a_stochastic_run():
     with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
         ExperimentConfig(horizon=2 * 10**5 + 1, epoch_length=100, **ok)
     with pytest.raises(ConfigError, match="more than 1e\\+08 node-time units"):
+        ExperimentConfig(horizon=EPOCH_LIMIT, epoch_length=41, **ok)
+    with pytest.raises(ConfigError, match=f"at most {EPOCH_LIMIT} epochs"):
         ExperimentConfig(horizon=10**400, epoch_length=1, **ok)  # no float overflow
-    # an oracle run has no event budget, only an epoch limit
-    ExperimentConfig(horizon=ORACLE_EPOCH_LIMIT, epoch_length=1, mode=ORACLE, **ok)
+    # an oracle run has no event budget, only the epoch limit
+    ExperimentConfig(horizon=EPOCH_LIMIT, epoch_length=1, mode=ORACLE, **ok)
     cc2 = dict(graph=preset("clique2"), algorithm="cc2", utilities=(LOG1, LOG1),
                beta=5.0, step=0.5)
-    ExperimentConfig(horizon=5 * 10**5, epoch_length=100, **cc2)
-    with pytest.raises(ConfigError, match="shorten the horizon"):
-        ExperimentConfig(horizon=5 * 10**5 + 1, epoch_length=100, **cc2)
+    ExperimentConfig(horizon=25 * 10**4, epoch_length=200, **cc2)
+    with pytest.raises(ConfigError, match="node-time units"):
+        ExperimentConfig(horizon=25 * 10**4 + 1, epoch_length=200, **cc2)
     # 100 nodes make ~20x cycle5's events per time unit, and get 1/20 of its time
     cycle100 = ConflictGraph.from_edges(100, [(i, (i + 1) % 100) for i in range(100)])
     big = dict(ok, graph=cycle100, arrivals=bern([0.1] * 100))

@@ -11,13 +11,15 @@ from csmasim.conflict_graph import (
     enumerate_independent_sets,
     preset,
 )
-from csmasim.errors import InfeasibleRates
+from csmasim import gibbs
+from csmasim.errors import ConvergenceFailure, InfeasibleRates
 from csmasim.gibbs import (
+    newton_minimize,
     service_rates,
     solve_backoff,
     stationary_distribution,
 )
-from csmasim.conflict_graph import is_strictly_admissible
+from csmasim.conflict_graph import AdmissibilityCertificate, is_strictly_admissible
 from oracles import (decomposition_identity_value, entropy, kl_divergence,
                      log_likelihood, log_likelihood_gradient, log_likelihood_hessian,
                      row_of, variational_gap)
@@ -201,6 +203,30 @@ def test_fit_rejects_boundary_and_exterior(single, clique2):
         solve_backoff(clique2, [0.6, 0.6])
     with pytest.raises(ValueError):
         solve_backoff(single, [-0.1])
+
+
+def test_fit_stops_past_twice_the_norm_bound(single):
+    # a certificate that overstates the slack shrinks the bound to
+    # log 2 / 0.999, and the first Newton step (to 1.996) passes twice that
+    overstated = AdmissibilityCertificate(True, 1.0, None)
+    with pytest.raises(InfeasibleRates, match="past twice the norm bound 0.694"):
+        solve_backoff(single, [0.999], certificate=overstated)
+
+
+def test_newton_stops_at_its_iteration_cap(monkeypatch, cycle5):
+    monkeypatch.setattr(gibbs, "NEWTON_MAX_ITER", 1)  # cycle5 at 0.3 needs more steps
+    with pytest.raises(ConvergenceFailure, match="Newton iteration hit the cap of 1 steps"):
+        solve_backoff(cycle5, np.full(5, 0.3))
+
+
+def test_newton_line_search_stalls_on_a_wrong_gradient():
+    # f(x) = x^2 from x = 1 with the gradient's sign flipped: every step along
+    # the direction it suggests climbs, so backtracking runs out of room
+    def evaluate(x):
+        return float(x @ x), -2.0 * x, lambda: 2.0 * np.eye(len(x))
+
+    with pytest.raises(ConvergenceFailure, match="Newton line search stalled"):
+        newton_minimize(evaluate, np.ones(1), -math.inf, tol=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
