@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .chain import chain_diagnostics
-from .config import _parse_utilities, load_config
+from .config import _broadcast, _parse_utilities, load_config
 from .conflict_graph import (PRESETS, enumerate_independent_sets,
                              is_strictly_admissible, preset, read_edge_list)
-from .congestion import (UTILITY_FAMILIES, UtilityFunction, default_beta,
-                         solve_dual_optimum, utility_gap_certificate)
+from .congestion import (UTILITY_FAMILIES, entropy_weight, solve_dual_optimum,
+                         utility_gap_certificate)
 from .engine import ORACLE, ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
@@ -71,18 +71,6 @@ def _load_graph(source: str):
         return read_edge_list(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"graph file {source}: {exc}") from exc
-
-
-def _parse_cli_utilities(text: str, n: int) -> tuple[UtilityFunction, ...]:
-    """Accept a bare family name (broadcast) or a JSON object/array."""
-    if text in UTILITY_FAMILIES:
-        return (UtilityFunction(family=text),) * n
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--utilities must be a family name {UTILITY_FAMILIES} "
-                          f"or JSON: {exc}") from exc
-    return _parse_utilities(data, n)
 
 
 def _summarize(cfg: ExperimentConfig, seed: int, last: MetricsRecord) -> dict:
@@ -199,14 +187,26 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    for flag, value in (("--beta", args.beta), ("--epsilon", args.epsilon)):
-        if value is not None and not (math.isfinite(value) and value > 0):
-            raise ConfigError(f"{flag} must be finite and positive, got {value}")
-    if args.rates is not None and not all(math.isfinite(v) and v >= 0 for v in args.rates):
-        raise ConfigError(f"--lambda values must be finite and nonnegative, got {args.rates}")
     graph = _load_graph(args.graph)
-    family = enumerate_independent_sets(graph)
     n = graph.n
+    # the config's parsers and entropy-weight rule, so both commands refuse alike
+    if args.utilities is not None:
+        try:
+            spec = ({"family": args.utilities} if args.utilities in UTILITY_FAMILIES
+                    else json.loads(args.utilities))
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"--utilities must be a family name {UTILITY_FAMILIES} "
+                              f"or JSON: {exc}") from exc
+        utilities = _parse_utilities(spec, n)
+        beta = entropy_weight(n, args.beta, args.epsilon)
+    elif args.beta is not None or args.epsilon is not None:
+        raise ConfigError("--beta and --epsilon set the entropy weight of --utilities; "
+                          "pass --utilities or drop them")
+    if args.rates is not None:
+        rates = _broadcast(args.rates[0] if len(args.rates) == 1 else args.rates, n, "--lambda")
+        if min(rates) < 0:
+            raise ConfigError(f"--lambda values must be nonnegative, got {args.rates}")
+    family = enumerate_independent_sets(graph)
     report = {
         "graph": {"nodes": n, "edges": [list(e) for e in graph.edges]},
         "independent_set_count": family.size,
@@ -214,10 +214,6 @@ def cmd_analyze(args) -> int:
     diag_drive = np.zeros(n)
 
     if args.rates is not None:
-        rates = args.rates if len(args.rates) != 1 else args.rates * n
-        if len(rates) != n:
-            raise ConfigError(f"--lambda needs 1 or {n} values, got {len(args.rates)}")
-        rates = np.asarray(rates, dtype=float)
         cert = is_strictly_admissible(family, rates)
         report["admissibility"] = {
             "admissible": cert.admissible,
@@ -236,17 +232,6 @@ def cmd_analyze(args) -> int:
                 diag_drive = fit.r
 
     if args.utilities is not None:
-        utilities = _parse_cli_utilities(args.utilities, n)
-        if args.beta is not None:
-            beta = args.beta
-        elif args.epsilon is not None:
-            beta = default_beta(n, args.epsilon)
-            if not beta < math.inf:  # 4n/eps overflows for a subnormal eps
-                raise ConfigError(f"beta = 4n/eps overflows at --epsilon {args.epsilon!r}; "
-                                  "pass --beta or a larger --epsilon")
-        else:
-            raise ConfigError("--utilities needs --beta (or --epsilon for the "
-                              "4n/eps default)")
         dual = solve_dual_optimum(family, utilities, beta)
         cert = utility_gap_certificate(family, utilities, beta, dual.rates)
         report["entropy_weight"] = beta

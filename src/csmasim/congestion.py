@@ -44,7 +44,8 @@ class UtilityFunction:
     rejects a non-default value of a parameter it does not use, so
     log-shifted is weighted-log-shifted at weight 1.  U' and |U''| fall on
     [0, 1] and U rises from U(0) = 0, so a finite U'(0), U''(0) and U(1)
-    bound all three there; parameters that overflow any of them are refused.
+    bound all three there; parameters that overflow any of them are refused,
+    and so are those whose U'(1) underflows to 0, where U stops increasing.
     """
 
     family: str = "log-shifted"
@@ -72,6 +73,9 @@ class UtilityFunction:
         if not all(map(math.isfinite, bounds)):
             raise ValueError("U'(0), U''(0) and U(1) must be finite (they bound U, U' "
                              "and |U''| on [0, 1]); lower the fairness or raise the shift")
+        if not self.derivative(1.0) > 0:  # U' falls on [0, 1]: positive at 1, positive on it
+            raise ValueError("U'(1) must be positive (U must increase in floats); "
+                             "lower the fairness or the shift, or raise the weight")
 
     def value(self, y: float) -> float:
         d = self.shift
@@ -98,11 +102,18 @@ def initial_slope_bound(utilities) -> float:
     return max(u.derivative(0.0) for u in utilities)
 
 
-def default_beta(n: int, epsilon: float) -> float:
-    """Default entropy weight 4n/eps."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    return 4.0 * n / epsilon
+def entropy_weight(n: int, beta: float | None, epsilon: float | None) -> float:
+    """beta if set, else 4n/eps, at which the paper's eps-optimality bound holds;
+    a given epsilon and the weight (4n/eps can overflow) are positive and finite."""
+    if epsilon is not None and not 0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if beta is None and epsilon is None:
+        raise ConfigError("need beta (or epsilon for the 4n/eps default)")
+    beta = 4.0 * n / epsilon if beta is None else beta
+    if not 0 < beta < math.inf:
+        raise ConfigError(f"beta must be positive and finite, got {beta!r}; "
+                          "set beta or a larger epsilon")
+    return beta
 
 
 def best_response(u: UtilityFunction, beta: float, price: float) -> float:

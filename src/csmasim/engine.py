@@ -39,7 +39,7 @@ import numpy as np
 from .chain import DRIVE_LIMIT, TABLE_STATES, clock_table, simulate
 from .conflict_graph import (ConflictGraph, IndependentSetFamily,
                              enumerate_independent_sets)
-from .congestion import (UtilityFunction, best_responses, default_beta,
+from .congestion import (UtilityFunction, best_responses, entropy_weight,
                          initial_slope_bound, total_utility, update_prices_constant)
 from .errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
                      NumericFailure)
@@ -101,7 +101,7 @@ class ExperimentConfig:
 
     Construction checks the fields, resolves what the run reads (sched2's
     epoch length and step: each override, else the published plan; beta for
-    congestion runs: the override, else 4n/epsilon), checks the bounds of the
+    congestion runs: `entropy_weight`'s rule), checks the bounds of the
     whole run, and last enumerates `family`, the graph's schedule family, which
     is not a setting.  Past exact mode a stochastic config holds the
     ExactModeUnavailable that refused the graph there, and an oracle config,
@@ -159,6 +159,8 @@ class ExperimentConfig:
         if self.algorithm in ("sched1", "cc1"):
             if self.step is not None:
                 raise ConfigError(f"{self.algorithm} steps by 1/j; step cannot be overridden")
+            if self.algorithm == "sched1" and self.epsilon is not None:
+                raise ConfigError("sched1 steps by 1/j and reads no epsilon; drop it")
         elif self.algorithm == "cc2":
             if self.step is None:
                 raise ConfigError("cc2 needs a positive step override")
@@ -177,16 +179,11 @@ class ExperimentConfig:
                 object.__setattr__(self, "epoch_length", math.ceil(plan.epoch_length))
             if self.step is None:
                 object.__setattr__(self, "step", plan.step)
-        if self.is_congestion and self.beta is None:
-            if self.epsilon is None:
-                raise ConfigError("congestion runs need beta "
-                                  "(or epsilon for the 4n/eps default)")
-            object.__setattr__(self, "beta", default_beta(n, self.epsilon))
-        # after resolution, which can overflow 4n/eps or underflow the plan's step
-        for name in ("step", "beta"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        # after resolution, which can underflow the plan's step
+        if self.step is not None and not 0 < self.step < math.inf:
+            raise ConfigError(f"step must be positive and finite, got {self.step!r}")
+        if self.is_congestion:
+            object.__setattr__(self, "beta", entropy_weight(n, self.beta, self.epsilon))
         if self.initial_queue is not None:
             q0 = tuple(float(v) for v in self.initial_queue)
             if len(q0) != n or any(v < 0 or not math.isfinite(v) for v in q0):

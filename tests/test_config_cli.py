@@ -24,8 +24,8 @@ from csmasim import cli
 from csmasim.cli import main
 from csmasim.conflict_graph import enumerate_independent_sets, is_strictly_admissible, preset
 from csmasim.config import config_hash, load_config, parse_config
-from csmasim.congestion import utility_gap_certificate
-from csmasim.engine import MetricsRecord, run_experiment
+from csmasim.congestion import UtilityFunction, utility_gap_certificate
+from csmasim.engine import ExperimentConfig, MetricsRecord, run_experiment
 from csmasim import engine, gibbs, simplex
 from csmasim.errors import ConfigError, ConvergenceFailure, NumericFailure
 from oracles import clique2_log_gap, service_rates_spelled_out, strict_json
@@ -311,6 +311,11 @@ EXIT_2 = {  # id: (payload, flags)
     "utility-slope-past-float-range": (
         dict(CC2, algorithm="cc1", graph={"preset": "path3"}, utilities=SLOPE_OVERFLOW,
              overrides={"beta": 10.0, "epoch_length": 10}), ()),
+    # U'(y) = (1 + y)**-1e300 is 0 wherever 1 + y > 1
+    "utility-slope-underflows-to-zero": (
+        dict(CC2, mode="deterministic-oracle", horizon=5,
+             utilities={"family": "alpha-fair-shifted", "shift": 1, "fairness": 1e300},
+             overrides={"beta": 10, "step": 0.5, "epoch_length": 1}), ()),
     "binomial-peak-past-int64": (
         dict(BASE, graph={"preset": "cycle5"},
              arrivals={"kind": "binomial", "rates": 0.3, "peak": 1e300}), ()),
@@ -417,11 +422,19 @@ SCHEMA_REFUSALS = {
     "output-not-a-string": (dict(BASE, output=3), (), "output must be a string path"),
     "epsilon-not-positive": (dict(SCHED2_CYCLE5, overrides={"epsilon": 0, "epoch_length": 20}),
                              (), "epsilon must be positive and finite, got 0"),
+    "sched1-epsilon": (dict(BASE, graph={"preset": "cycle5"}, overrides={"epsilon": 0.3}), (),
+                       "sched1 steps by 1/j and reads no epsilon"),
     "no-seeds": (BASE, ("--seeds", "0"), "--seeds must be at least 1"),
     "stochastic-without-a-seed": ({k: v for k, v in BASE.items() if k != "seed"}, (),
                                   "no seed: pass --seed or set one in the config"),
     "analyze-utilities-not-json": (None, ("analyze", "clique2", "--utilities", "{log",
                                           "--beta", "10"), "--utilities must be a family name"),
+    # without --utilities nothing reads them
+    "analyze-beta-without-utilities": (
+        None, ("analyze", "cycle5", "--lambda", "0.3", "--beta", "5"),
+        "pass --utilities or drop them"),
+    "analyze-epsilon-without-utilities": (None, ("analyze", "cycle5", "--epsilon", "0.4"),
+                                          "pass --utilities or drop them"),
 }
 
 
@@ -598,6 +611,25 @@ def test_run_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("CSMASIM_OUT", str(env_dir))
     assert main(["run", str(cfg_path)]) == 0
     assert (env_dir / "exp-seed9.jsonl").exists()
+
+
+def test_run_output_dir_precedence(tmp_path, monkeypatch):
+    # --out, then $CSMASIM_OUT, then the config's output, then ./runs; each
+    # step drops the source that won the one before
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("CSMASIM_OUT", "from-env")
+    path = write_config(tmp_path, dict(BASE, output="from-config"))
+    written = []
+    for flags, where in ((["--out", "from-flag"], "from-flag"), ([], "from-env"),
+                         ([], "from-config"), ([], "runs")):
+        if where == "from-config":
+            monkeypatch.delenv("CSMASIM_OUT")
+        if where == "runs":
+            write_config(tmp_path, BASE)
+        assert main(["run", str(path), *flags]) == 0
+        written.append(where)
+        assert (tmp_path / where / "exp-seed9.jsonl").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == sorted(written)
 
 
 def test_run_summary_carries_certificates(tmp_path):
@@ -902,7 +934,51 @@ def test_analyze_beta_defaults_from_epsilon(capsys):
     assert main(["analyze", "clique2", "--utilities", "log-shifted", "--epsilon", "1e-320"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "beta = 4n/eps overflows at --epsilon 1e-320" in captured.err
+    assert "beta must be positive and finite, got inf" in captured.err
+
+
+# the entropy-weight rule on each path into it: `run`'s config (cc1 on clique2)
+# and `analyze`'s flags; (overrides, the beta, or the text of the refusal)
+BETA_RULE = {
+    "beta": ({"beta": 7.0}, 7.0),
+    "epsilon": ({"epsilon": 0.4}, 4 * 2 / 0.4),
+    "beta-wins": ({"beta": 7.0, "epsilon": 0.4}, 7.0),
+    "neither": ({}, "need beta (or epsilon for the 4n/eps default)"),
+    "epsilon-0": ({"epsilon": 0.0}, "epsilon must be positive and finite, got 0.0"),
+    "epsilon-negative": ({"epsilon": -1.0}, "epsilon must be positive and finite, got -1.0"),
+    # 8/1e-320 overflows
+    "epsilon-subnormal": ({"epsilon": 1e-320}, "beta must be positive and finite, got inf"),
+    "beta-0": ({"beta": 0.0}, "beta must be positive and finite, got 0.0"),
+    "beta-negative": ({"beta": -1.0}, "beta must be positive and finite, got -1.0"),
+    "beta-nan": ({"beta": math.nan}, "beta must be positive and finite, got nan"),
+    "beta-inf": ({"beta": math.inf}, "beta must be positive and finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", BETA_RULE)
+def test_run_and_analyze_share_the_entropy_weight_rule(capsys, case):
+    overrides, expected = BETA_RULE[case]
+    try:
+        run = parse_config(dict(CC2, algorithm="cc1", overrides=overrides)).experiment.beta
+    except ConfigError as exc:
+        run = str(exc)
+    if case in ("beta-nan", "beta-inf"):
+        # JSON numbers refuse these first (config-number-past-float-range); the
+        # config the parser builds applies the rule itself
+        assert run == "overrides.beta must be a finite number within the float range"
+        with pytest.raises(ConfigError) as refused:
+            ExperimentConfig(graph=preset("clique2"), algorithm="cc1", horizon=4,
+                             utilities=(UtilityFunction(),) * 2, **overrides)
+        run = str(refused.value)
+    flags = [arg for key, value in overrides.items() for arg in (f"--{key}", repr(value))]
+    code = main(["analyze", "clique2", "--utilities", "log-shifted", *flags])
+    captured = capsys.readouterr()
+    if isinstance(expected, float):
+        assert run == expected
+        assert code == 0 and json.loads(captured.out)["entropy_weight"] == expected
+    else:
+        assert run.startswith(expected)
+        assert (code, captured.out, captured.err) == (2, "", f"error: {run}\n")
 
 
 def test_analyze_large_family_skips_cut_enumeration(capsys):

@@ -16,7 +16,7 @@ from csmasim.congestion import (
     UtilityFunction,
     best_response,
     best_responses,
-    default_beta,
+    entropy_weight,
     initial_slope_bound,
     solve_dual_optimum,
     solve_utility_optimum,
@@ -25,7 +25,7 @@ from csmasim.congestion import (
     utility_gap_certificate,
 )
 from csmasim.engine import ExperimentConfig, run_experiment
-from csmasim.errors import ConvergenceFailure
+from csmasim.errors import ConfigError, ConvergenceFailure
 from csmasim.gibbs import service_rates
 from csmasim.scheduling import update_diminishing
 from oracles import (best_response_value, clique2_log_gap, dual_gradient, dual_value,
@@ -85,7 +85,17 @@ def test_utility_with_a_slope_past_the_float_range_is_refused(family, params):
 
 
 @pytest.mark.parametrize("family, params", [
+    ("alpha-fair-shifted", dict(shift=1.0, fairness=1e300)),    # U'(y) = 0 for 1 + y > 1
+    ("weighted-log-shifted", dict(shift=1.0, weight=5e-324)),  # U'(1) = 5e-324 / 2 rounds to 0
+])
+def test_utility_whose_slope_underflows_to_zero_is_refused(family, params):
+    with pytest.raises(ValueError, match="U'\\(1\\) must be positive"):
+        UtilityFunction(family, **params)
+
+
+@pytest.mark.parametrize("family, params", [
     ("alpha-fair-shifted", dict(shift=0.3, fairness=500.0)),
+    ("alpha-fair-shifted", dict(shift=1.0, fairness=1000.0)),   # U'(1) = 2**-1000, ~9e-302
     ("alpha-fair-shifted", dict(shift=1e-100, fairness=1.5)),
     ("weighted-log-shifted", dict(shift=1e-8, weight=1e290)),
     ("log-shifted", dict(shift=1e-150)),
@@ -116,10 +126,11 @@ def test_alpha_fair_approaches_log_at_fairness_one():
         assert near.value(y) == pytest.approx(LOG1.value(y), abs=1e-6)
 
 
-def test_default_beta_rule():
-    assert default_beta(5, 0.4) == pytest.approx(50.0)
-    with pytest.raises(ValueError):
-        default_beta(5, 0.0)
+def test_entropy_weight_rule():
+    assert entropy_weight(5, None, 0.4) == pytest.approx(50.0)
+    assert entropy_weight(5, 7.0, 0.4) == 7.0  # beta wins
+    with pytest.raises(ConfigError, match="epsilon must be positive and finite"):
+        entropy_weight(5, None, 0.0)
 
 
 # -- best responses ----------------------------------------------------------------
@@ -290,7 +301,7 @@ def test_dual_optimum_is_a_minimum(clique2):
 @pytest.mark.parametrize("epsilon", [None, 0.4], ids=["beta10", "beta4n/eps"])
 def test_dual_optimum_satisfies_kkt(name, utility, epsilon):
     family = enumerate_independent_sets(preset(name))
-    beta = 10.0 if epsilon is None else default_beta(family.n, epsilon)
+    beta = 10.0 if epsilon is None else entropy_weight(family.n, None, epsilon)
     utilities = (utility,) * family.n
     sol = solve_dual_optimum(family, utilities, beta)
     prices = sol.prices

@@ -77,6 +77,8 @@ def test_config_rejects_bad_knobs():
         ExperimentConfig(algorithm="cc2", graph=g, horizon=5, utilities=(LOG1, LOG1))
     with pytest.raises(ConfigError, match="cannot be overridden"):
         ExperimentConfig(algorithm="sched1", step=0.1, **ok)
+    with pytest.raises(ConfigError, match="reads no epsilon"):
+        ExperimentConfig(algorithm="sched1", epsilon=0.3, **ok)
     with pytest.raises(ConfigError, match="epoch_length"):
         ExperimentConfig(algorithm="sched1", epoch_length=0, **ok)
     with pytest.raises(ConfigError, match="initial_queue"):
