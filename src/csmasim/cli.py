@@ -50,8 +50,11 @@ def _json_safe(value):
     return value
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, payload: dict, what: str) -> None:
+    try:
+        path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
 
 
 def _refuse_non_file(path: Path, what: str) -> None:
@@ -170,7 +173,7 @@ def cmd_run(args) -> int:
             else:
                 with open(first_run, encoding="utf-8") as src:
                     shutil.copyfileobj(src, fh)
-        _write_json(summary_path, dict(summary, seed=seed))
+        _write_json(summary_path, dict(summary, seed=seed), "summary")
         outputs.append(run_path.name)
         print(f"wrote {run_path}", file=sys.stderr)
     manifest = {
@@ -182,7 +185,7 @@ def cmd_run(args) -> int:
         "started": started,
         "finished": _utc_now(),
     }
-    _write_json(manifest_path, manifest)
+    _write_json(manifest_path, manifest, "manifest")
     return 0
 
 

@@ -1,18 +1,25 @@
 """Epoch-driven experiment loop tying the chain, queues, and updates together.
 
-Per epoch: freeze the drive vector, run the medium (or its exact expectation
-in deterministic-oracle mode), pass the queues through the reflection kernel
-(which measures offered service in the same pass), and apply the selected
-update rule, with its own checks, to the arrival and offered-service rates.
-The queue ledger checks and the metrics records, whose fields must be
-finite, then run once per block of BLOCK_EPOCHS epochs, on (epochs, nodes)
-arrays: a block of 256 oracle epochs, whose time would otherwise go to
-numpy's per-call overhead on a few nodes, and a block of one stochastic
-epoch, so stochastic records stream as each epoch ends.  A fault at epoch j
-still publishes records 1..j-1 first and raises what an epoch-by-epoch loop
-raises: the guard before the law, an epoch's ledger check before its update
-check, its update check before its record's.  The schedule state carries
-across epoch boundaries; changing the drive vector never resets the medium.
+Per epoch, three stages: freeze the drive vector (the loop's guard bounds
+it), run the medium, and step the drive by the rule.  The medium and the rule
+are chosen once per run.  `_medium(config, seed, qstate)` returns the mode's
+`(j, drive, rates, length) -> (lam_hat, s_hat, served, offered, peak)`: it
+runs the chain (or takes its exact expectation in deterministic-oracle mode)
+and passes the queues through the queue kernel, which measures offered
+service in the same pass.  `_rule(config)` returns the algorithm's
+`(j, drive, rates, lam_hat, s_hat, length, queue, peak) -> new drive`, which
+runs the algorithm's own checks.  `rates` are the requested rates of a
+congestion run and the arrival spec's rates of a scheduling run; the oracle
+takes them as lam_hat.  The queue ledger checks and the metrics records,
+whose fields must be finite, then run once per block of BLOCK_EPOCHS epochs,
+on (epochs, nodes) arrays: a block of 256 oracle epochs, whose time would
+otherwise go to numpy's per-call overhead on a few nodes, and a block of one
+stochastic epoch, so stochastic records stream as each epoch ends.  A fault
+at epoch j still publishes records 1..j-1 first and raises what an
+epoch-by-epoch loop raises: the guard before the medium, an epoch's ledger
+check before its rule's check, its rule's check before its record's.  The
+schedule state carries across epoch boundaries; changing the drive vector
+never resets the medium.
 
 Randomness discipline: every epoch derives two fresh generators from the run
 seed via SeedSequence(entropy=seed, spawn_key=(epoch, stream)) with stream 0
@@ -272,41 +279,107 @@ class MetricsRecord(NamedTuple):
 CHECKED_FIELDS = (*MetricsRecord._fields[3:10], "epoch_start", "epoch_length", "max_queue_ratio")
 
 
-def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterator[MetricsRecord]:
-    """Stream one MetricsRecord per epoch, published a block at a time
-    (BLOCK_EPOCHS); deterministic given the config and seed."""
-    graph = config.graph
-    n = graph.n
-    oracle = config.mode == ORACLE
-    if not oracle and not (_whole(seed) and seed >= 0):  # SeedSequence's entropy
-        raise ConfigError(f"stochastic runs need a seed, a nonnegative integer; got {seed!r}")
+def _medium(config: ExperimentConfig, seed: int | None, qstate: QueueState):
+    """The mode's epoch, chosen once per run (module docstring)."""
+    if config.mode == ORACLE:
+        matrix = config.family.matrix  # an oracle config's family is enumerated
 
+        def oracle_epoch(j, drive, rates, length):
+            # the drive is the engine's own (n,) float array, bounded by the guard
+            s_hat = _gibbs_law(matrix, drive)[0] @ matrix
+            arrivals = rates * length
+            offered = s_hat * length
+            served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
+            return rates, s_hat, served, offered, peak
+        return oracle_epoch
+
+    if not (_whole(seed) and seed >= 0):  # SeedSequence's entropy
+        raise ConfigError(f"stochastic runs need a seed, a nonnegative integer; got {seed!r}")
     # A family small enough to gain from it samples from a clock table; a
     # larger one, or a refusal past exact mode, keeps per-node clocks.
     family = config.family
-    matrix = family.matrix if oracle else None  # an oracle config's family is enumerated
     table = None
-    if not oracle and isinstance(family, IndependentSetFamily) and family.size <= TABLE_STATES:
+    if isinstance(family, IndependentSetFamily) and family.size <= TABLE_STATES:
         table = clock_table(family)
-    congestion = config.is_congestion
-    beta, step, fixed_length = config.beta, config.step, config.epoch_length
-    drive = np.zeros(n)
-    cc_rates = np.ones(n) if congestion else None
+    mask = 0
 
+    def stochastic_epoch(j, drive, rates, length):
+        nonlocal mask
+        chain_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j, 0)))
+        traj = simulate(config.graph, drive, float(length), initial_mask=mask,
+                        rng=chain_rng, table=table)
+        mask = traj.final_mask
+        if config.is_congestion:
+            deposits = None
+            inflow = rates
+            arrivals = rates * length
+        else:
+            arr_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
+            deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
+            inflow = None
+            arrivals = np.add.reduce(deposits, axis=0)
+        served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits, inflow=inflow)
+        return arrivals / length, offered / length, served, offered, peak
+    return stochastic_epoch
+
+
+def _rule(config: ExperimentConfig):
+    """The algorithm's update with its own check, chosen once per run (module docstring)."""
+    n, epsilon, step = config.graph.n, config.epsilon, config.step
+    if config.algorithm == "sched1":
+        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+            return update_diminishing(drive, lam_hat, s_hat, j)
+    elif config.algorithm == "cc1":  # sched1's step on prices, projected onto >= 0
+        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+            return np.maximum(update_diminishing(drive, rates, s_hat, j), 0.0)
+    elif config.algorithm == "sched2":
+        box = n / epsilon
+
+        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+            new_drive = update_projected(drive, lam_hat, s_hat, epsilon, step, n)
+            if np.logical_or.reduce(np.abs(new_drive) > box):
+                raise InvariantViolation(f"projection box violated at epoch {j}")
+            return new_drive
+    else:  # cc2
+        slope_cap = initial_slope_bound(config.utilities)
+        price_box = config.beta * slope_cap + step  # the ceiling update_prices_constant keeps
+        queue_cap = config.epoch_length * (config.beta * slope_cap + 2.0 * step) / step
+        # the price/queue coupling is an induction from an empty start
+        couple = config.initial_queue is None or max(config.initial_queue) == 0.0
+        slack = 1e-6 * (1.0 + queue_cap)
+
+        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+            new_drive = update_prices_constant(drive, rates, s_hat, step)
+            if (np.logical_or.reduce(new_drive < -1e-12)
+                    or np.logical_or.reduce(new_drive > price_box + 1e-9)):
+                raise InvariantViolation(
+                    f"price box [0, {price_box:.6g}] violated at epoch {j}: "
+                    f"max price {new_drive.max():.6g}")
+            if couple:
+                coupling = (length / step) * new_drive
+                if np.logical_or.reduce(queue > coupling + slack):
+                    raise InvariantViolation(f"queue/price coupling violated at epoch {j}")
+                if np.logical_or.reduce(peak > queue_cap + slack):
+                    raise InvariantViolation(f"queue cap {queue_cap:.6g} violated at epoch {j}")
+            return new_drive
+    return rule
+
+
+def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterator[MetricsRecord]:
+    """Stream one MetricsRecord per epoch, published a block at a time
+    (BLOCK_EPOCHS); deterministic given the config and seed."""
+    n = config.graph.n
     qstate = QueueState.zeros(n)
     if config.initial_queue is not None:
         q0 = np.asarray(config.initial_queue, dtype=float)
         qstate.queue = q0.copy()
         qstate.arrived = q0.copy()  # backlog present at t=0 counts as arrived
-
-    if config.algorithm == "cc2":
-        slope_cap = initial_slope_bound(config.utilities)
-        price_box = beta * slope_cap + step  # the ceiling update_prices_constant keeps
-        queue_cap = fixed_length * (beta * slope_cap + 2.0 * step) / step
-        # the price/queue coupling is an induction from an empty start
-        couple = config.initial_queue is None or max(config.initial_queue) == 0.0
-
-    mask = 0
+    medium = _medium(config, seed, qstate)
+    rule = _rule(config)
+    congestion = config.is_congestion
+    fixed_length = config.epoch_length
+    drive = np.zeros(n)
+    rates = np.ones(n) if congestion else config.arrivals.rates
     now = 0.0
     weighted_rates = np.zeros(n)
     block_epochs = BLOCK_EPOCHS[config.mode]
@@ -324,74 +397,19 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
                                      f"max |drive| = {top:.3g}")
             # a run without a fixed length follows the published 1/j schedule
             length = fixed_length if fixed_length is not None else published_epoch_length(j)
-
-            if oracle:
-                # the drive is the engine's own (n,) float array, bounded just above
-                s_hat = _gibbs_law(matrix, drive)[0] @ matrix
-                lam_hat = cc_rates if congestion else config.arrivals.rates
-                arrivals = lam_hat * length
-                offered = s_hat * length
-                served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
-            else:
-                chain_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=seed, spawn_key=(j, 0)))
-                traj = simulate(graph, drive, float(length), initial_mask=mask,
-                                rng=chain_rng, table=table)
-                mask = traj.final_mask
-                if congestion:
-                    deposits = None
-                    inflow = cc_rates
-                    arrivals = cc_rates * length
-                else:
-                    arr_rng = np.random.default_rng(
-                        np.random.SeedSequence(entropy=seed, spawn_key=(j, 1)))
-                    deposits = sample_epoch_arrivals(config.arrivals, length, arr_rng)
-                    inflow = None
-                    arrivals = np.add.reduce(deposits, axis=0)
-                served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits,
-                                                        inflow=inflow)
-                lam_hat = arrivals / length
-                s_hat = offered / length
-
+            lam_hat, s_hat, served, offered, peak = medium(j, drive, rates, length)
             now += length
             # every array here is a fresh one, so the block keeps them by reference
             epochs.append((j, now, length, drive, lam_hat, s_hat, served, offered, peak,
                            qstate.queue, qstate.departed, qstate.arrived))
-
-            if config.algorithm == "sched1":
-                new_drive = update_diminishing(drive, lam_hat, s_hat, j)
-            elif config.algorithm == "sched2":
-                new_drive = update_projected(drive, lam_hat, s_hat, config.epsilon,
-                                             step, n)
-                box = n / config.epsilon
-                if np.logical_or.reduce(np.abs(new_drive) > box):
-                    raise InvariantViolation(f"projection box violated at epoch {j}")
-            elif config.algorithm == "cc1":  # sched1's step on prices, projected onto >= 0
-                new_drive = np.maximum(update_diminishing(drive, cc_rates, s_hat, j), 0.0)
-            else:  # cc2
-                new_drive = update_prices_constant(drive, cc_rates, s_hat, step)
-                if (np.logical_or.reduce(new_drive < -1e-12)
-                        or np.logical_or.reduce(new_drive > price_box + 1e-9)):
-                    raise InvariantViolation(
-                        f"price box [0, {price_box:.6g}] violated at epoch {j}: "
-                        f"max price {new_drive.max():.6g}")
-                if couple:
-                    slack = 1e-6 * (1.0 + queue_cap)
-                    coupling = (length / step) * new_drive
-                    if np.logical_or.reduce(qstate.queue > coupling + slack):
-                        raise InvariantViolation(
-                            f"queue/price coupling violated at epoch {j}")
-                    if np.logical_or.reduce(peak > queue_cap + slack):
-                        raise InvariantViolation(
-                            f"queue cap {queue_cap:.6g} violated at epoch {j}")
-            new_rates = best_responses(config.utilities, beta, new_drive) if congestion else None
-
+            new_drive = rule(j, drive, rates, lam_hat, s_hat, length, qstate.queue, peak)
             if congestion:
-                weighted_rates = weighted_rates + length * cc_rates
+                new_rates = best_responses(config.utilities, config.beta, new_drive)
+                weighted_rates = weighted_rates + length * rates
                 avg_rates = weighted_rates / now
-                updates.append((cc_rates, avg_rates,
-                                total_utility(config.utilities, avg_rates)))
+                updates.append((rates, avg_rates, total_utility(config.utilities, avg_rates)))
             else:
+                new_rates = rates
                 updates.append((None, None, None))
         except Exception:  # the block's earlier epochs are published first
             yield from _publish(epochs, updates)
@@ -399,7 +417,7 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
         if len(epochs) == block_epochs or j == config.horizon:
             yield from _publish(epochs, updates)
             epochs, updates = [], []
-        drive, cc_rates = new_drive, new_rates
+        drive, rates = new_drive, new_rates
 
 
 def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecord]:

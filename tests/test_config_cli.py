@@ -4,6 +4,7 @@ CLI tests call main() in-process so exit codes and stdout are observable
 without subprocesses; only the import check needs a fresh interpreter.
 """
 
+import errno
 import json
 import math
 import os
@@ -296,8 +297,8 @@ SCHED2_CYCLE5 = {
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 # README's refusal table, the one statement of `run`'s exit-2 contract: each
-# row's id and the text stderr contains.  Every row is a case of the two tests
-# below, which take their expected text from it, and every case has a row.
+# row's id and the text stderr contains.  Every row is a case of one of the
+# tests below, which take their expected text from it, and every case has a row.
 REFUSAL_ROWS = re.findall(r"^\| `([a-z0-9-]+)` \| `([^`]+)` \|", README, re.MULTILINE)
 REFUSALS = dict(REFUSAL_ROWS)
 
@@ -359,12 +360,15 @@ OUTPUT_PATHS = ("below-a-file", "a-file", "run-file-is-a-directory",
 DIRECTORY_IN_THE_WAY = {"run-file-is-a-directory": "exp-seed9.jsonl",
                         "summary-is-a-directory": "exp-seed9-summary.json",
                         "manifest-is-a-directory": "exp-manifest.json"}
+# refusals that come after a run: the file whose write fails
+WRITE_FAILURES = {"summary-write-fails": "exp-seed9-summary.json",
+                  "manifest-write-fails": "exp-manifest.json"}
 
 
 def test_refusal_table_has_one_row_per_exit_2_case():
     ids = [row_id for row_id, _ in REFUSAL_ROWS]
     assert len(ids) == len(set(ids)), "a refusal id repeats in README's table"
-    assert set(ids) == set(EXIT_2) | set(OUTPUT_PATHS)
+    assert set(ids) == set(EXIT_2) | set(OUTPUT_PATHS) | set(WRITE_FAILURES)
 
 
 class Overran(Exception):
@@ -779,6 +783,32 @@ def test_run_refuses_an_output_path_it_cannot_create(tmp_path, capsys, case):
     assert "Traceback" not in err
     # nothing written: no run, summary or manifest anywhere
     assert tree() == before
+
+
+@pytest.mark.parametrize("case", WRITE_FAILURES)
+def test_run_refuses_a_summary_or_manifest_it_cannot_write(tmp_path, capsys, monkeypatch,
+                                                          case):
+    # a full disk, simulated where the file is written: the suite may run as
+    # root, which writes past any permission bit
+    cfg_path = write_config(tmp_path, BASE)
+    out = tmp_path / "out"
+    failing = out / WRITE_FAILURES[case]
+    write_text = Path.write_text
+
+    def full_disk(path, *args, **kwargs):
+        if path == failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {REFUSALS[case]} {failing}: [Errno {errno.ENOSPC}]" in err
+    assert "Traceback" not in err
+    # what the run wrote before the failing file stays
+    assert (out / "exp-seed9.jsonl").is_file()
+    assert (out / "exp-seed9-summary.json").is_file() == (case == "manifest-write-fails")
+    assert not (out / "exp-manifest.json").exists()
 
 
 def test_oracle_cc2_at_a_tiny_step_runs_without_warnings(tmp_path):

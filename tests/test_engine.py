@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from csmasim.congestion import UtilityFunction, best_responses
 from csmasim import cli, engine
-from csmasim.chain import DRIVE_LIMIT
+from csmasim.chain import DRIVE_LIMIT, simulate
 from csmasim.config import load_config, parse_config
 from csmasim.conflict_graph import (EXACT_MODE_CAP, MAX_NODES, ConflictGraph,
                                     enumerate_independent_sets, preset)
@@ -25,7 +25,7 @@ from csmasim.errors import (ConfigError, ExactModeUnavailable, InvariantViolatio
                             NumericFailure)
 from csmasim.gibbs import service_rates
 from csmasim.scheduling import published_epoch_length, update_diminishing
-from csmasim.traffic import ArrivalSpec
+from csmasim.traffic import ArrivalSpec, sample_epoch_arrivals
 
 from oracles import oracle_run_per_epoch
 
@@ -420,6 +420,48 @@ def test_stochastic_runs_are_bit_identical():
     assert a == b
     c = list(run_experiment(cfg, 12))
     assert c != a
+
+
+def watch_walks(monkeypatch):
+    """Patch engine.simulate to keep each call's (args, kwargs, trajectory)."""
+    walks = []
+
+    def watch(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        walks.append((args, kwargs, traj))
+        return traj
+
+    monkeypatch.setattr(engine, "simulate", watch)
+    return walks
+
+
+def test_schedule_state_carries_across_epoch_boundaries(monkeypatch):
+    walks = watch_walks(monkeypatch)
+    list(run_experiment(sched1(graph="cycle5", rates=[0.2] * 5, horizon=8, epoch_length=20), 5))
+    starts = [kwargs["initial_mask"] for _, kwargs, _ in walks]
+    ends = [traj.final_mask for *_, traj in walks]
+    assert len(starts) == 8 and starts[0] == 0
+    assert any(ends[:-1])  # else an epoch that restarts from 0 would pass too
+    assert starts[1:] == ends[:-1]
+
+
+def test_each_epoch_draws_from_its_own_two_streams(monkeypatch):
+    # epoch j's chain draws from SeedSequence(seed, spawn_key=(j, 0)) and its
+    # arrivals from spawn_key=(j, 1)
+    seed, length = 5, 20
+
+    def stream(j, k):
+        return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j, k)))
+
+    cfg = sched1(graph="cycle5", rates=[0.2] * 5, horizon=6, epoch_length=length)
+    walks = watch_walks(monkeypatch)
+    records = list(run_experiment(cfg, seed))
+    assert len(walks) == len(records) == 6
+    for rec, (args, kwargs, traj) in zip(records, walks):
+        again = simulate(*args, **dict(kwargs, rng=stream(rec.j, 0)))
+        assert np.array_equal(again.times, traj.times)
+        deposits = sample_epoch_arrivals(cfg.arrivals, length, stream(rec.j, 1))
+        assert rec.arrival_rate_est == tuple((np.add.reduce(deposits, axis=0) / length).tolist())
 
 
 def test_time_limit_counts_every_epoch_of_a_stochastic_run():
