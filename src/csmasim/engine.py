@@ -232,6 +232,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the first update moves the prices to the step {self.step!r}, past the "
                 f"limit {DRIVE_LIMIT:g} that epoch 2 enforces; lower the step")
+        if self.algorithm == "cc2" and not all(map(math.isfinite, _cc2_bounds(self))):
+            # an infinite bound is one that the update checks can never fail
+            raise ConfigError(
+                "cc2's price box beta V + step and queue cap epoch_length (beta V + 2 step) "
+                "/ step must be finite, V = max U'(0); lower beta or V, or raise the step")
 
         try:
             family = enumerate_independent_sets(self.graph)
@@ -323,6 +328,14 @@ def _medium(config: ExperimentConfig, seed: int | None, qstate: QueueState):
     return stochastic_epoch
 
 
+def _cc2_bounds(config: ExperimentConfig) -> tuple[float, float]:
+    """cc2's price box beta V + step, the ceiling update_prices_constant keeps,
+    and its queue cap epoch_length (beta V + 2 step) / step."""
+    beta_v = config.beta * initial_slope_bound(config.utilities)
+    return (beta_v + config.step,
+            config.epoch_length * (beta_v + 2.0 * config.step) / config.step)
+
+
 def _rule(config: ExperimentConfig):
     """The algorithm's update with its own check, chosen once per run (module docstring)."""
     n, epsilon, step = config.graph.n, config.epsilon, config.step
@@ -341,9 +354,7 @@ def _rule(config: ExperimentConfig):
                 raise InvariantViolation(f"projection box violated at epoch {j}")
             return new_drive
     else:  # cc2
-        slope_cap = initial_slope_bound(config.utilities)
-        price_box = config.beta * slope_cap + step  # the ceiling update_prices_constant keeps
-        queue_cap = config.epoch_length * (config.beta * slope_cap + 2.0 * step) / step
+        price_box, queue_cap = _cc2_bounds(config)
         # the price/queue coupling is an induction from an empty start
         couple = config.initial_queue is None or max(config.initial_queue) == 0.0
         slack = 1e-6 * (1.0 + queue_cap)

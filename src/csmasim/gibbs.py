@@ -32,10 +32,18 @@ from .conflict_graph import (
     induced_subgraph,
     is_strictly_admissible,
 )
-from .errors import ConvergenceFailure, InfeasibleRates
+from .errors import ConvergenceFailure, InfeasibleRates, NumericFailure
 
 NEWTON_MAX_ITER = 200  # steps; the fit and the dual take at most ~20 on the presets
 BACKOFF_TOL = 1e-10  # residual |s(r) - rates| at which the fit stops
+# The law's mass misses 1 by at most LAW_ROUNDING * eps * (N + log Z), N
+# schedules (log Z >= 0: the empty schedule's energy is 0).  With u = eps/2,
+# log Z = peak + log(sum) rounds by u log Z, and the sum of N shifted
+# exponentials by (N - 1) u plus u(1 + 1/e) a term; each probability
+# exp(e - log Z) rounds its exponent by u log(1/p) and itself by u, and
+# p log(1/p) sums to at most log N; adding the N probabilities costs (N - 1) u.
+# That is u (log Z + 6 N) <= 3 eps (N + log Z) in log mass; 4 covers |mass - 1|.
+LAW_ROUNDING = 4.0
 
 
 def _check_backoff(family: IndependentSetFamily, r) -> np.ndarray:
@@ -62,14 +70,25 @@ class GibbsDistribution(NamedTuple):
 
 
 def stationary_distribution(family: IndependentSetFamily, r) -> GibbsDistribution:
+    """The law at r, which fails closed (NumericFailure) unless its mass is 1
+    within LAW_ROUNDING * eps * (N + log Z) and that bound is below 1: past
+    log Z ~ 1e15 one rounding of log Z can double the law or empty it."""
     probs, logz = _gibbs_law(family.matrix, _check_backoff(family, r))
+    bound = LAW_ROUNDING * np.finfo(float).eps * (family.size + logz)
+    if not bound < 1.0:  # NaN fails it too
+        raise NumericFailure(f"log Z = {logz:.6g} is past what floats resolve: the "
+                             f"stationary law's rounding bound is {bound:.3g}")
+    mass = float(np.add.reduce(probs))
+    if not abs(mass - 1.0) <= bound:
+        raise NumericFailure(f"the stationary law sums to {mass!r}, not to 1 within "
+                             f"its rounding bound {bound:.3g}")
     probs.setflags(write=False)
     return GibbsDistribution(probs=probs, log_partition=logz)
 
 
 def service_rates(family: IndependentSetFamily, r) -> np.ndarray:
     """Stationary per-node service rates s(r): the transmit marginals."""
-    return _gibbs_law(family.matrix, _check_backoff(family, r))[0] @ family.matrix
+    return stationary_distribution(family, r).probs @ family.matrix
 
 
 def moments(family: IndependentSetFamily, r) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:

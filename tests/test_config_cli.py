@@ -1,7 +1,8 @@
 """JSON config contract and the command-line surface.
 
 CLI tests call main() in-process so exit codes and stdout are observable
-without subprocesses; only the import check needs a fresh interpreter.
+without subprocesses; only the import check, a closed stdout and a real
+SIGINT need a fresh interpreter.
 """
 
 import errno
@@ -49,6 +50,13 @@ def write_config(tmp_path, payload, name="exp.json"):
 
 
 BUDGET = 20.0  # seconds for a refusal or a desk-scale command
+
+
+def child_env():
+    """The environment of a child interpreter that imports this csmasim."""
+    src = str(Path(csmasim.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # -- parsing ---------------------------------------------------------------------
@@ -343,6 +351,10 @@ EXIT_2 = {  # id: (payload, flags)
     "cc2-first-update-past-drive-limit": (
         dict(CC2, graph={"preset": "single"},
              overrides={"beta": 5.0, "step": 1e5, "epoch_length": 10}), ()),
+    # beta V = 1e300 * 0.001**-5 overflows, so the update checks could never fail
+    "cc2-price-box-past-float-range": (
+        dict(CC2, utilities={"family": "alpha-fair-shifted", "fairness": 5, "shift": 1e-3},
+             overrides={"beta": 1e300, "step": 0.5, "epoch_length": 5}), ()),
     "oracle-past-exact-mode": (
         dict(BASE, mode="deterministic-oracle", arrivals={"kind": "scaled-bernoulli", "rates": 0.1},
              graph={"n": 31, "edges": [[i, (i + 1) % 31] for i in range(31)]}), ()),
@@ -725,11 +737,8 @@ def test_runtime_never_imports_scipy(tmp_path):
         f"'--out', {str(tmp_path / 'out')!r}]) == 0",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
     ])
-    src = str(Path(csmasim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -813,14 +822,16 @@ def test_run_refuses_a_summary_or_manifest_it_cannot_write(tmp_path, capsys, mon
 
 def test_oracle_cc2_at_a_tiny_step_runs_without_warnings(tmp_path):
     # epoch 2's prices are the step, 1e-300, where beta*weight/price overflows;
-    # the best response there is 1, and no numpy warning may reach the user
+    # the best response there is 1, and no numpy warning may reach the user.
+    # The shift keeps the queue cap epoch_length (beta V + 2 step) / step, with
+    # V = 1/shift, finite, which cc2's construction requires.
     payload = {
         "version": 1,
         "graph": {"preset": "path3"},
         "algorithm": "cc2",
         "mode": "deterministic-oracle",
         "horizon": 5,
-        "utilities": {"family": "log-shifted"},
+        "utilities": {"family": "log-shifted", "shift": 1e10},
         "overrides": {"epsilon": 1e-9, "step": 1e-300, "epoch_length": 1},
     }
     out = tmp_path / "out"
@@ -836,12 +847,9 @@ def test_oracle_cc2_at_a_tiny_step_runs_without_warnings(tmp_path):
 def test_a_closed_stdout_ends_the_command_quietly():
     # Popen returns before the child has even imported csmasim, so the pipe
     # is closed before the report is written
-    src = str(Path(csmasim.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen([sys.executable, "-m", "csmasim.cli", "analyze", "cycle5",
                              "--lambda", "0.5"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
@@ -870,6 +878,44 @@ def test_an_interrupt_ends_the_run_quietly_and_keeps_whole_lines(tmp_path, capsy
     text = (out / "exp-seed9.jsonl").read_text()
     assert text.endswith("\n")
     assert [strict_json(line)["j"] for line in text.splitlines()] == [1, 2]
+
+
+def test_sigint_ends_a_real_run_quietly_and_keeps_whole_lines(tmp_path):
+    # cc2 on a 100-node cycle, past exact mode, runs 200 epochs of ~25 ms on
+    # per-node clocks; SIGINT arrives once the run file holds a whole line
+    n = 100
+    payload = {"version": 1, "graph": {"n": n, "edges": [[i, (i + 1) % n] for i in range(n)]},
+               "algorithm": "cc2", "horizon": 200, "seed": 7,
+               "utilities": {"family": "log-shifted"},
+               "overrides": {"beta": 5, "step": 0.5, "epoch_length": 100}}
+    out = tmp_path / "out"
+    run_file = out / "cycle100-seed7.jsonl"
+    argv = [sys.executable, "-m", "csmasim.cli", "run",
+            str(write_config(tmp_path, payload, "cycle100.json")), "--out", str(out)]
+    # a shell starts background jobs with SIGINT ignored, which the child would inherit
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=child_env(),
+                          preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)
+                          ) as proc:
+        try:
+            deadline = time.monotonic() + BUDGET
+            while not (run_file.is_file() and b"\n" in run_file.read_bytes()):
+                assert proc.poll() is None, "the run ended before its first line"
+                assert time.monotonic() < deadline, f"no whole line within {BUDGET:g} s"
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=BUDGET)
+        finally:
+            proc.kill()  # a child that ignored the signal; a no-op once it has exited
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert (stdout, stderr) == (b"", b"interrupted\n")
+    text = run_file.read_text()
+    assert text.endswith("\n")
+    records = [strict_json(line) for line in text.splitlines()]
+    assert 1 <= len(records) < 200
+    assert [rec["j"] for rec in records] == list(range(1, len(records) + 1))
+    # no summary and no manifest
+    assert [p.name for p in out.iterdir()] == [run_file.name]
 
 
 # -- csmasim analyze ------------------------------------------------------------------
@@ -1009,6 +1055,22 @@ def test_run_and_analyze_share_the_entropy_weight_rule(capsys, case):
     else:
         assert run.startswith(expected)
         assert (code, captured.out, captured.err) == (2, "", f"error: {run}\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ("--utilities", "log-shifted", "--epsilon", "1e-16"),
+    ("--utilities", "log-shifted", "--beta", "1e20"),
+    ("--utilities", json.dumps({"family": "alpha-fair-shifted", "fairness": 5, "shift": 1e-3}),
+     "--beta", "1e300"),
+], ids=["epsilon-1e-16", "beta-1e20", "alpha-fair-beta-1e300"])
+def test_analyze_refuses_a_law_past_float_resolution(capsys, flags):
+    # the dual starts at prices beta U'(1) >= 4e16, where one rounding of
+    # log Z to the top energy made clique2's law sum to 2 and served 1 + 1
+    rc = main(["analyze", "clique2", *flags])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith("numeric failure: log Z = ")
+    assert captured.err.count("\n") == 1
 
 
 def test_analyze_large_family_skips_cut_enumeration(capsys):

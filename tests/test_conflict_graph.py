@@ -97,6 +97,13 @@ def test_presets_fixed_shapes():
         preset("nope")
 
 
+def test_is_independent_rejects_masks_out_of_range():
+    g = preset("clique2")
+    for mask in (-1, 0b100):
+        with pytest.raises(ValueError, match=f"mask {mask} out of range for n=2"):
+            g.is_independent(mask)
+
+
 def test_schedule_nodes_roundtrip():
     assert schedule_nodes(0) == ()
     assert schedule_nodes(0b10110) == (1, 2, 4)
@@ -221,6 +228,8 @@ def test_induced_subgraph_relabels():
     sub = induced_subgraph(g, [0, 2, 3])
     assert sub.n == 3
     assert sub.edges == ((1, 2),)  # only the 2-3 edge survives
+    with pytest.raises(ValueError, match="at least one node"):
+        induced_subgraph(g, [])
 
 
 # -- max-weight oracle -------------------------------------------------------
@@ -279,6 +288,8 @@ def test_single_node_slack_and_negative_rates():
     assert cert.slack == pytest.approx(0.2, abs=1e-9)
     with pytest.raises(ValueError):
         is_strictly_admissible(fam, [-0.5])
+    with pytest.raises(ValueError, match=r"rates must have shape \(1,\)"):
+        is_strictly_admissible(fam, [0.2, 0.2])
 
 
 @settings(max_examples=60, deadline=None)

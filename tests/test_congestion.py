@@ -318,6 +318,11 @@ def test_dual_solver_requires_matching_utilities(clique2):
         solve_dual_optimum(clique2, (LOG1,), 10.0)
 
 
+def test_utility_optimum_requires_matching_utilities(clique2):
+    with pytest.raises(ValueError, match="need one utility per node"):
+        solve_utility_optimum(clique2, (LOG1,))
+
+
 # -- polytope utility optimum -------------------------------------------------------------
 
 def test_utility_optimum_single(single):
@@ -417,6 +422,8 @@ def test_gap_certificate_clique2(clique2):
     # 0.000423388748892540 to 50 digits
     assert cert.gap == pytest.approx(clique2_log_gap(10.0), abs=1e-9)
     assert cert.holds()
+    with pytest.raises(ValueError, match="beta must be positive"):
+        utility_gap_certificate(clique2, utilities, 0.0, dual.rates)
 
 
 def test_gap_shrinks_with_beta(clique2):

@@ -12,7 +12,7 @@ from csmasim.conflict_graph import (
     preset,
 )
 from csmasim import gibbs
-from csmasim.errors import ConvergenceFailure, InfeasibleRates
+from csmasim.errors import ConvergenceFailure, InfeasibleRates, NumericFailure
 from csmasim.gibbs import (
     newton_minimize,
     service_rates,
@@ -84,6 +84,26 @@ def test_large_backoff_does_not_overflow(cycle5):
     assert dist.probs[two].sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_law_past_float_resolution_fails_closed(clique2):
+    # log Z rounds to the top energy 4e16, so each top schedule gets probability
+    # 1 and the law sums to 2; service_rates reads the same checked law
+    for law in (stationary_distribution, service_rates):
+        with pytest.raises(NumericFailure, match="log Z = 4e\\+16 is past what floats resolve"):
+            law(clique2, [4e16, 4e16])
+
+
+def test_a_law_whose_mass_misses_1_fails_closed(monkeypatch, clique2):
+    real = gibbs._gibbs_law
+
+    def heavy(matrix, r):  # a law off by 1e-12, past its rounding bound of ~4e-15
+        probs, logz = real(matrix, r)
+        return probs * (1.0 + 1e-12), logz
+
+    monkeypatch.setattr(gibbs, "_gibbs_law", heavy)
+    with pytest.raises(NumericFailure, match="the stationary law sums to 1.000000000001"):
+        stationary_distribution(clique2, [0.0, 0.0])
+
+
 def test_masked_entries_rejected_in_exact_path(clique2):
     # -inf masks belong to the sampler; the exact path wants the finite stand-in
     for bad in (-math.inf, math.inf, math.nan):
@@ -91,6 +111,8 @@ def test_masked_entries_rejected_in_exact_path(clique2):
             stationary_distribution(clique2, [0.0, bad])
     dist = stationary_distribution(clique2, [-1e9, 0.0])
     assert dist.probs[row_of(clique2, 0b01)] == 0.0
+    with pytest.raises(ValueError, match=r"backoff vector must have shape \(2,\)"):
+        stationary_distribution(clique2, [0.0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -203,6 +225,8 @@ def test_fit_rejects_boundary_and_exterior(single, clique2):
         solve_backoff(clique2, [0.6, 0.6])
     with pytest.raises(ValueError):
         solve_backoff(single, [-0.1])
+    with pytest.raises(ValueError, match=r"rates must have shape \(2,\)"):
+        solve_backoff(clique2, [0.3])
 
 
 def test_fit_stops_past_twice_the_norm_bound(single):

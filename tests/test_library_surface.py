@@ -5,10 +5,13 @@ referenced somewhere in `src/csmasim` or `scripts/` outside its own body.
 Identities that only tests call belong in `tests/oracles.py`.  Every
 defaulted parameter of such a function or method must also be passed, by
 position or keyword, in some call in `src/csmasim`, `scripts/` or
-`perfbench/`: a setting that no caller changes is a module constant.
+`perfbench/`: a setting that no caller changes is a module constant.  Every
+module that the benchmark's operation imports, and every name it patches,
+must exist.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -132,3 +135,45 @@ def test_frozen_dataclasses_validate():
             and not any(isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
                         for item in node.body)]
     assert bare == []
+
+
+def perfbench_hooks() -> tuple[list[str], list[str]]:
+    """The csmasim modules `perfbench/op.py` imports and the `module.name`s it
+    patches, by assignment or in a loop over a tuple of modules."""
+    tree = ast.parse((ROOT / "perfbench" / "op.py").read_text())
+    aliases = {}  # local name -> module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "csmasim":
+                    aliases[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and node.module == "csmasim":
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = f"csmasim.{alias.name}"
+    loops = {node.target.id: [aliases[elt.id] for elt in node.iter.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+             and isinstance(node.iter, ast.Tuple)
+             and all(isinstance(elt, ast.Name) and elt.id in aliases for elt in node.iter.elts)}
+    patched = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
+                    owner = target.value.id
+                    for module in loops.get(owner, [aliases.get(owner)]):
+                        if module is not None:
+                            patched.append(f"{module}.{target.attr}")
+    return sorted(set(aliases.values())), sorted(patched)
+
+
+def test_perfbench_hooks_exist():
+    # perfbench's own tests run it on a fake package, so only this catches a
+    # renamed module or patched name, which fails every benchmark operation
+    modules, patched = perfbench_hooks()
+    assert "csmasim.engine" in modules and "csmasim.cli.run_experiment" in patched
+    for module in modules:
+        importlib.import_module(module)  # a module that is gone raises here
+    assert [name for name in patched
+            if not hasattr(importlib.import_module(name.rpartition(".")[0]),
+                           name.rpartition(".")[2])] == []
