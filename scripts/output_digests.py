@@ -53,6 +53,17 @@ COMMANDS = [
        ["run", oracle(algorithm, graph, queued)])
       for algorithm in ("sched1", "sched2", "cc1", "cc2")
       for graph in ("cycle5", "clique2") for queued in (False, True)),
+    # perfbench's oracle config: 5000 epochs in blocks of the oracle's queue kernel
+    ("oracle-sched1-cycle5-long", ["run", {
+        "version": 1, "graph": {"preset": "cycle5"}, "algorithm": "sched1",
+        "mode": "deterministic-oracle", "horizon": 5000,
+        "arrivals": {"kind": "scaled-bernoulli", "rates": 0.27},
+        "overrides": {"epoch_length": 100}}]),
+    # the published lengths, ceil(exp(sqrt(j))), pass 2**63 from epoch 1907
+    ("oracle-sched1-cycle5-published", ["run", {
+        "version": 1, "graph": {"preset": "cycle5"}, "algorithm": "sched1",
+        "mode": "deterministic-oracle", "horizon": 2000,
+        "arrivals": {"kind": "scaled-bernoulli", "rates": 0.2}}]),
     ("sched2-cycle5", ["run", {
         "version": 1, "graph": {"preset": "cycle5"}, "algorithm": "sched2", "horizon": 400,
         "seed": 1, "arrivals": {"kind": "scaled-bernoulli", "rates": 0.25},

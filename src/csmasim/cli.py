@@ -27,8 +27,8 @@ from .chain import chain_diagnostics
 from .config import _broadcast, _parse_utilities, load_config
 from .conflict_graph import (PRESETS, enumerate_independent_sets,
                              is_strictly_admissible, preset, read_edge_list)
-from .congestion import (UTILITY_FAMILIES, entropy_weight, solve_dual_optimum,
-                         utility_gap_certificate)
+from .congestion import (UTILITY_FAMILIES, entropy_weight, residual_utility_error,
+                         solve_dual_optimum, utility_gap_certificate)
 from .engine import ORACLE, ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
@@ -162,17 +162,20 @@ def cmd_run(args) -> int:
             fh = open(run_path, "w", encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot open run file {run_path}: {exc}") from exc
-        with fh:
-            if first_run is None:
-                last = None
-                for record in run_experiment(cfg, seed):
-                    fh.write(encode(record._asdict()) + "\n")
-                    last = record
-                summary = _summarize(cfg, seed, last)
-                first_run = run_path if cfg.mode == ORACLE else None
-            else:
-                with open(first_run, encoding="utf-8") as src:
-                    shutil.copyfileobj(src, fh)
+        try:  # the lines written before a failing write stay
+            with fh:
+                if first_run is None:
+                    last = None
+                    for record in run_experiment(cfg, seed):
+                        fh.write(encode(record._asdict()) + "\n")
+                        last = record
+                    summary = _summarize(cfg, seed, last)
+                    first_run = run_path if cfg.mode == ORACLE else None
+                else:
+                    with open(first_run, encoding="utf-8") as src:
+                        shutil.copyfileobj(src, fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot write run file {run_path}: {exc}") from exc
         _write_json(summary_path, dict(summary, seed=seed), "summary")
         outputs.append(run_path.name)
         print(f"wrote {run_path}", file=sys.stderr)
@@ -237,6 +240,17 @@ def cmd_analyze(args) -> int:
     if args.utilities is not None:
         dual = solve_dual_optimum(family, utilities, beta)
         cert = utility_gap_certificate(family, utilities, beta, dual.rates)
+        # the certificate is checked before it is printed: a bound within
+        # what the residual hides certifies nothing, nor does a gap past it
+        error = residual_utility_error(utilities, dual.rates, dual.residual)
+        if not error < cert.bound:
+            raise NumericFailure(
+                f"utility gap bound log(schedules)/beta = {cert.bound:.3e} is not above "
+                f"{error:.3e}, what the dual's residual {dual.residual:.3e} can hide; "
+                "lower beta")
+        if not cert.gap <= cert.bound:
+            raise NumericFailure(f"utility gap {cert.gap:.3e} exceeds its bound "
+                                 f"log(schedules)/beta = {cert.bound:.3e}")
         report["entropy_weight"] = beta
         report["dual"] = {
             "prices": [float(v) for v in dual.prices],

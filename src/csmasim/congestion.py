@@ -303,6 +303,21 @@ class GapCertificate(NamedTuple):
         return self.gap <= self.bound
 
 
+def residual_utility_error(utilities, rates, residual: float) -> float:
+    """How far a gap measured at the dual's `rates` can understate the gap
+    of a feasible point, given the dual's stopping `residual`.
+
+    The dual stops once max_i |min(s_i - y_i, p_i)| <= residual, s the
+    service rates at its prices p, so every rate y_i is at most s_i +
+    residual.  z = min(y, s) lies below the service vector, so inside the
+    down-closed capacity polytope, and each U_i, concave and increasing,
+    moves by at most U_i'(max(y_i - residual, 0)) * residual between z_i and
+    y_i.  The sum of those is the error.
+    """
+    return sum(u.derivative(max(y - residual, 0.0)) * residual
+               for u, y in zip(utilities, np.asarray(rates, dtype=float).tolist(), strict=True))
+
+
 def utility_gap_certificate(family: IndependentSetFamily, utilities, beta: float,
                             achieved_rates) -> GapCertificate:
     """Compare achieved rates against the polytope optimum.

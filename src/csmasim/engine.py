@@ -3,23 +3,30 @@
 Per epoch, three stages: freeze the drive vector (the loop's guard bounds
 it), run the medium, and step the drive by the rule.  The medium and the rule
 are chosen once per run.  `_medium(config, seed, qstate)` returns the mode's
-`(j, drive, rates, length) -> (lam_hat, s_hat, served, offered, peak)`: it
-runs the chain (or takes its exact expectation in deterministic-oracle mode)
-and passes the queues through the queue kernel, which measures offered
-service in the same pass.  `_rule(config)` returns the algorithm's
-`(j, drive, rates, lam_hat, s_hat, length, queue, peak) -> new drive`, which
-runs the algorithm's own checks.  `rates` are the requested rates of a
-congestion run and the arrival spec's rates of a scheduling run; the oracle
-takes them as lam_hat.  The queue ledger checks and the metrics records,
-whose fields must be finite, then run once per block of BLOCK_EPOCHS epochs,
-on (epochs, nodes) arrays: a block of 256 oracle epochs, whose time would
+`epoch(j, drive, rates, length) -> (lam_hat, s_hat)` and its
+`settle(lam_hat, s_hat, length) -> (served, offered, peak, queue, departed,
+arrived)`, which gives the queues of the epochs run since the last settle as
+(epochs, nodes) arrays.  A stochastic epoch runs the chain and passes the
+queues through the queue kernel, which measures offered service in the same
+pass; its settle stacks what the epochs left.  An oracle epoch takes the
+chain's exact expectation and leaves the queues alone: no update rule reads
+them, so its settle runs the fluid queues of a whole block in one
+`reflect_epochs` call.  `_rule(config)` returns the algorithm's
+`(j, drive, rates, lam_hat, s_hat) -> new drive`, which runs the algorithm's
+own checks, and cc2's checks of its queues against the new prices, which a
+block runs.  `rates` are the requested rates of a congestion run and the
+arrival spec's rates of a scheduling run; the oracle takes them as lam_hat.
+The queues are settled, and the queue ledger checks, the rule's queue checks
+and the metrics records, whose fields must be finite, run, once per block of
+BLOCK_EPOCHS epochs: a block of 256 oracle epochs, whose time would
 otherwise go to numpy's per-call overhead on a few nodes, and a block of one
 stochastic epoch, so stochastic records stream as each epoch ends.  A fault
-at epoch j still publishes records 1..j-1 first and raises what an
-epoch-by-epoch loop raises: the guard before the medium, an epoch's ledger
-check before its rule's check, its rule's check before its record's.  The
-schedule state carries across epoch boundaries; changing the drive vector
-never resets the medium.
+at epoch j settles the block's queues up to it, still publishes records
+1..j-1 first and raises what an epoch-by-epoch loop raises: the guard before
+the medium, an epoch's ledger check before its rule's checks (cc2's price
+box, coupling, then cap), those before its record's.  The schedule state
+carries across epoch boundaries; changing the drive vector never resets the
+medium.
 
 Randomness discipline: every epoch derives two fresh generators from the run
 seed via SeedSequence(entropy=seed, spawn_key=(epoch, stream)) with stream 0
@@ -53,7 +60,7 @@ from .errors import (ConfigError, ExactModeUnavailable, InvariantViolation,
 from .gibbs import _gibbs_law, service_rates
 from .scheduling import (constant_step_plan, published_epoch_length,
                          update_diminishing, update_projected)
-from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect,
+from .traffic import (ArrivalSpec, QueueState, integrate_epoch, reflect_epochs,
                       sample_epoch_arrivals)
 
 ALGORITHMS = ("sched1", "sched2", "cc1", "cc2")
@@ -72,10 +79,11 @@ DESK_TIME_LIMIT = 1e8
 # <= sys.float_info.max, summed exactly in Python ints, so the engine's float
 # clock stays finite on the published lengths (at H + 1 it becomes inf).  On a
 # 2-vCPU host at one BLAS thread, an epoch of `csmasim run` at epoch_length 1,
-# its JSONL line included, costs ~25 us and ~0.7 KB for oracle sched1 on cycle5
-# (~13 s and ~340 MB at the limit), 90-100 us and ~0.4 KB for stochastic sched1
-# on single (~50 s, ~190 MB), and 0.7-0.75 ms and 16 KB for stochastic cc2 on a
-# 100-node cycle (~6 minutes, ~8 GB).
+# its JSONL line included, costs 31-33 us and ~0.7 KB for oracle sched1 on cycle5
+# (~16 s and ~330 MB at the limit), ~185 us and ~0.4 KB for stochastic sched1
+# on single (~90 s, ~190 MB), and ~1.3 ms and 16 KB for stochastic cc2 on a
+# 100-node cycle (~11 minutes, ~8 GB), all measured together; the same host
+# has run up to twice as fast at other times.
 EPOCH_LIMIT = 493_556
 # Epochs whose ledgers are checked and whose records are built together, by
 # mode: numpy's per-call overhead on a few nodes outweighs an oracle epoch's
@@ -285,18 +293,21 @@ CHECKED_FIELDS = (*MetricsRecord._fields[3:10], "epoch_start", "epoch_length", "
 
 
 def _medium(config: ExperimentConfig, seed: int | None, qstate: QueueState):
-    """The mode's epoch, chosen once per run (module docstring)."""
+    """The mode's epoch and block settlement, chosen once per run (module docstring)."""
     if config.mode == ORACLE:
         matrix = config.family.matrix  # an oracle config's family is enumerated
 
         def oracle_epoch(j, drive, rates, length):
             # the drive is the engine's own (n,) float array, bounded by the guard
-            s_hat = _gibbs_law(matrix, drive)[0] @ matrix
-            arrivals = rates * length
+            return rates, _gibbs_law(matrix, drive)[0] @ matrix
+
+        def oracle_settle(lam_hat, s_hat, length):
+            arrivals = lam_hat * length
             offered = s_hat * length
-            served, peak = reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
-            return rates, s_hat, served, offered, peak
-        return oracle_epoch
+            served, peak, queue, departed, arrived = reflect_epochs(
+                qstate, arrivals - offered, arrivals)
+            return served, offered, peak, queue, departed, arrived
+        return oracle_epoch, oracle_settle
 
     if not (_whole(seed) and seed >= 0):  # SeedSequence's entropy
         raise ConfigError(f"stochastic runs need a seed, a nonnegative integer; got {seed!r}")
@@ -307,6 +318,7 @@ def _medium(config: ExperimentConfig, seed: int | None, qstate: QueueState):
     if isinstance(family, IndependentSetFamily) and family.size <= TABLE_STATES:
         table = clock_table(family)
     mask = 0
+    settled: list[tuple] = []  # the queue results of the epoch run since the last settle
 
     def stochastic_epoch(j, drive, rates, length):
         nonlocal mask
@@ -324,8 +336,12 @@ def _medium(config: ExperimentConfig, seed: int | None, qstate: QueueState):
             inflow = None
             arrivals = np.add.reduce(deposits, axis=0)
         served, peak, offered = integrate_epoch(qstate, traj, deposits=deposits, inflow=inflow)
-        return arrivals / length, offered / length, served, offered, peak
-    return stochastic_epoch
+        settled.append((served, offered, peak, qstate.queue, qstate.departed, qstate.arrived))
+        return arrivals / length, offered / length
+
+    def stochastic_settle(lam_hat, s_hat, length):
+        return [values[None] for values in settled.pop()]  # a block of one epoch
+    return stochastic_epoch, stochastic_settle
 
 
 def _cc2_bounds(config: ExperimentConfig) -> tuple[float, float]:
@@ -337,43 +353,48 @@ def _cc2_bounds(config: ExperimentConfig) -> tuple[float, float]:
 
 
 def _rule(config: ExperimentConfig):
-    """The algorithm's update with its own check, chosen once per run (module docstring)."""
+    """The algorithm's update with its own check, chosen once per run (module
+    docstring), and the checks of its queues that a block runs, or None."""
     n, epsilon, step = config.graph.n, config.epsilon, config.step
     if config.algorithm == "sched1":
-        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+        def rule(j, drive, rates, lam_hat, s_hat):
             return update_diminishing(drive, lam_hat, s_hat, j)
     elif config.algorithm == "cc1":  # sched1's step on prices, projected onto >= 0
-        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+        def rule(j, drive, rates, lam_hat, s_hat):
             return np.maximum(update_diminishing(drive, rates, s_hat, j), 0.0)
     elif config.algorithm == "sched2":
         box = n / epsilon
 
-        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+        def rule(j, drive, rates, lam_hat, s_hat):
             new_drive = update_projected(drive, lam_hat, s_hat, epsilon, step, n)
             if np.logical_or.reduce(np.abs(new_drive) > box):
                 raise InvariantViolation(f"projection box violated at epoch {j}")
             return new_drive
     else:  # cc2
         price_box, queue_cap = _cc2_bounds(config)
-        # the price/queue coupling is an induction from an empty start
-        couple = config.initial_queue is None or max(config.initial_queue) == 0.0
-        slack = 1e-6 * (1.0 + queue_cap)
 
-        def rule(j, drive, rates, lam_hat, s_hat, length, queue, peak):
+        def rule(j, drive, rates, lam_hat, s_hat):
             new_drive = update_prices_constant(drive, rates, s_hat, step)
             if (np.logical_or.reduce(new_drive < -1e-12)
                     or np.logical_or.reduce(new_drive > price_box + 1e-9)):
                 raise InvariantViolation(
                     f"price box [0, {price_box:.6g}] violated at epoch {j}: "
                     f"max price {new_drive.max():.6g}")
-            if couple:
-                coupling = (length / step) * new_drive
-                if np.logical_or.reduce(queue > coupling + slack):
-                    raise InvariantViolation(f"queue/price coupling violated at epoch {j}")
-                if np.logical_or.reduce(peak > queue_cap + slack):
-                    raise InvariantViolation(f"queue cap {queue_cap:.6g} violated at epoch {j}")
             return new_drive
-    return rule
+
+        # the price/queue coupling is an induction from an empty start
+        if config.initial_queue is None or max(config.initial_queue) == 0.0:
+            slack = 1e-6 * (1.0 + queue_cap)
+
+            def queue_checks(length, queue, peak, new_drive):
+                """Per epoch, (failed, what) in the order the checks run."""
+                coupling = (length / step) * new_drive
+                return ((np.logical_or.reduce(queue > coupling + slack, axis=1),
+                         "queue/price coupling violated"),
+                        (np.logical_or.reduce(peak > queue_cap + slack, axis=1),
+                         f"queue cap {queue_cap:.6g} violated"))
+            return rule, queue_checks
+    return rule, None
 
 
 def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterator[MetricsRecord]:
@@ -385,8 +406,8 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
         q0 = np.asarray(config.initial_queue, dtype=float)
         qstate.queue = q0.copy()
         qstate.arrived = q0.copy()  # backlog present at t=0 counts as arrived
-    medium = _medium(config, seed, qstate)
-    rule = _rule(config)
+    epoch, settle = _medium(config, seed, qstate)
+    rule, queue_checks = _rule(config)
     congestion = config.is_congestion
     fixed_length = config.epoch_length
     drive = np.zeros(n)
@@ -394,8 +415,9 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
     now = 0.0
     weighted_rates = np.zeros(n)
     block_epochs = BLOCK_EPOCHS[config.mode]
-    epochs: list[tuple] = []   # the block's (n,) arrays per epoch, as _publish reads them
-    updates: list[tuple] = []  # the same epochs' (rates, avg_rates, avg_utility)
+    epochs: list[tuple] = []      # the block's (j, now, length, drive, lam_hat, s_hat)
+    new_drives: list[np.ndarray] = []  # the drive each epoch's update returned
+    updates: list[tuple] = []     # the same epochs' (rates, avg_rates, avg_utility)
 
     # The epoch path reduces through ufuncs (np.maximum.reduce,
     # np.logical_or.reduce), not np.all, np.any or the ndarray methods: on a
@@ -408,12 +430,12 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
                                      f"max |drive| = {top:.3g}")
             # a run without a fixed length follows the published 1/j schedule
             length = fixed_length if fixed_length is not None else published_epoch_length(j)
-            lam_hat, s_hat, served, offered, peak = medium(j, drive, rates, length)
+            lam_hat, s_hat = epoch(j, drive, rates, length)
             now += length
             # every array here is a fresh one, so the block keeps them by reference
-            epochs.append((j, now, length, drive, lam_hat, s_hat, served, offered, peak,
-                           qstate.queue, qstate.departed, qstate.arrived))
-            new_drive = rule(j, drive, rates, lam_hat, s_hat, length, qstate.queue, peak)
+            epochs.append((j, now, length, drive, lam_hat, s_hat))
+            new_drive = rule(j, drive, rates, lam_hat, s_hat)
+            new_drives.append(new_drive)
             if congestion:
                 new_rates = best_responses(config.utilities, config.beta, new_drive)
                 weighted_rates = weighted_rates + length * rates
@@ -422,32 +444,66 @@ def run_experiment(config: ExperimentConfig, seed: int | None = None) -> Iterato
             else:
                 new_rates = rates
                 updates.append((None, None, None))
-        except Exception:  # the block's earlier epochs are published first
-            yield from _publish(epochs, updates)
+        except Exception:  # the block's earlier epochs are settled and published first
+            if epochs:
+                yield from _publish(*_settle(epochs, new_drives, settle, queue_checks), updates)
             raise
         if len(epochs) == block_epochs or j == config.horizon:
-            yield from _publish(epochs, updates)
-            epochs, updates = [], []
+            yield from _publish(*_settle(epochs, new_drives, settle, queue_checks), updates)
+            epochs, new_drives, updates = [], [], []
         drive, rates = new_drive, new_rates
 
 
-def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecord]:
+class _Block(NamedTuple):
+    """A block's epochs as `_publish` reads them: j and now (the epoch's end)
+    per epoch, then (epochs,) lengths and (epochs, nodes) arrays; served is
+    departures."""
+
+    j: tuple[int, ...]
+    now: tuple[float, ...]
+    length: np.ndarray
+    drive: np.ndarray
+    lam_hat: np.ndarray
+    s_hat: np.ndarray
+    served: np.ndarray
+    offered: np.ndarray
+    peak: np.ndarray
+    queue: np.ndarray
+    departed: np.ndarray
+    arrived: np.ndarray
+
+
+def _settle(epochs: list[tuple], new_drives: list[np.ndarray], settle, queue_checks):
+    """Settle a block's queues and run the rule's queue checks on the epochs
+    whose update returned; returns the block and those checks' results."""
+    js, nows, lengths, drive, lam_hat, s_hat = zip(*epochs)
+    lam_hat, s_hat = np.array(lam_hat), np.array(s_hat)
+    length = np.array(lengths, dtype=float)  # every length is a float's value
+    block = _Block(js, nows, length, np.array(drive), lam_hat, s_hat,
+                   *settle(lam_hat, s_hat, length[:, None]))
+    if queue_checks is None or not new_drives:
+        return block, ()
+    u = len(new_drives)
+    return block, queue_checks(length[:u, None], block.queue[:u], block.peak[:u],
+                               np.array(new_drives))
+
+
+def _publish(block: _Block, rule_checks, updates: list[tuple]) -> Iterator[MetricsRecord]:
     """Check a block's queue ledgers and records, then yield its updated epochs' records.
 
-    Records come out in order, and those before the first failing epoch come
-    out before it raises, as one epoch at a time would have it: an epoch's
-    ledger is checked before its update, its update before its record's fields.
+    rule_checks: the rule's queue checks, (failed, what) per check, each over
+    the block's first epochs.  Records come out in order, and those before the
+    first failing epoch come out before it raises, as one epoch at a time
+    would have it: an epoch's ledger is checked before its rule's checks,
+    those before its record's fields.
     """
-    if not epochs:
-        return
-    (js, nows, lengths, drive, lam_hat, s_hat, served, offered, peak,
-     queue, departed, arrived) = zip(*epochs)
-    length = np.array(lengths, dtype=float)  # every length is a float's value
+    js, nows, length = block.j, block.now, block.length
     # the record's per-node fields (CHECKED_FIELDS[:7]), with departures in
     # place of actual_service_rate until the ledger checks have read them
-    vectors = np.array((drive, lam_hat, s_hat, served, queue, departed, peak))
+    vectors = np.array((block.drive, block.lam_hat, block.s_hat, block.served, block.queue,
+                        block.departed, block.peak))
     served, queue, departed = vectors[3], vectors[4], vectors[5]
-    arrived = np.array(arrived)
+    arrived = block.arrived
     tol = CONSERVATION_TOL * (1.0 + np.maximum.reduce(arrived, axis=1))
     err = np.maximum.reduce(np.abs(arrived - departed - queue), axis=1)
     # Departures are q0 + A - Q, so the ledger balances by construction; the
@@ -457,9 +513,12 @@ def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecor
     # on a number, so a NaN in the queue, the departures or the length fails it.
     slack = tol + CONSERVATION_TOL * length
     unbalanced = ~(err <= tol)
-    failed = np.flatnonzero(
-        unbalanced | ~(np.minimum.reduce(served, axis=1) >= -slack)
-        | ~(np.maximum.reduce(served - np.array(offered), axis=1) <= slack))
+    outside = (~(np.minimum.reduce(served, axis=1) >= -slack)
+               | ~(np.maximum.reduce(served - block.offered, axis=1) <= slack))
+    failing = unbalanced | outside
+    for bad, _ in rule_checks:
+        failing[:len(bad)] |= bad
+    failed = np.flatnonzero(failing)
     # the first failing epoch is at most the one whose update failed
     count = int(failed[0]) if failed.size else len(updates)
 
@@ -471,8 +530,9 @@ def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecor
     # float64 arrays, so Python floats
     ratio = (np.maximum.reduce(queue, axis=1) / np.array(nows)).tolist()
     drive, lam_hat, s_hat, actual, queue, departed, peak = vectors.tolist()
+    lengths = length.tolist()
     for k in range(count):
-        start, epoch_length = nows[k] - lengths[k], float(lengths[k])
+        start, epoch_length = nows[k] - lengths[k], lengths[k]
         if not (finite[k] and math.isfinite(start) and math.isfinite(epoch_length)
                 and math.isfinite(ratio[k])):
             name = next(name for name, values in zip(
@@ -489,4 +549,8 @@ def _publish(epochs: list[tuple], updates: list[tuple]) -> Iterator[MetricsRecor
         if unbalanced[count]:
             raise InvariantViolation(
                 f"queue conservation off by {float(err[count]):.3e} at epoch {js[count]}")
-        raise InvariantViolation(f"departures outside [0, offered service] at epoch {js[count]}")
+        if outside[count]:
+            raise InvariantViolation(
+                f"departures outside [0, offered service] at epoch {js[count]}")
+        what = next(what for bad, what in rule_checks if bad[count])
+        raise InvariantViolation(f"{what} at epoch {js[count]}")

@@ -146,6 +146,35 @@ def reflect(state: QueueState, net: np.ndarray, jumps: np.ndarray | None,
     return departed, np.maximum(q0, np.maximum.reduce(x, axis=1))
 
 
+def reflect_epochs(state: QueueState, net: np.ndarray, arrived: np.ndarray
+                   ) -> tuple[np.ndarray, ...]:
+    """Reflect B spans of one breakpoint each, in turn, updating `state` in place.
+
+    net, arrived: (B, n), B >= 1, span k's net input and the work arriving over it.
+    Row k of each result is, bit for bit, what the k-th of B calls
+    reflect(state, net[k][:, None], None, arrived[k]) gives or leaves: the
+    departures and peak backlog, then the state's queue, cumulative
+    departures and cumulative arrivals.  Only the backlog's recursion runs
+    span by span, in `reflect`'s own arithmetic; the rest is formed for the
+    whole block, the cumulative rows by sequential accumulation from a carry row.
+    """
+    q = state.queue
+    queue = [q]  # the carry row, then the backlog after each span
+    for row in net:
+        x = q + row
+        q = x - np.minimum(x, 0.0)
+        queue.append(q)
+    queue = np.array(queue)
+    before, after = queue[:-1], queue[1:]
+    departed = before + arrived - after
+    cum_departed = np.add.accumulate(np.vstack((state.departed, departed)))[1:]
+    cum_arrived = np.add.accumulate(np.vstack((state.arrived, arrived)))[1:]
+    state.queue = after[-1].copy()
+    state.departed = cum_departed[-1].copy()
+    state.arrived = cum_arrived[-1].copy()
+    return departed, np.maximum(before, after), after, cum_departed, cum_arrived
+
+
 def integrate_epoch(state: QueueState, traj: Trajectory, *,
                     deposits: np.ndarray | None = None,
                     inflow: np.ndarray | None = None

@@ -17,8 +17,10 @@ backtracking enumerator, one recursive call per independent set, is the
 reference of the doubling in `conflict_graph.enumerate_independent_sets`.
 The queue kernel that holds each block as (breakpoint, node) rows is the
 bit-for-bit reference of the node-major `traffic.reflect` and
-`traffic.integrate_epoch`, and the walk that takes one (wait, pick) pair
-from a generator per event is the reference of `chain._walk_table`.
+`traffic.integrate_epoch`; one `traffic.reflect` call per epoch is the
+reference of the oracle's block kernel `traffic.reflect_epochs`; and the
+walk that takes one (wait, pick) pair from a generator per event is the
+reference of `chain._walk_table`.
 `strict_json` parses the commands' JSON the way a strict reader would.
 `service_rates_spelled_out` writes the Gibbs law's marginals out in the
 numpy operations `gibbs` has always used; it is the bit-for-bit reference of
@@ -496,8 +498,9 @@ def oracle_run_per_epoch(config):
     """Yield an oracle run's records as the epoch-by-epoch loop did: each
     epoch's ledger checks, update checks and record before the next epoch.
 
-    The queue kernel and the update rules are read from `engine` at each
-    call, so a test that patches one there faults both loops alike.
+    Each epoch's queues pass through one `traffic.reflect` call and each
+    update through the rule read from `engine`, both looked up at the call,
+    so a test can fault this loop at the epoch where it faults the engine.
     """
     n = config.graph.n
     matrix = config.family.matrix
@@ -527,7 +530,7 @@ def oracle_run_per_epoch(config):
         lam_hat = cc_rates if congestion else config.arrivals.rates
         arrivals = lam_hat * length
         offered = s_hat * length
-        served, peak = engine.reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
+        served, peak = traffic.reflect(qstate, (arrivals - offered)[:, None], None, arrivals)
         actual = served / length
         now += length
         tol = CONSERVATION_TOL * (1.0 + float(np.max(qstate.arrived)))

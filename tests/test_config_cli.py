@@ -373,7 +373,8 @@ DIRECTORY_IN_THE_WAY = {"run-file-is-a-directory": "exp-seed9.jsonl",
                         "summary-is-a-directory": "exp-seed9-summary.json",
                         "manifest-is-a-directory": "exp-manifest.json"}
 # refusals that come after a run: the file whose write fails
-WRITE_FAILURES = {"summary-write-fails": "exp-seed9-summary.json",
+WRITE_FAILURES = {"run-file-write-fails": "exp-seed10.jsonl",
+                  "summary-write-fails": "exp-seed9-summary.json",
                   "manifest-write-fails": "exp-manifest.json"}
 
 
@@ -798,7 +799,8 @@ def test_run_refuses_an_output_path_it_cannot_create(tmp_path, capsys, case):
 def test_run_refuses_a_summary_or_manifest_it_cannot_write(tmp_path, capsys, monkeypatch,
                                                           case):
     # a full disk, simulated where the file is written: the suite may run as
-    # root, which writes past any permission bit
+    # root, which writes past any permission bit.  The run file is written
+    # through a buffer, so its failing file is /dev/full itself.
     cfg_path = write_config(tmp_path, BASE)
     out = tmp_path / "out"
     failing = out / WRITE_FAILURES[case]
@@ -809,14 +811,19 @@ def test_run_refuses_a_summary_or_manifest_it_cannot_write(tmp_path, capsys, mon
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
         return write_text(path, *args, **kwargs)
 
+    if case == "run-file-write-fails":
+        out.mkdir()
+        failing.symlink_to("/dev/full")  # every write there fails with ENOSPC
     monkeypatch.setattr(Path, "write_text", full_disk)
-    assert main(["run", str(cfg_path), "--out", str(out)]) == 2
+    assert main(["run", str(cfg_path), "--out", str(out), "--seeds", "2"]) == 2
     err = capsys.readouterr().err
-    assert f"error: {REFUSALS[case]} {failing}: [Errno {errno.ENOSPC}]" in err
-    assert "Traceback" not in err
+    *wrote, last = err.splitlines()  # one line per seed written, then the error
+    assert last.startswith(f"error: {REFUSALS[case]} {failing}: [Errno {errno.ENOSPC}]")
+    assert all(line.startswith("wrote ") for line in wrote)
     # what the run wrote before the failing file stays
     assert (out / "exp-seed9.jsonl").is_file()
-    assert (out / "exp-seed9-summary.json").is_file() == (case == "manifest-write-fails")
+    assert (out / "exp-seed9-summary.json").is_file() == (case != "summary-write-fails")
+    assert (out / "exp-seed10-summary.json").is_file() == (case == "manifest-write-fails")
     assert not (out / "exp-manifest.json").exists()
 
 
@@ -1071,6 +1078,33 @@ def test_analyze_refuses_a_law_past_float_resolution(capsys, flags):
     assert (rc, captured.out) == (3, "")
     assert captured.err.startswith("numeric failure: log Z = ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("beta", ["1e8", "1e10", "1e14"])
+def test_analyze_refuses_a_gap_bound_within_the_dual_residual(capsys, beta):
+    # log(5)/beta is below 3 x the residual ~1e-8; at 1e10 the gap printed
+    # was 3.3e-9 against bound 1.6e-10, and at 1e14 the dual rates
+    # [1, 2.3e-10, 1] overfilled the path
+    rc = main(["analyze", "path3", "--utilities", "log-shifted", "--beta", beta])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith("numeric failure: utility gap bound log(schedules)/beta = ")
+    assert captured.err.count("\n") == 1
+
+
+def test_analyze_refuses_a_gap_past_its_bound(capsys, monkeypatch):
+    real = cli.utility_gap_certificate
+
+    def missed(*args):
+        cert = real(*args)
+        return cert._replace(gap=cert.bound * 1.5)
+
+    monkeypatch.setattr(cli, "utility_gap_certificate", missed)
+    rc = main(["analyze", "clique2", "--utilities", "log-shifted", "--beta", "10"])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert re.fullmatch(r"numeric failure: utility gap \S+ exceeds its bound "
+                        r"log\(schedules\)/beta = 1\.099e-01\n", captured.err)
 
 
 def test_analyze_large_family_skips_cut_enumeration(capsys):

@@ -18,6 +18,7 @@ from csmasim.congestion import (
     best_responses,
     entropy_weight,
     initial_slope_bound,
+    residual_utility_error,
     solve_dual_optimum,
     solve_utility_optimum,
     total_utility,
@@ -424,6 +425,23 @@ def test_gap_certificate_clique2(clique2):
     assert cert.holds()
     with pytest.raises(ValueError, match="beta must be positive"):
         utility_gap_certificate(clique2, utilities, 0.0, dual.rates)
+
+
+@pytest.mark.parametrize("graph, beta", [("path3", 1e14), ("path3", 1e10), ("clique2", 10.0),
+                                         ("cycle5", 1e6)])
+def test_residual_error_bounds_what_the_dual_rates_overfill(graph, beta):
+    # at path3 and beta 1e14 the rates are [1, 2.3e-10, 1], which overfill
+    # the path; their utility above the feasible min(y, s) is within the error
+    family = enumerate_independent_sets(preset(graph))
+    utilities = (LOG1,) * family.n
+    dual = solve_dual_optimum(family, utilities, beta)
+    feasible = np.minimum(dual.rates, service_rates(family, dual.prices))
+    hidden = total_utility(utilities, dual.rates) - total_utility(utilities, feasible)
+    error = residual_utility_error(utilities, dual.rates, dual.residual)
+    assert 0.0 <= error <= family.n * dual.residual  # U' <= U'(0) = 1
+    assert 0.0 <= hidden <= error * (1 + 1e-9) + 1e-15
+    gap = utility_gap_certificate(family, utilities, beta, dual.rates).gap
+    assert gap >= -error - 1e-9  # the optimum's FW tolerance
 
 
 def test_gap_shrinks_with_beta(clique2):

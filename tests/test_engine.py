@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from csmasim.congestion import UtilityFunction, best_responses
-from csmasim import cli, engine
+from csmasim import cli, engine, traffic
 from csmasim.chain import DRIVE_LIMIT, simulate
 from csmasim.config import load_config, parse_config
 from csmasim.conflict_graph import (EXACT_MODE_CAP, MAX_NODES, ConflictGraph,
@@ -707,10 +707,10 @@ def fault_matches_the_per_epoch_loop(config, epoch, error, match, *faults):
     assert_same_records(got, want)
 
 
-def on_call(monkeypatch, name, number, fault):
-    """A function that patches engine.<name> so that its `number`-th call from
+def on_call(monkeypatch, name, number, fault, module=engine):
+    """A function that patches module.<name> so that its `number`-th call from
     then on (counting from 1) passes its output through `fault`."""
-    real = getattr(engine, name)
+    real = getattr(module, name)
 
     def arm():
         calls = itertools.count(1)
@@ -718,7 +718,38 @@ def on_call(monkeypatch, name, number, fault):
         def wrapped(*args):
             out = real(*args)
             return fault(out, *args) if next(calls) == number else out
-        monkeypatch.setattr(engine, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
+    return arm
+
+
+def on_epoch(monkeypatch, epoch, fault):
+    """A function that passes epoch `epoch`'s queue reflection through `fault`
+    in both loops: the per-epoch loop's `epoch`-th traffic.reflect call, and
+    in the engine, the block that holds the epoch, which it splits there.  The
+    epochs before it and after it settle in engine.reflect_epochs, and the
+    epoch itself in a real traffic.reflect call whose output and state the
+    fault sees as the per-epoch loop's fault does."""
+    per_epoch = on_call(monkeypatch, "reflect", epoch, fault, module=traffic)
+    real_reflect, real_epochs = traffic.reflect, engine.reflect_epochs
+
+    def arm():
+        per_epoch()
+        settled = 0
+
+        def split(state, net, arrived):
+            nonlocal settled
+            k, settled = epoch - 1 - settled, settled + len(net)
+            if not 0 <= k < len(net):
+                return real_epochs(state, net, arrived)
+            parts = [real_epochs(state, net[:k], arrived[:k])] if k else []
+            args = (state, net[k][:, None], None, arrived[k])
+            served, peak = fault(real_reflect(*args), *args)
+            parts.append([np.array([v]) for v in
+                          (served, peak, state.queue, state.departed, state.arrived)])
+            if k + 1 < len(net):
+                parts.append(real_epochs(state, net[k + 1:], arrived[k + 1:]))
+            return tuple(np.concatenate(column) for column in zip(*parts))
+        monkeypatch.setattr(engine, "reflect_epochs", split)
     return arm
 
 
@@ -729,13 +760,9 @@ def poisoned(bad):
     return fault
 
 
-# engine._publish reads a block as one tuple per epoch, in this order
-BLOCK_FIELDS = ("j", "now", "length", "drive", "lam_hat", "s_hat", "served", "offered",
-                "peak", "queue", "departed", "arrived")
-
-
 def synthetic_block(epochs, first_j, n=3):
-    """A block of `epochs` epochs that passes every check, as `_publish` reads it."""
+    """A block of `epochs` epochs that passes every check, one dict per epoch
+    keyed by engine._Block's fields."""
     rng = np.random.default_rng(first_j)
     rows, departed, now = [], np.zeros(n), 0.0
     for j in range(first_j, first_j + epochs):
@@ -753,8 +780,12 @@ def synthetic_block(epochs, first_j, n=3):
 
 
 def publish(rows):
-    epochs = [tuple(row[name] for name in BLOCK_FIELDS) for row in rows]
-    return engine._publish(epochs, [(None, None, None)] * len(rows))
+    """engine._publish on the rows as one block, with no rule checks."""
+    block = engine._Block(*(
+        tuple(row[name] for row in rows) if name in ("j", "now")
+        else np.array([row[name] for row in rows], dtype=float)
+        for name in engine._Block._fields))
+    return engine._publish(block, (), [(None, None, None)] * len(rows))
 
 
 def poison_entry(row, name, bad):
@@ -892,7 +923,7 @@ NON_FINITE_FIELDS = [
 def test_queue_kernel_faults_raise(monkeypatch, fault, match, epoch):
     fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
                                      InvariantViolation, match,
-                                     on_call(monkeypatch, "reflect", epoch, fault))
+                                     on_epoch(monkeypatch, epoch, fault))
 
 
 def oracle_sched2(horizon):
@@ -920,15 +951,16 @@ def oracle_cc2(horizon):
 ]))
 def test_update_check_faults_match_the_per_epoch_loop(monkeypatch, rule, fault, config, match,
                                                       epoch):
-    fault_matches_the_per_epoch_loop(config(3 * BLOCK), epoch, InvariantViolation, match,
-                                     on_call(monkeypatch, rule, epoch, fault))
+    arm = (on_epoch(monkeypatch, epoch, fault) if rule == "reflect"
+           else on_call(monkeypatch, rule, epoch, fault))
+    fault_matches_the_per_epoch_loop(config(3 * BLOCK), epoch, InvariantViolation, match, arm)
 
 
 @pytest.mark.parametrize("epoch", FAULT_EPOCHS)
 def test_a_ledger_fault_takes_precedence_over_its_epochs_update_fault(monkeypatch, epoch):
     fault_matches_the_per_epoch_loop(oracle_sched2(3 * BLOCK), epoch, InvariantViolation,
                                      "queue conservation off",
-                                     on_call(monkeypatch, "reflect", epoch, lost),
+                                     on_epoch(monkeypatch, epoch, lost),
                                      on_call(monkeypatch, "update_projected", epoch,
                                              poisoned(1e6)))
 
@@ -938,8 +970,8 @@ def test_a_ledger_fault_takes_precedence_over_its_epochs_non_finite_record(
         monkeypatch, fault, match, epoch):
     fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
                                      InvariantViolation, "queue conservation off",
-                                     on_call(monkeypatch, "reflect", epoch,
-                                             lambda out, *args: lost(fault(out, *args), *args)))
+                                     on_epoch(monkeypatch, epoch,
+                                              lambda out, *args: lost(fault(out, *args), *args)))
 
 
 @pytest.mark.parametrize("fault, match, epoch", at_fault_epochs(NON_FINITE_FIELDS))
@@ -949,7 +981,7 @@ def test_a_non_finite_record_takes_precedence_over_a_later_guard_fault(
     # entering the next epoch, in the same block unless `epoch` ends one
     fault_matches_the_per_epoch_loop(oracle_cycle5(horizon=3 * BLOCK), epoch,
                                      InvariantViolation, match,
-                                     on_call(monkeypatch, "reflect", epoch, fault),
+                                     on_epoch(monkeypatch, epoch, fault),
                                      on_call(monkeypatch, "update_diminishing", epoch,
                                              poisoned(math.nan)))
 
@@ -971,7 +1003,7 @@ def test_each_epoch_has_its_own_departure_slack(monkeypatch):
 
     cfg = ExperimentConfig(graph=preset("cycle5"), algorithm="sched1", horizon=last,
                            arrivals=bern([0.2] * 5), mode=ORACLE)
-    arm = on_call(monkeypatch, "reflect", last, over)
+    arm = on_epoch(monkeypatch, last, over)
     arm()
     got = list(run_experiment(cfg))
     arm()

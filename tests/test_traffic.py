@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from csmasim import traffic
 from csmasim.chain import Trajectory, simulate
 from csmasim.conflict_graph import ConflictGraph, preset, schedule_nodes
+from csmasim.scheduling import published_epoch_length
 from csmasim.traffic import (
     BLOCK_CELLS,
     ArrivalSpec,
@@ -335,6 +337,73 @@ def test_single_piece_matches_the_row_major_kernel_bit_for_bit(nodes, length):
     expected = reflect_row_major(reference, ((a - s) * length)[None, :], None, a * length)
     assert_same_bits(got, expected)
     assert_same_bits(vars(state).values(), vars(reference).values())
+
+
+def reflect_one_by_one(state, net, arrived):
+    """B traffic.reflect calls of one breakpoint each, as (B, n) rows of what
+    `reflect_epochs` returns, and the warnings they raise."""
+    rows = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for k in range(len(net)):
+            served, peak = reflect(state, net[k][:, None], None, arrived[k])
+            rows.append((served, peak, state.queue, state.departed, state.arrived))
+    return [np.array(column) for column in zip(*rows)], caught
+
+
+def warning_texts(caught):
+    # numpy names a warning after the ufunc's method, so the accumulation
+    # that adds a block's rows warns "in accumulate" where one row's sum
+    # warns "in add"
+    return {(w.category, str(w.message).replace("in accumulate", "in add")) for w in caught}
+
+
+def assert_same_bytes(got, expected):
+    """Bit for bit: the sign of zero and NaN payloads count too."""
+    for x, y in zip(got, expected, strict=True):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def kernel_case(case, epochs, n=5):
+    """(initial state, net, arrived) of a `case` block of `epochs` oracle-like epochs."""
+    rng = np.random.default_rng(epochs * 31 + len(case))
+    rates, service = rng.uniform(0.0, 0.5, n), rng.uniform(0.0, 0.5, (epochs, n))
+    length = np.full((epochs, 1), 10.0)
+    if case == "past-2**53":  # the published lengths of epochs 1744 on, ~2**60
+        length = np.array([[published_epoch_length(j)] for j in range(1744, 1744 + epochs)],
+                          dtype=float)
+    arrived = rates * length
+    offered = service * length
+    if case in ("zero-nets", "specials"):
+        offered[::3] = arrived[::3]  # zero nets
+    net = arrived - offered
+    q0 = np.zeros(n) if case == "empty" else rng.uniform(0.0, 40.0, n)
+    state = QueueState(queue=q0, departed=rng.uniform(0.0, 1e3, n), arrived=q0 + 1e3)
+    if case == "specials":
+        specials = [-0.0, math.nan, math.inf, -math.inf]
+        state.queue = np.array([-0.0, 0.0, 3.0, 1.0, 2.0])
+        for values in (net, arrived):
+            cells = rng.choice(values.size, size=min(values.size, 8), replace=False)
+            values.flat[cells] = rng.choice(specials, size=cells.size)
+        net[0] = [-0.0, -0.0, -3.0, 0.0, -0.0]  # -0.0 reaches the queue
+    return state, net, arrived
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 256])
+@pytest.mark.parametrize("case", ["empty", "queued", "zero-nets", "specials", "past-2**53"])
+def test_reflect_epochs_is_one_reflect_call_per_epoch(case, epochs):
+    state, net, arrived = kernel_case(case, epochs)
+    reference = QueueState(*(v.copy() for v in vars(state).values()))
+    expected, expected_warnings = reflect_one_by_one(reference, net, arrived)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = traffic.reflect_epochs(state, net, arrived)
+    assert_same_bytes(got, expected)
+    assert_same_bytes(vars(state).values(), vars(reference).values())
+    assert warning_texts(caught) == warning_texts(expected_warnings)
+    if case == "specials" and epochs > 1:  # the case reaches what it is meant to
+        assert expected_warnings and np.isnan(expected[0]).any()
+        assert np.signbit(expected[2][0][expected[2][0] == 0.0]).any()
 
 
 def fluid_closed_form(q, a, s, length):
