@@ -31,8 +31,10 @@ def main() -> int:
 
     for beta in args.betas:
         dual = solve_dual_optimum(family, utilities, beta)
-        cert = utility_gap_certificate(family, utilities, beta, dual.rates)
-        assert cert.holds(), "gap certificate failed; dual solve suspect"
+        cert = utility_gap_certificate(family, utilities, beta, dual.rates, dual.residual)
+        if not cert.holds():
+            raise SystemExit(f"beta {beta:g}: gap {cert.gap:.3e} is not certified by its "
+                             f"bound {cert.bound:.3e} with residual error {cert.error:.3e}")
         print(f"{beta:8.1f} {cert.gap:12.3e} {cert.bound:12.3e} "
               f"{dual.prices.max():10.4f} {dual.rates[0]:9.5f}")
     print("optimal rates:", [round(float(v), 5) for v in cert.optimal_rates])

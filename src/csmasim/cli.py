@@ -16,7 +16,6 @@ import datetime
 import json
 import math
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -27,8 +26,8 @@ from .chain import chain_diagnostics
 from .config import _broadcast, _parse_utilities, load_config
 from .conflict_graph import (PRESETS, enumerate_independent_sets,
                              is_strictly_admissible, preset, read_edge_list)
-from .congestion import (UTILITY_FAMILIES, entropy_weight, residual_utility_error,
-                         solve_dual_optimum, utility_gap_certificate)
+from .congestion import (UTILITY_FAMILIES, entropy_weight, solve_dual_optimum,
+                         utility_gap_certificate)
 from .engine import ORACLE, ExperimentConfig, MetricsRecord, run_experiment
 from .errors import (ConfigError, ConvergenceFailure, ExactModeUnavailable,
                      InfeasibleRates, InvariantViolation, NumericFailure)
@@ -55,6 +54,38 @@ def _write_json(path: Path, payload: dict, what: str) -> None:
         path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {what} {path}: {exc}") from exc
+
+
+def _write_run_file(path: Path, parts) -> None:
+    """Write the strings `parts` yields to the run file at `path`; what was
+    written before a failure stays.  A write or close that fails raises
+    ConfigError naming the file, and what producing a part raises passes
+    through."""
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot open run file {path}: {exc}") from exc
+    try:
+        for part in parts:
+            try:
+                fh.write(part)
+            except OSError as exc:
+                raise ConfigError(f"cannot write run file {path}: {exc}") from exc
+    finally:
+        try:
+            fh.close()
+        except OSError as exc:  # the buffered lines could not be flushed
+            raise ConfigError(f"cannot write run file {path}: {exc}") from exc
+
+
+def _read_run_file(path: Path):
+    """A run file already written, in pieces of at most 1 MiB, for a copy of it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while piece := fh.read(1 << 20):
+                yield piece
+    except OSError as exc:
+        raise ConfigError(f"cannot read run file {path}: {exc}") from exc
 
 
 def _refuse_non_file(path: Path, what: str) -> None:
@@ -158,24 +189,18 @@ def cmd_run(args) -> int:
         run_path = out_dir / f"{stem}-seed{seed}.jsonl"
         summary_path = out_dir / f"{stem}-seed{seed}-summary.json"
         _refuse_non_file(summary_path, "summary")
-        try:
-            fh = open(run_path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot open run file {run_path}: {exc}") from exc
-        try:  # the lines written before a failing write stay
-            with fh:
-                if first_run is None:
-                    last = None
-                    for record in run_experiment(cfg, seed):
-                        fh.write(encode(record._asdict()) + "\n")
-                        last = record
-                    summary = _summarize(cfg, seed, last)
-                    first_run = run_path if cfg.mode == ORACLE else None
-                else:
-                    with open(first_run, encoding="utf-8") as src:
-                        shutil.copyfileobj(src, fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot write run file {run_path}: {exc}") from exc
+        if first_run is None:
+            last = None
+
+            def lines():
+                nonlocal last
+                for last in run_experiment(cfg, seed):
+                    yield encode(last._asdict()) + "\n"
+            _write_run_file(run_path, lines())
+            summary = _summarize(cfg, seed, last)
+            first_run = run_path if cfg.mode == ORACLE else None
+        else:
+            _write_run_file(run_path, _read_run_file(first_run))
         _write_json(summary_path, dict(summary, seed=seed), "summary")
         outputs.append(run_path.name)
         print(f"wrote {run_path}", file=sys.stderr)
@@ -239,18 +264,12 @@ def cmd_analyze(args) -> int:
 
     if args.utilities is not None:
         dual = solve_dual_optimum(family, utilities, beta)
-        cert = utility_gap_certificate(family, utilities, beta, dual.rates)
-        # the certificate is checked before it is printed: a bound within
-        # what the residual hides certifies nothing, nor does a gap past it
-        error = residual_utility_error(utilities, dual.rates, dual.residual)
-        if not error < cert.bound:
+        cert = utility_gap_certificate(family, utilities, beta, dual.rates, dual.residual)
+        if not cert.holds():  # checked before it is printed
             raise NumericFailure(
-                f"utility gap bound log(schedules)/beta = {cert.bound:.3e} is not above "
-                f"{error:.3e}, what the dual's residual {dual.residual:.3e} can hide; "
-                "lower beta")
-        if not cert.gap <= cert.bound:
-            raise NumericFailure(f"utility gap {cert.gap:.3e} exceeds its bound "
-                                 f"log(schedules)/beta = {cert.bound:.3e}")
+                f"utility gap {cert.gap:.3e} is not certified: its bound log(schedules)/beta "
+                f"= {cert.bound:.3e} must cover it and exceed {cert.error:.3e}, what the "
+                f"dual's residual {dual.residual:.3e} can hide; lower beta")
         report["entropy_weight"] = beta
         report["dual"] = {
             "prices": [float(v) for v in dual.prices],
@@ -323,7 +342,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed stdout pipe fails here, inside the try
         return code
     except KeyboardInterrupt:
-        # the run file's `with` block has closed it, so its lines stay whole
+        # the run file's writer has closed it, so its lines stay whole
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except BrokenPipeError:

@@ -298,9 +298,11 @@ class GapCertificate(NamedTuple):
     gap: float            # optimal total utility minus achieved total utility
     bound: float          # log(family size) / beta
     optimal_rates: np.ndarray
+    error: float          # how far the gap can understate a feasible point's
 
     def holds(self) -> bool:
-        return self.gap <= self.bound
+        """The bound is above what the error hides, and the gap within it."""
+        return self.error < self.bound and self.gap <= self.bound
 
 
 def residual_utility_error(utilities, rates, residual: float) -> float:
@@ -319,15 +321,19 @@ def residual_utility_error(utilities, rates, residual: float) -> float:
 
 
 def utility_gap_certificate(family: IndependentSetFamily, utilities, beta: float,
-                            achieved_rates) -> GapCertificate:
+                            achieved_rates, residual: float = 0.0) -> GapCertificate:
     """Compare achieved rates against the polytope optimum.
 
     The entropy term the prices implicitly optimize is at most log(family
     size), so the utility sacrificed is at most log(family size)/beta.
+    `residual` is the stopping residual of the dual that gave the rates, 0
+    for rates inside the capacity region, such as a run's served rates.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
     best = solve_utility_optimum(family, utilities)
     return GapCertificate(gap=best.value - total_utility(utilities, achieved_rates),
                           bound=math.log(family.size) / beta,
-                          optimal_rates=best.rates)
+                          optimal_rates=best.rates,
+                          error=residual_utility_error(utilities, achieved_rates, residual)
+                          if residual else 0.0)

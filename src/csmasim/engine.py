@@ -79,11 +79,10 @@ DESK_TIME_LIMIT = 1e8
 # <= sys.float_info.max, summed exactly in Python ints, so the engine's float
 # clock stays finite on the published lengths (at H + 1 it becomes inf).  On a
 # 2-vCPU host at one BLAS thread, an epoch of `csmasim run` at epoch_length 1,
-# its JSONL line included, costs 31-33 us and ~0.7 KB for oracle sched1 on cycle5
-# (~16 s and ~330 MB at the limit), ~185 us and ~0.4 KB for stochastic sched1
-# on single (~90 s, ~190 MB), and ~1.3 ms and 16 KB for stochastic cc2 on a
-# 100-node cycle (~11 minutes, ~8 GB), all measured together; the same host
-# has run up to twice as fast at other times.
+# its JSONL line included, costs ~20 us and ~0.7 KB for oracle sched1 on cycle5
+# (~10 s and ~340 MB at the limit), 90-100 us and ~0.4 KB for stochastic sched1
+# on single (~50 s, ~190 MB), and 0.7-0.75 ms and 16 KB for stochastic cc2 on a
+# 100-node cycle (~6 minutes, ~8 GB).
 EPOCH_LIMIT = 493_556
 # Epochs whose ledgers are checked and whose records are built together, by
 # mode: numpy's per-call overhead on a few nodes outweighs an oracle epoch's

@@ -827,6 +827,28 @@ def test_run_refuses_a_summary_or_manifest_it_cannot_write(tmp_path, capsys, mon
     assert not (out / "exp-manifest.json").exists()
 
 
+def test_an_oracle_copy_names_the_run_file_it_cannot_read(tmp_path, capsys, monkeypatch):
+    # later oracle seeds copy the first seed's run file: one gone by then is
+    # refused as a read of that file, not as a write of the copy
+    path = write_config(tmp_path, oracle_payload("sched1", horizon=5))
+    out = tmp_path / "out"
+    first = out / "exp-seed4.jsonl"
+    write_json = cli._write_json
+
+    def and_remove_the_run(target, payload, what):
+        write_json(target, payload, what)
+        first.unlink()
+
+    monkeypatch.setattr(cli, "_write_json", and_remove_the_run)
+    assert main(["run", str(path), "--out", str(out), "--seed", "4", "--seeds", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"wrote {first}",
+        f"error: cannot read run file {first}: [Errno {errno.ENOENT}] "
+        f"{os.strerror(errno.ENOENT)}: '{first}'"]
+    assert (out / "exp-seed5.jsonl").read_bytes() == b""  # opened, and nothing copied
+    assert not (out / "exp-seed5-summary.json").exists()
+
+
 def test_oracle_cc2_at_a_tiny_step_runs_without_warnings(tmp_path):
     # epoch 2's prices are the step, 1e-300, where beta*weight/price overflows;
     # the best response there is 1, and no numpy warning may reach the user.
@@ -1088,8 +1110,9 @@ def test_analyze_refuses_a_gap_bound_within_the_dual_residual(capsys, beta):
     rc = main(["analyze", "path3", "--utilities", "log-shifted", "--beta", beta])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
-    assert captured.err.startswith("numeric failure: utility gap bound log(schedules)/beta = ")
-    assert captured.err.count("\n") == 1
+    assert re.fullmatch(r"numeric failure: utility gap \S+ is not certified: its bound "
+                        r"log\(schedules\)/beta = (\S+) must cover it and exceed (\S+), "
+                        r"what the dual's residual \S+ can hide; lower beta\n", captured.err)
 
 
 def test_analyze_refuses_a_gap_past_its_bound(capsys, monkeypatch):
@@ -1103,8 +1126,9 @@ def test_analyze_refuses_a_gap_past_its_bound(capsys, monkeypatch):
     rc = main(["analyze", "clique2", "--utilities", "log-shifted", "--beta", "10"])
     captured = capsys.readouterr()
     assert (rc, captured.out) == (3, "")
-    assert re.fullmatch(r"numeric failure: utility gap \S+ exceeds its bound "
-                        r"log\(schedules\)/beta = 1\.099e-01\n", captured.err)
+    assert re.fullmatch(r"numeric failure: utility gap 1\.648e-01 is not certified: its bound "
+                        r"log\(schedules\)/beta = 1\.099e-01 must cover it and exceed \S+, "
+                        r"what the dual's residual \S+ can hide; lower beta\n", captured.err)
 
 
 def test_analyze_large_family_skips_cut_enumeration(capsys):

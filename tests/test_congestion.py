@@ -440,8 +440,12 @@ def test_residual_error_bounds_what_the_dual_rates_overfill(graph, beta):
     error = residual_utility_error(utilities, dual.rates, dual.residual)
     assert 0.0 <= error <= family.n * dual.residual  # U' <= U'(0) = 1
     assert 0.0 <= hidden <= error * (1 + 1e-9) + 1e-15
-    gap = utility_gap_certificate(family, utilities, beta, dual.rates).gap
-    assert gap >= -error - 1e-9  # the optimum's FW tolerance
+    cert = utility_gap_certificate(family, utilities, beta, dual.rates, dual.residual)
+    assert cert.gap >= -error - 1e-9  # the optimum's FW tolerance
+    assert cert.error == error
+    # on path3 log(5)/beta is below the error, so the certificate cannot hold
+    assert cert.holds() == (graph != "path3")
+    assert utility_gap_certificate(family, utilities, beta, dual.rates).error == 0.0
 
 
 def test_gap_shrinks_with_beta(clique2):

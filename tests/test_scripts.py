@@ -60,3 +60,13 @@ def test_output_digests_runs_a_subset(monkeypatch, capsys):
         "controlled-sched1-single-seed1-summary.json",
         "controlled-sched1-single-seed1.jsonl",
         "analyze-grid4x4-lambda-0.9cap", "analyze-cycle5-masked"]
+
+
+def test_utility_gap_sweep_refuses_a_gap_it_cannot_certify(monkeypatch):
+    # at beta 1e14 the bound log(5)/beta is far below what the dual's
+    # stopping residual can hide in the gap
+    monkeypatch.setattr(sys, "argv", ["utility_gap_sweep.py", "--graph", "path3",
+                                      "--betas", "1e14"])
+    with pytest.raises(SystemExit, match=r"^beta 1e\+14: gap \S+ is not certified by its "
+                                         r"bound 1\.609e-14 with residual error \S+$"):
+        load("utility_gap_sweep").main()
